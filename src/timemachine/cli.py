@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: reduce, solve, decide, simulate, decode, verify-roundtrip,
-bench.  Exit codes: 0 success, 1 usage error, 2 solver budget exceeded,
-3 verification disagreement.
+bench.  Exit codes: 0 success, 1 usage error (including a horizon too deep for
+the recursive searches), 2 solver budget exceeded, 3 verification
+disagreement.
 """
 
 from __future__ import annotations
@@ -293,6 +294,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DISAGREEMENT
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # the searches recurse once per plan step
+        print("error: horizon N is too deep for the recursive search", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -18,9 +18,23 @@ Four entry points, all pure functions of an :class:`~timemachine.core.Instance`:
 :func:`decide_threshold` answers the decision variant (is there a plan with
 value >= alpha?) with early exit on the first witness found.
 
-Exact-mode searches run on an integer rescaling of the instance (see
-:class:`_IntegerView`) so the hot loops do big-int arithmetic instead of
-Fraction arithmetic; results are identical, just reduced at the end.
+Every search runs on a numeric backend built once per call, and is written
+once against the interface the two backends share: ``start``,
+``apply(weights, k)``, lookahead tables ``lookahead[r][k]`` and value levels
+``U[r]`` (both scaled by ``level_scale[r]``), the bitmasks ``live[r]`` and
+``certain[r][k]``, the total mass ``full[r]`` at each level's scale,
+memo-key ``normalize``, ``divide`` and ``to_value``.
+
+* :class:`_FloatView` serves float instances.  It keeps the instance's own
+  weights unscaled and its certainty masks empty, so float arithmetic and
+  its summation order are those of the plain problem.
+* :class:`_IntegerView` serves exact instances.  It rescales them to
+  integers so the hot loops do big-int arithmetic instead of Fraction
+  arithmetic; results are identical, just reduced at the end.
+
+Branch and bound and the threshold decision are the two depth-first walks.
+The first chases strict improvements and memoizes certified subtree
+bounds; the second stops at the first witness and memoizes dead states.
 All searches are deterministic: identical inputs give identical results,
 node counts included.
 """
@@ -76,49 +90,34 @@ class SolveResult:
     method: str
 
 
-def _sparse_rows(inst: Instance):
-    """Per matrix, per row: the nonzero (column, weight) pairs."""
-    return [
+def _mask(flags) -> int:
+    """Bitmask with bit ``i`` set where ``flags[i]`` is truthy."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
+
+
+def _tables(inst: Instance):
+    """Sparse rows, value table levels U[0..N] and the one-step lookahead
+    tables Q[r][k][i] = sum_j T_k[i][j] * U[r-1][j], all in the instance's
+    own scalars, so that the bound of a child node can be read off before
+    materializing it.  ``rows[k][i]`` holds the nonzero (column, weight)
+    pairs of row ``i`` of matrix ``k``."""
+    d, K, N = inst.d, inst.K, inst.N
+    zero, one = (Fraction(0), Fraction(1)) if inst.numeric_mode == EXACT else (0.0, 1.0)
+    rows = [
         [tuple((j, t) for j, t in enumerate(row) if t) for row in m.rows]
         for m in inst.matrices
     ]
-
-
-def _apply_sparse(weights, rows, zero):
-    out = [zero] * len(weights)
-    for i, w in enumerate(weights):
-        if w:
-            for j, t in rows[i]:
-                out[j] = out[j] + w * t
-    return tuple(out)
-
-
-def _mode_units(inst: Instance):
-    if inst.numeric_mode == EXACT:
-        return Fraction(0), Fraction(1)
-    return 0.0, 1.0
-
-
-def _tables(inst: Instance, sparse):
-    """Value table levels U[0..N] plus the one-step lookahead tables
-    Q[r][k][i] = sum_j T_k[i][j] * U[r-1][j], so that the bound of a child
-    node can be read off before materializing it."""
-    d, K, N = inst.d, inst.K, inst.N
-    zero, one = _mode_units(inst)
-    u0 = tuple(one if i == inst.target else zero for i in range(d))
-    levels = [u0]
+    levels = [tuple(one if i == inst.target else zero for i in range(d))]
     lookahead = [None]
     for _ in range(N):
         prev = levels[-1]
-        q_level = []
-        for k in range(K):
-            rows = sparse[k]
-            q_level.append(
-                tuple(sum(t * prev[j] for j, t in rows[i]) if rows[i] else zero for i in range(d))
-            )
+        q_level = [
+            tuple(sum(t * prev[j] for j, t in rows_k[i]) if rows_k[i] else zero for i in range(d))
+            for rows_k in rows
+        ]
         lookahead.append(q_level)
         levels.append(tuple(max(q_level[k][i] for k in range(K)) for i in range(d)))
-    return levels, lookahead
+    return rows, levels, lookahead
 
 
 def mdp_value_table(inst: Instance) -> ValueTable:
@@ -128,24 +127,67 @@ def mdp_value_table(inst: Instance) -> ValueTable:
     each later level takes the best matrix per state against the previous
     level.
     """
-    levels, _ = _tables(inst, _sparse_rows(inst))
+    _, levels, _ = _tables(inst)
     return ValueTable(tuple(levels))
 
 
+class _FloatView:
+    """Float backend: the instance's weights, rows and tables as they are.
+
+    Every level scale and full mass is 1 and every certainty mask is 0, so
+    each bound is the plain float sum over the occupied states, in the same
+    order as in the unscaled problem.  Memo keys divide a population by its
+    live mass.
+    """
+
+    def __init__(self, inst: Instance):
+        self.rows, self.U, self.lookahead = _tables(inst)
+        self.start = inst.start.weights
+        self.level_scale = self.full = (1,) * (inst.N + 1)
+        self.live = [_mask(level) for level in self.U]
+        self.certain = [None] + [(0,) * inst.K] * inst.N
+
+    def apply(self, weights, k: int):
+        rows = self.rows[k]
+        out = [0.0] * len(weights)
+        for i, w in enumerate(weights):
+            if w:
+                for j, t in rows[i]:
+                    out[j] = out[j] + w * t
+        return tuple(out)
+
+    @staticmethod
+    def normalize(live):
+        """Memo key of the live ``(state, weight)`` pairs, and the factor
+        the weights were divided by to get it."""
+        mass = sum(w for _, w in live)
+        return tuple((i, w / mass) for i, w in live), mass
+
+    @staticmethod
+    def divide(x, scale):
+        return x / scale
+
+    @staticmethod
+    def to_value(x):
+        return x
+
+
 class _IntegerView:
-    """Integer rescaling of an exact instance for the search hot loops.
+    """Exact backend: an integer rescaling of an exact instance.
 
     With L the lcm of every matrix-entry (and start-weight) denominator and
     D = L^(N+1), every weight reachable within N steps is an exact integer
     once scaled by D: each application divides divisibility headroom by at
-    most L, and there are only N applications.  Lookahead values scale by
-    L^r at level r, so bound comparisons are integral too.  Certainty masks
-    mark states whose scaled lookahead equals the full mass headroom, i.e.
-    whose relaxed value is exactly 1.
+    most L, and there are only N applications.  Value levels and lookahead
+    values scale by L^r at level r, so bound comparisons are integral too.
+    Certainty masks mark states whose scaled lookahead equals the full mass
+    headroom, i.e. whose relaxed value is exactly 1.  Memo keys divide a
+    population by the gcd of its live weights.
     """
 
-    def __init__(self, inst: Instance, sparse, levels, lookahead):
-        d, K, N = inst.d, inst.K, inst.N
+    def __init__(self, inst: Instance):
+        N = inst.N
+        rows, levels, lookahead = _tables(inst)
         denominators = {Fraction(w).denominator for w in inst.start.weights}
         for matrix in inst.matrices:
             for row in matrix.rows:
@@ -159,23 +201,21 @@ class _IntegerView:
                 tuple((j, Fraction(t).numerator, Fraction(t).denominator) for j, t in row)
                 for row in matrix_rows
             ]
-            for matrix_rows in sparse
+            for matrix_rows in rows
         ]
         self.level_scale = [self.base**r for r in range(N + 1)]
+        self.full = [self.mass * scale for scale in self.level_scale]
+        self.U = [
+            tuple(self._scaled(u, scale) for u in level)
+            for level, scale in zip(levels, self.level_scale)
+        ]
+        self.live = [_mask(level) for level in levels]
         self.lookahead = [None]
         self.certain = [None]
-        self.live = [sum(1 << i for i in range(d) if levels[0][i])]
         for r in range(1, N + 1):
             scale = self.level_scale[r]
-            q_level = []
-            masks = []
-            for k in range(K):
-                qk = lookahead[r][k]
-                q_level.append(tuple(self._scaled(q, scale) for q in qk))
-                masks.append(sum(1 << i for i in range(d) if qk[i] == 1))
-            self.lookahead.append(q_level)
-            self.certain.append(masks)
-            self.live.append(sum(1 << i for i in range(d) if levels[r][i]))
+            self.lookahead.append([tuple(self._scaled(q, scale) for q in qk) for qk in lookahead[r]])
+            self.certain.append([_mask(q == 1 for q in qk) for qk in lookahead[r]])
 
     @staticmethod
     def _scaled(value, scale: int) -> int:
@@ -185,15 +225,32 @@ class _IntegerView:
         return scaled.numerator
 
     def apply(self, weights, k: int):
+        rows = self.rows[k]
         out = [0] * len(weights)
         for i, w in enumerate(weights):
             if w:
-                for j, num, den in self.rows[k][i]:
+                for j, num, den in rows[i]:
                     out[j] += w * num // den
         return tuple(out)
 
-    def to_fraction(self, scaled: int) -> Fraction:
+    @staticmethod
+    def normalize(live):
+        """Memo key of the live ``(state, weight)`` pairs, and the factor
+        the weights were divided by to get it."""
+        scale = gcd(*(w for _, w in live))
+        return tuple((i, w // scale) for i, w in live), scale
+
+    @staticmethod
+    def divide(x, scale):
+        return Fraction(x, scale)
+
+    def to_value(self, scaled) -> Fraction:
         return Fraction(scaled, self.mass)
+
+
+def _view(inst: Instance):
+    """The search backend of an instance."""
+    return _IntegerView(inst) if inst.numeric_mode == EXACT else _FloatView(inst)
 
 
 def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) -> SolveResult:
@@ -208,16 +265,8 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
         raise BudgetExceededError(
             f"enumeration would visit K^N = {total} plans, budget is {budget}", total
         )
-    sparse = _sparse_rows(inst)
+    view = _view(inst)
     target = inst.target
-    exact = inst.numeric_mode == EXACT
-    view = None
-    if exact:
-        levels, lookahead = _tables(inst, sparse)
-        view = _IntegerView(inst, sparse, levels, lookahead)
-        start = view.start
-    else:
-        start = inst.start.weights
 
     best_value = None
     best_plan: Plan = ()
@@ -232,12 +281,10 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
             return
         for k in range(K):
             explored += 1
-            child = view.apply(weights, k) if exact else _apply_sparse(weights, sparse[k], 0.0)
-            walk(child, depth + 1, prefix + (k,))
+            walk(view.apply(weights, k), depth + 1, prefix + (k,))
 
-    walk(start, 0, ())
-    value = view.to_fraction(best_value) if exact else best_value
-    return SolveResult(value, best_plan, explored, 0, "enum")
+    walk(view.start, 0, ())
+    return SolveResult(view.to_value(best_value), best_plan, explored, 0, "enum")
 
 
 def branch_and_bound_solve(inst: Instance) -> SolveResult:
@@ -254,108 +301,34 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     ``nodes_explored`` counts one per child state materialized (one apply
     each); ``nodes_pruned`` counts skipped subtrees.
     """
-    if inst.numeric_mode == EXACT:
-        return _branch_and_bound_exact(inst)
-    return _branch_and_bound_float(inst)
-
-
-def _branch_and_bound_float(inst: Instance) -> SolveResult:
     K, N = inst.K, inst.N
-    sparse = _sparse_rows(inst)
     target = inst.target
-    levels, lookahead = _tables(inst, sparse)
+    view = _view(inst)
 
-    best_value = None
+    best_value = None  # at leaf scale
     best_plan: Plan = ()
+    incumbent_by_level: List = [None] * (N + 1)  # best_value at each level's scale
     explored = 0
     pruned = 0
-    certificates: Dict[tuple, float] = {}
+    certificates: Dict[tuple, Scalar] = {}
 
-    def walk(weights, depth: int, prefix: Plan) -> float:
-        """Explore a subtree; return a certified upper bound on its best value."""
-        nonlocal best_value, best_plan, explored, pruned
+    def walk(weights, depth: int, prefix: Plan):
+        """Explore a subtree; return a certified upper bound on its best
+        value, at leaf scale."""
+        nonlocal best_value, best_plan, incumbent_by_level, explored, pruned
         if depth == N:
             value = weights[target]
             if best_value is None or value > best_value:
                 best_value, best_plan = value, prefix
-            return value
-        steps_left = N - depth
-        live_level = levels[steps_left]
-        live = [(i, w) for i, w in enumerate(weights) if w and live_level[i]]
-        key = mass = None
-        if live:
-            mass = sum(w for _, w in live)
-            key = (steps_left, tuple((i, w / mass) for i, w in live))
-            cached = certificates.get(key)
-            if cached is not None:
-                ceiling = cached * mass
-                if best_value is not None and ceiling <= best_value:
-                    pruned += 1
-                    return ceiling
-        q_level = lookahead[steps_left]
-        nonzero = [(i, w) for i, w in enumerate(weights) if w]
-        subtree_cap = 0.0
-        for k in range(K):
-            qk = q_level[k]
-            bound = sum(w * qk[i] for i, w in nonzero)
-            if best_value is not None and bound <= best_value:
-                pruned += 1
-                cap = bound
-            else:
-                explored += 1
-                cap = walk(_apply_sparse(weights, sparse[k], 0.0), depth + 1, prefix + (k,))
-            if cap > subtree_cap:
-                subtree_cap = cap
-        if key is not None:
-            per_unit = subtree_cap / mass
-            cached = certificates.get(key)
-            if cached is None or per_unit < cached:
-                certificates[key] = per_unit
-        return subtree_cap
-
-    walk(inst.start.weights, 0, ())
-    return SolveResult(best_value, best_plan, explored, pruned, "bnb")
-
-
-def _branch_and_bound_exact(inst: Instance) -> SolveResult:
-    K, N = inst.K, inst.N
-    target = inst.target
-    sparse = _sparse_rows(inst)
-    levels, lookahead = _tables(inst, sparse)
-    view = _IntegerView(inst, sparse, levels, lookahead)
-    full_mass = view.mass
-
-    best_value: Optional[int] = None  # at D scale
-    best_plan: Plan = ()
-    incumbent_by_level: List[Optional[int]] = [None] * (N + 1)  # at D * L^r scale
-    explored = 0
-    pruned = 0
-    certificates: Dict[tuple, Fraction] = {}
-
-    def record(value: int, prefix: Plan) -> None:
-        nonlocal best_value, best_plan, incumbent_by_level
-        best_value, best_plan = value, prefix
-        incumbent_by_level = [value * view.level_scale[r] for r in range(N + 1)]
-
-    def walk(weights, depth: int, prefix: Plan):
-        """Explore a subtree; return a certified upper bound on its best value.
-
-        Bounds, weights, and the returned cap are integers at D scale
-        (caps from memo hits may be Fractions; comparisons stay exact).
-        """
-        nonlocal explored, pruned
-        if depth == N:
-            value = weights[target]
-            if best_value is None or value > best_value:
-                record(value, prefix)
+                incumbent_by_level = [value * scale for scale in view.level_scale]
             return value
         steps_left = N - depth
         live_mask = view.live[steps_left]
         live = [(i, w) for i, w in enumerate(weights) if w and (live_mask >> i) & 1]
         key = scale = None
         if live:
-            scale = gcd(*(w for _, w in live))
-            key = (steps_left, tuple((i, w // scale) for i, w in live))
+            normalized, scale = view.normalize(live)
+            key = (steps_left, normalized)
             cached = certificates.get(key)
             if cached is not None:
                 ceiling = cached * scale
@@ -364,37 +337,38 @@ def _branch_and_bound_exact(inst: Instance) -> SolveResult:
                     return ceiling
         q_level = view.lookahead[steps_left]
         masks = view.certain[steps_left]
-        incumbent = incumbent_by_level[steps_left]  # best_value * L^r, or None
+        level_scale = view.level_scale[steps_left]
+        incumbent = incumbent_by_level[steps_left]
         nonzero = [(i, w) for i, w in enumerate(weights) if w]
         support = 0
         for i, _ in nonzero:
             support |= 1 << i
-        subtree_cap = 0
+        level_cap = 0  # best child cap, at this level's scale
         for k in range(K):
             if not support & ~masks[k]:
                 # every occupied state has relaxed value exactly 1
-                bound = full_mass * view.level_scale[steps_left]
+                cap = view.full[steps_left]
             else:
                 qk = q_level[k]
-                bound = sum(w * qk[i] for i, w in nonzero)
-            if incumbent is not None and bound <= incumbent:
+                cap = sum(w * qk[i] for i, w in nonzero)
+            if incumbent is not None and cap <= incumbent:
                 pruned += 1
-                cap = Fraction(bound, view.level_scale[steps_left])
             else:
                 explored += 1
-                cap = walk(view.apply(weights, k), depth + 1, prefix + (k,))
+                cap = walk(view.apply(weights, k), depth + 1, prefix + (k,)) * level_scale
                 incumbent = incumbent_by_level[steps_left]
-            if cap > subtree_cap:
-                subtree_cap = cap
+            if cap > level_cap:
+                level_cap = cap
+        subtree_cap = view.divide(level_cap, level_scale)
         if key is not None:
-            per_unit = Fraction(subtree_cap) / scale
+            per_unit = view.divide(subtree_cap, scale)
             cached = certificates.get(key)
             if cached is None or per_unit < cached:
                 certificates[key] = per_unit
         return subtree_cap
 
     walk(view.start, 0, ())
-    return SolveResult(view.to_fraction(best_value), best_plan, explored, pruned, "bnb")
+    return SolveResult(view.to_value(best_value), best_plan, explored, pruned, "bnb")
 
 
 def beam_search(inst: Instance, width: int) -> SolveResult:
@@ -408,38 +382,20 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
     K, N = inst.K, inst.N
-    sparse = _sparse_rows(inst)
     target = inst.target
-    exact = inst.numeric_mode == EXACT
-    levels, lookahead = _tables(inst, sparse)
-    view = None
-    if exact:
-        view = _IntegerView(inst, sparse, levels, lookahead)
-        beam = [(view.start, ())]
-    else:
-        beam = [(inst.start.weights, ())]
+    view = _view(inst)
 
+    beam = [(view.start, ())]
     explored = 0
     dropped = 0
     for t in range(N):
-        steps_left = N - t - 1
-        level = None if exact else levels[steps_left]
+        level = view.U[N - t - 1]
         candidates = []
         for weights, prefix in beam:
             for k in range(K):
                 explored += 1
-                if exact:
-                    child = view.apply(weights, k)
-                    if steps_left == 0:
-                        score = child[target]
-                    else:
-                        # same ordering as the true bound: all scores at this
-                        # level share the D * L^r scale
-                        qk = view.lookahead[steps_left + 1][k]
-                        score = sum(w * qk[i] for i, w in enumerate(weights) if w)
-                else:
-                    child = _apply_sparse(weights, sparse[k], 0.0)
-                    score = sum(w * level[i] for i, w in enumerate(child) if w)
+                child = view.apply(weights, k)
+                score = sum(w * level[i] for i, w in enumerate(child) if w)
                 candidates.append((score, prefix + (k,), child))
         candidates.sort(key=lambda c: c[1])
         candidates.sort(key=lambda c: c[0], reverse=True)
@@ -454,9 +410,7 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
         value = weights[target]
         if best_value is None or value > best_value or (value == best_value and prefix < best_plan):
             best_value, best_plan = value, prefix
-    if exact:
-        best_value = view.to_fraction(best_value)
-    return SolveResult(best_value, best_plan, explored, dropped, "beam")
+    return SolveResult(view.to_value(best_value), best_plan, explored, dropped, "beam")
 
 
 def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan]]:
@@ -467,93 +421,58 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
     (below ``alpha - 1e-12`` in float mode, where a leaf also qualifies at
     ``value >= alpha - 1e-12``).  Exact mode compares exactly -- alpha = 1
     is the case the 3-SAT reduction rides on, and there any state that has
-    leaked mass toward a dead end is cut by a mask check before it is even
-    materialized.  Failed states are memoized so the search never re-proves
-    the same dead subtree.
+    leaked mass toward a dead end is cut by a mask check before its bound
+    is summed or the child materialized.  In both modes failed states more
+    than one step from the leaves are memoized, so the search never
+    re-proves the same dead subtree of depth two or more.
     """
-    exact = inst.numeric_mode == EXACT
-    if exact:
+    if isinstance(alpha, bool):
+        raise ValueError("alpha must be a number, not a boolean")
+    if inst.numeric_mode == EXACT:
         if isinstance(alpha, float):
             raise ValueError("exact instance requires an exact (int/Fraction) alpha")
+        threshold = alpha
     else:
         alpha = float(alpha)
+        threshold = alpha - EVAL_TOL
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
     K, N = inst.K, inst.N
-    sparse = _sparse_rows(inst)
     target = inst.target
-    levels, lookahead = _tables(inst, sparse)
-
-    if exact and alpha == 1:
-        return _decide_certainty(inst, sparse, levels, lookahead)
-
-    if exact:
-        view = _IntegerView(inst, sparse, levels, lookahead)
-        start = view.start
-        cutoffs = [alpha * view.mass * scale for scale in view.level_scale]
-        leaf_cutoff = alpha * view.mass  # Fraction * int: exact comparison
-        q_tables = view.lookahead
-    else:
-        view = None
-        start = inst.start.weights
-        cutoffs = [alpha - EVAL_TOL] * (N + 1)
-        leaf_cutoff = alpha - EVAL_TOL
-        q_tables = lookahead
-
-    def walk(weights, depth: int, prefix: Plan) -> Optional[Plan]:
-        if depth == N:
-            return prefix if weights[target] >= leaf_cutoff else None
-        steps_left = N - depth
-        q_level = q_tables[steps_left]
-        cutoff = cutoffs[steps_left]
-        nonzero = [(i, w) for i, w in enumerate(weights) if w]
-        for k in range(K):
-            qk = q_level[k]
-            bound = sum(w * qk[i] for i, w in nonzero)
-            if bound < cutoff:
-                continue
-            child = view.apply(weights, k) if view else _apply_sparse(weights, sparse[k], 0.0)
-            witness = walk(child, depth + 1, prefix + (k,))
-            if witness is not None:
-                return witness
-        return None
-
-    witness = walk(start, 0, ())
-    return (witness is not None), witness
-
-
-def _decide_certainty(inst: Instance, sparse, levels, lookahead):
-    """decide_threshold specialized to exact mode with alpha = 1.
-
-    With total mass 1 and per-state values capped at 1, a child's bound
-    equals 1 exactly when every occupied state still has relaxation value 1,
-    so the prune test collapses to a bitmask inclusion check and no child
-    needs to be materialized just to be rejected.
-    """
-    K, N = inst.K, inst.N
-    target = inst.target
-    view = _IntegerView(inst, sparse, levels, lookahead)
+    view = _view(inst)
+    cutoffs = [threshold * full for full in view.full]
+    # Where the cutoff is the full mass, a child passes only if every
+    # occupied state is certain, so the mask alone decides.
+    mask_decides = [cutoff == full for cutoff, full in zip(cutoffs, view.full)]
     failed = set()
 
     def walk(weights, depth: int, prefix: Plan) -> Optional[Plan]:
         if depth == N:
-            return prefix if weights[target] == view.mass else None
-        key = (depth, weights)
+            return prefix if weights[target] >= cutoffs[0] else None
+        steps_left = N - depth
+        # One step from the leaves a dead state costs at most K bound sums
+        # to prove again, less than hashing and keeping it.
+        key = (depth, weights) if steps_left > 1 else None
         if key in failed:
             return None
-        support = 0
-        for i, w in enumerate(weights):
-            if w:
-                support |= 1 << i
-        masks = view.certain[N - depth]
+        q_level = view.lookahead[steps_left]
+        masks = view.certain[steps_left]
+        cutoff = cutoffs[steps_left]
+        by_mask = mask_decides[steps_left]
+        support = _mask(weights)
         for k in range(K):
             if support & ~masks[k]:
-                continue  # some occupied state cannot fully return: bound < 1
+                if by_mask:
+                    continue  # some occupied state cannot fully return
+                qk = q_level[k]
+                if sum(w * qk[i] for i, w in enumerate(weights) if w) < cutoff:
+                    continue
             witness = walk(view.apply(weights, k), depth + 1, prefix + (k,))
             if witness is not None:
                 return witness
-        failed.add(key)
+        if key is not None:
+            failed.add(key)
         return None
 
     witness = walk(view.start, 0, ())

@@ -212,3 +212,20 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "command", [["solve", "--method", "bnb"], ["decide", "--alpha", "1"]]
+    )
+    def test_horizon_too_deep_is_one_line_error(self, tmp_path, capsys, command):
+        from timemachine import Instance, StochasticMatrix, write_instance
+
+        inst_path = tmp_path / "deep.json"
+        identity = StochasticMatrix.identity(2)
+        write_instance(
+            Instance(matrices=(identity, identity), N=1500, numeric_mode="exact"),
+            str(inst_path),
+        )
+        assert main([command[0], str(inst_path)] + command[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too deep" in err
+        assert len(err.splitlines()) == 1

@@ -139,6 +139,8 @@ class TestBranchAndBound:
         assert result.value < 1
         assert result.value == 1 - art.p
         assert evaluate_plan(art.instance, result.plan) == result.value
+        assert result.plan == (0, 2, 2, 17, 24, 31, 38, 45, 52, 1)
+        assert (result.nodes_explored, result.nodes_pruned) == (156801, 597973)
 
     def test_satisfiable_reduction_reaches_one(self):
         art = encode_reduction(single_clause_formula())
@@ -244,6 +246,11 @@ class TestDecideThreshold:
         with pytest.raises(ValueError, match="exact"):
             decide_threshold(art.instance, 0.5)
 
+    def test_boolean_alpha_rejected(self):
+        for mode in ("exact", "float"):
+            with pytest.raises(ValueError, match="boolean"):
+                decide_threshold(identity_instance(mode=mode), True)
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError, match="alpha"):
             decide_threshold(identity_instance(), Fraction(3, 2))
@@ -270,3 +277,71 @@ class TestBoundAdmissibility:
                         assert value <= bound + 1e-12
                     if depth < N:
                         v = apply(v, inst.matrices[plan[depth]])
+
+
+# Answers recorded from the solvers before their float and exact search paths
+# were merged into one walk over a numeric backend.  Node counts and
+# tie-broken plans are part of the contract: a refactor of the search must
+# reproduce every field bit for bit.
+PINNED_INSTANCES = {
+    # seed: (d, K, N, mode) for helpers.random_instance(Random(seed), ...)
+    7: (5, 3, 5, "float"),
+    8: (6, 2, 6, "float"),
+    9: (4, 3, 4, "exact"),
+    10: (5, 2, 5, "exact"),
+}
+
+PINNED_SOLVES = [
+    # (seed, method, value, plan, nodes_explored, nodes_pruned)
+    (7, "bnb", 0.21207698341970116, (0, 1, 1, 1, 1), 126, 237),
+    (7, "beam1", 0.2056750177750979, (1, 2, 0, 0, 1), 15, 10),
+    (7, "beam4", 0.20588470145199037, (0, 1, 0, 0, 1), 48, 29),
+    (8, "bnb", 0.1593653521715404, (0, 1, 0, 1, 0, 0), 66, 60),
+    (8, "beam1", 0.15591518714727198, (1, 1, 0, 1, 1, 0), 12, 6),
+    (8, "beam4", 0.15591518714727198, (1, 1, 0, 1, 1, 0), 38, 16),
+    (9, "bnb", Fraction(5190148559, 21227005800), (0, 0, 1, 2), 40, 68),
+    (9, "beam1", Fraction(8262094277, 35983101000), (0, 2, 2, 1), 12, 8),
+    (9, "beam4", Fraction(271580224529, 1167485319000), (0, 0, 2, 1), 36, 21),
+    (10, "bnb", Fraction(595312999368716977, 2105326440574156800), (0, 1, 1, 0, 1), 35, 27),
+    (10, "beam1", Fraction(133645205555394685169, 479440726995851292672), (0, 0, 0, 0, 1), 10, 5),
+    (10, "beam4", Fraction(5264224639991055811, 18868190751509299200), (1, 0, 0, 0, 1), 30, 12),
+]
+
+PINNED_DECISIONS = [
+    # (seed, alpha, witness); every alpha lies just below the optimum
+    (7, 0.21, (0, 0, 1, 1, 1)),
+    (8, 0.159, (0, 0, 0, 1, 0, 0)),
+    (9, Fraction(6, 25), (0, 0, 1, 2)),
+    (10, Fraction(7, 25), (0, 0, 0, 1, 1)),
+]
+
+
+def pinned_instance(seed):
+    d, K, N, mode = PINNED_INSTANCES[seed]
+    return random_instance(Random(seed), d, K, N, mode=mode)
+
+
+class TestPinnedAnswers:
+    @pytest.mark.parametrize("seed,method,value,plan,explored,pruned", PINNED_SOLVES)
+    def test_solve(self, seed, method, value, plan, explored, pruned):
+        inst = pinned_instance(seed)
+        if method == "bnb":
+            result = branch_and_bound_solve(inst)
+        else:
+            result = beam_search(inst, width=int(method[len("beam"):]))
+        assert type(result.value) is type(value)
+        assert (result.value, result.plan) == (value, plan)
+        assert (result.nodes_explored, result.nodes_pruned) == (explored, pruned)
+
+    def test_bnb_on_satisfiable_reduction(self):
+        result = branch_and_bound_solve(encode_reduction(single_clause_formula()).instance)
+        assert (result.value, result.plan) == (1, (0, 2, 1))
+        assert (result.nodes_explored, result.nodes_pruned) == (5, 31)
+
+    def test_decide_witness_at_alpha_one(self):
+        art = encode_reduction(single_clause_formula())
+        assert decide_threshold(art.instance, Fraction(1)) == (True, (0, 2, 1))
+
+    @pytest.mark.parametrize("seed,alpha,witness", PINNED_DECISIONS)
+    def test_decide_witness_below_one(self, seed, alpha, witness):
+        assert decide_threshold(pinned_instance(seed), alpha) == (True, witness)
