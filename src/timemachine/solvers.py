@@ -23,20 +23,22 @@ once against the interface the two backends share: ``start``,
 ``apply(weights, k)``, lookahead tables ``lookahead[r][k]`` and value levels
 ``U[r]`` (both scaled by ``level_scale[r]``), the bitmasks ``live[r]`` and
 ``certain[r][k]``, the total mass ``full[r]`` at each level's scale,
-memo-key ``normalize``, ``divide`` and ``to_value``.
+memo-key ``normalize``, ``divide`` and ``to_value``.  Both hold the matrices
+as sparse ``(column, coefficient)`` rows, checked once to be stochastic,
+and build their tables from them with :func:`_tables`, in their own numbers.
 
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
   weights unscaled and its certainty masks empty, so float arithmetic and
   its summation order are those of the plain problem.
-* :class:`_IntegerView` serves exact instances.  It rescales them to
-  integers so the hot loops do big-int arithmetic instead of Fraction
-  arithmetic; results are identical, just reduced at the end.
+* :class:`_IntegerView` serves exact instances.  Its coefficients are the
+  entries times L, the lcm of their denominators, so its tables come out in
+  integers, level r scaled by L^r, and no Fraction is built before the end.
 
 Branch and bound and the threshold decision are the two depth-first walks.
 The first chases strict improvements and memoizes certified subtree
 bounds; the second stops at the first witness and memoizes dead states.
-All searches are deterministic: identical inputs give identical results,
-node counts included.
+All searches are deterministic, node counts included, and raise ValueError
+on an instance with a bad shape, target, row or start.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar
+from .core import EXACT, EVAL_TOL, ROW_SUM_TOL, Instance, Plan, Scalar
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -95,44 +97,57 @@ def _mask(flags) -> int:
     return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
-def _tables(inst: Instance):
-    """Sparse rows, value table levels U[0..N] and the one-step lookahead
-    tables Q[r][k][i] = sum_j T_k[i][j] * U[r-1][j], all in the instance's
-    own scalars, so that the bound of a child node can be read off before
-    materializing it.  ``rows[k][i]`` holds the nonzero (column, weight)
-    pairs of row ``i`` of matrix ``k``."""
-    d, K, N = inst.d, inst.K, inst.N
-    zero, one = (Fraction(0), Fraction(1)) if inst.numeric_mode == EXACT else (0.0, 1.0)
-    rows = [
-        [tuple((j, t) for j, t in enumerate(row) if t) for row in m.rows]
-        for m in inst.matrices
-    ]
-    levels = [tuple(one if i == inst.target else zero for i in range(d))]
+def _sparse_rows(inst: Instance):
+    """Nonzero ``(column, entry)`` pairs per row per matrix; ValueError on a bad target or shape."""
+    d = inst.d
+    if not 0 <= inst.target < d:
+        raise ValueError(f"target index {inst.target} out of range for d={d}")
+    for k, matrix in enumerate(inst.matrices):
+        if matrix.dim != d or any(len(row) != d for row in matrix.rows):
+            raise ValueError(f"matrix {k}: not a {d}x{d} matrix")
+    return [[tuple((j, t) for j, t in enumerate(row) if t) for row in m.rows] for m in inst.matrices]
+
+
+def _check_mass(rows, start, one, tol) -> None:
+    """Raise ValueError unless rows and start are distributions of mass ``one`` within ``tol``."""
+    for k, rows_k in enumerate(rows):
+        for i, row in enumerate(rows_k):
+            if not all(0 <= c <= one for _, c in row) or abs(sum(c for _, c in row) - one) > tol:
+                raise ValueError(f"matrix {k} row {i}: entries must lie in [0, 1] and sum to 1")
+    if not all(w >= 0 for w in start) or abs(sum(start) - one) > tol:
+        raise ValueError("start weights must be nonnegative and sum to 1")
+
+
+def _tables(rows, d: int, N: int, target: int):
+    """Value levels U[0..N] and one-step lookahead tables Q[r][k][i] =
+    sum_j c * U[r-1][j] over the ``(j, c)`` pairs of ``rows[k][i]``, in the
+    coefficients' own numbers, so that the bound of a child node can be read
+    off before materializing it.  U[0] is the 0/1 indicator of the target."""
+    levels = [tuple(int(i == target) for i in range(d))]
     lookahead = [None]
     for _ in range(N):
         prev = levels[-1]
-        q_level = [
-            tuple(sum(t * prev[j] for j, t in rows_k[i]) if rows_k[i] else zero for i in range(d))
-            for rows_k in rows
-        ]
+        q_level = [tuple(sum(c * prev[j] for j, c in row) for row in rows_k) for rows_k in rows]
         lookahead.append(q_level)
-        levels.append(tuple(max(q_level[k][i] for k in range(K)) for i in range(d)))
-    return rows, levels, lookahead
+        levels.append(tuple(max(qk[i] for qk in q_level) for i in range(d)))
+    return levels, lookahead
 
 
 def mdp_value_table(inst: Instance) -> ValueTable:
     """Solve the relaxed per-individual problem by backward induction.
 
-    Runs in O(N * K * d^2).  ``values[0]`` is the indicator of the target;
+    Runs in O(N * nonzeros).  ``values[0]`` is the indicator of the target;
     each later level takes the best matrix per state against the previous
-    level.
+    level.  The values are the search backend's levels, divided by their
+    scale: Fractions for exact instances, floats for float ones.
     """
-    _, levels, _ = _tables(inst)
-    return ValueTable(tuple(levels))
+    view = _view(inst)
+    levels = zip(view.U, view.level_scale)
+    return ValueTable(tuple(tuple(view.divide(u, s) for u in level) for level, s in levels))
 
 
 class _FloatView:
-    """Float backend: the instance's weights, rows and tables as they are.
+    """Float backend: the instance's weights and entries as they are.
 
     Every level scale and full mass is 1 and every certainty mask is 0, so
     each bound is the plain float sum over the occupied states, in the same
@@ -141,8 +156,10 @@ class _FloatView:
     """
 
     def __init__(self, inst: Instance):
-        self.rows, self.U, self.lookahead = _tables(inst)
+        self.rows = _sparse_rows(inst)
         self.start = inst.start.weights
+        _check_mass(self.rows, self.start, 1, ROW_SUM_TOL)
+        self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
         self.live = [_mask(level) for level in self.U]
         self.certain = [None] + [(0,) * inst.K] * inst.N
@@ -152,8 +169,8 @@ class _FloatView:
         out = [0.0] * len(weights)
         for i, w in enumerate(weights):
             if w:
-                for j, t in rows[i]:
-                    out[j] = out[j] + w * t
+                for j, c in rows[i]:
+                    out[j] = out[j] + w * c
         return tuple(out)
 
     @staticmethod
@@ -175,62 +192,41 @@ class _FloatView:
 class _IntegerView:
     """Exact backend: an integer rescaling of an exact instance.
 
-    With L the lcm of every matrix-entry (and start-weight) denominator and
-    D = L^(N+1), every weight reachable within N steps is an exact integer
-    once scaled by D: each application divides divisibility headroom by at
-    most L, and there are only N applications.  Value levels and lookahead
-    values scale by L^r at level r, so bound comparisons are integral too.
-    Certainty masks mark states whose scaled lookahead equals the full mass
-    headroom, i.e. whose relaxed value is exactly 1.  Memo keys divide a
-    population by the gcd of its live weights.
+    With L the lcm of the denominators of the nonzero entries and start
+    weights, each coefficient is an entry times L, so the tables come out
+    scaled by L^r at level r: L^r U[r] = max_k sum_j (t L)(L^(r-1) U[r-1][j]).
+    Populations are scaled by D = L^(N+1), and each of the N applications
+    divides by L, so every reachable weight stays an exact integer.
+    Certainty masks mark states whose scaled lookahead is L^r, i.e. whose
+    relaxed value is exactly 1.  Memo keys divide a population by the gcd
+    of its live weights.
     """
 
     def __init__(self, inst: Instance):
-        N = inst.N
-        rows, levels, lookahead = _tables(inst)
-        denominators = {Fraction(w).denominator for w in inst.start.weights}
-        for matrix in inst.matrices:
-            for row in matrix.rows:
-                for x in row:
-                    denominators.add(Fraction(x).denominator)
-        self.base = lcm(*denominators)
-        self.mass = self.base ** (N + 1)
-        self.start = tuple(self._scaled(w, self.mass) for w in inst.start.weights)
+        entries = _sparse_rows(inst)
+        denominators = {t.denominator for rows_k in entries for row in rows_k for _, t in row}
+        self.base = L = lcm(*denominators, *(w.denominator for w in inst.start.weights))
         self.rows = [
-            [
-                tuple((j, Fraction(t).numerator, Fraction(t).denominator) for j, t in row)
-                for row in matrix_rows
-            ]
-            for matrix_rows in rows
+            [tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in rows_k]
+            for rows_k in entries
         ]
-        self.level_scale = [self.base**r for r in range(N + 1)]
-        self.full = [self.mass * scale for scale in self.level_scale]
-        self.U = [
-            tuple(self._scaled(u, scale) for u in level)
-            for level, scale in zip(levels, self.level_scale)
-        ]
-        self.live = [_mask(level) for level in levels]
-        self.lookahead = [None]
-        self.certain = [None]
-        for r in range(1, N + 1):
-            scale = self.level_scale[r]
-            self.lookahead.append([tuple(self._scaled(q, scale) for q in qk) for qk in lookahead[r]])
-            self.certain.append([_mask(q == 1 for q in qk) for qk in lookahead[r]])
-
-    @staticmethod
-    def _scaled(value, scale: int) -> int:
-        scaled = Fraction(value) * scale
-        if scaled.denominator != 1:
-            raise AssertionError(f"scaling by {scale} did not clear denominator of {value}")
-        return scaled.numerator
+        start = [int(w * L) for w in inst.start.weights]
+        _check_mass(self.rows, start, L, 0)
+        self.start = tuple(w * L**inst.N for w in start)
+        self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
+        self.level_scale = [L**r for r in range(inst.N + 1)]
+        self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
+        self.live = [_mask(level) for level in self.U]
+        scaled_levels = zip(self.lookahead[1:], self.level_scale[1:])
+        self.certain = [None] + [[_mask(q == s for q in qk) for qk in Q] for Q, s in scaled_levels]
 
     def apply(self, weights, k: int):
-        rows = self.rows[k]
+        rows, L = self.rows[k], self.base
         out = [0] * len(weights)
         for i, w in enumerate(weights):
             if w:
-                for j, num, den in rows[i]:
-                    out[j] += w * num // den
+                for j, c in rows[i]:
+                    out[j] += w * c // L
         return tuple(out)
 
     @staticmethod
@@ -245,7 +241,7 @@ class _IntegerView:
         return Fraction(x, scale)
 
     def to_value(self, scaled) -> Fraction:
-        return Fraction(scaled, self.mass)
+        return Fraction(scaled, self.full[0])
 
 
 def _view(inst: Instance):
@@ -284,6 +280,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
             walk(view.apply(weights, k), depth + 1, prefix + (k,))
 
     walk(view.start, 0, ())
+    del walk  # free the search state now, not at the next cycle collection
     return SolveResult(view.to_value(best_value), best_plan, explored, 0, "enum")
 
 
@@ -368,6 +365,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
         return subtree_cap
 
     walk(view.start, 0, ())
+    del walk  # free the memo now, not at the next cycle collection
     return SolveResult(view.to_value(best_value), best_plan, explored, pruned, "bnb")
 
 
@@ -379,8 +377,8 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
     optimum, and a width of at least K^N makes the search exhaustive.
     ``nodes_pruned`` counts prefixes dropped at beam truncation.
     """
-    if width < 1:
-        raise ValueError(f"beam width must be >= 1, got {width}")
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise ValueError(f"beam width must be an integer >= 1, got {width!r}")
     K, N = inst.K, inst.N
     target = inst.target
     view = _view(inst)
@@ -476,4 +474,5 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         return None
 
     witness = walk(view.start, 0, ())
+    del walk  # free the memo now, not at the next cycle collection
     return (witness is not None), witness

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 
 from timemachine import (
     BudgetExceededError,
+    Distribution,
     Instance,
     StochasticMatrix,
     apply,
@@ -15,6 +17,7 @@ from timemachine import (
     enumerate_solve,
     evaluate_plan,
     mdp_value_table,
+    validate_instance,
 )
 from timemachine.reduction import encode_reduction, sat_bruteforce
 
@@ -201,6 +204,11 @@ class TestBeamSearch:
         with pytest.raises(ValueError, match="width"):
             beam_search(identity_instance(), width=0)
 
+    @pytest.mark.parametrize("width", [2.5, True, "2"])
+    def test_width_must_be_an_integer(self, width):
+        with pytest.raises(ValueError, match="width"):
+            beam_search(identity_instance(), width=width)
+
 
 class TestDecideThreshold:
     def test_alpha_zero_first_plan_wins(self):
@@ -345,3 +353,156 @@ class TestPinnedAnswers:
     @pytest.mark.parametrize("seed,alpha,witness", PINNED_DECISIONS)
     def test_decide_witness_below_one(self, seed, alpha, witness):
         assert decide_threshold(pinned_instance(seed), alpha) == (True, witness)
+
+
+class TestSearchStateLifetime:
+    @pytest.mark.parametrize("seed", sorted(PINNED_INSTANCES))
+    def test_freed_on_return(self, seed):
+        # The walks are self-referencing closures; unless a solver breaks that
+        # cycle, its memo and tables outlive the call until a full collection.
+        inst = pinned_instance(seed)
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_solve(inst)
+            assert gc.collect() == 0
+            branch_and_bound_solve(inst)
+            assert gc.collect() == 0
+            decide_threshold(inst, 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def mixed_denominator_instance(mode="exact"):
+    """Matrices in halves and sevenths (row 0 of the first one mixes 1/2,
+    1/7 and 5/14) under a start in fifths, a denominator no entry has."""
+    F = Fraction
+    matrices = (
+        ((F(1, 2), F(1, 7), F(5, 14)), (F(0), F(1, 2), F(1, 2)), (F(3, 7), F(0), F(4, 7))),
+        ((F(1, 7), F(6, 7), F(0)), (F(1, 2), F(0), F(1, 2)), (F(2, 7), F(3, 14), F(1, 2))),
+    )
+    start = (F(1, 5), F(4, 5), F(0))
+    cast = Fraction if mode == "exact" else float
+    return Instance(
+        matrices=tuple(StochasticMatrix(tuple(tuple(map(cast, r)) for r in m)) for m in matrices),
+        N=4,
+        start=Distribution(tuple(map(cast, start))),
+        target=2,
+        numeric_mode=mode,
+    )
+
+
+def backward_induction(inst):
+    """The relaxed value table by plain Fraction arithmetic on dense rows."""
+    level = [Fraction(int(i == inst.target)) for i in range(inst.d)]
+    levels = [level]
+    for _ in range(inst.N):
+        level = [
+            max(sum(Fraction(t) * u for t, u in zip(m.rows[i], level)) for m in inst.matrices)
+            for i in range(inst.d)
+        ]
+        levels.append(level)
+    return levels
+
+
+class TestExactScaling:
+    def test_value_table_matches_fraction_backward_induction(self):
+        inst = mixed_denominator_instance()
+        table = mdp_value_table(inst)
+        assert [list(level) for level in table.values] == backward_induction(inst)
+
+    def test_solvers_agree_on_value_and_witness(self):
+        inst = mixed_denominator_instance()
+        exact = enumerate_solve(inst)
+        bnb = branch_and_bound_solve(inst)
+        assert (bnb.value, bnb.plan) == (exact.value, exact.plan)
+        assert evaluate_plan(inst, exact.plan) == exact.value
+        assert decide_threshold(inst, exact.value) == (True, exact.plan)
+        assert decide_threshold(inst, exact.value + Fraction(1, 10**9)) == (False, None)
+
+    @pytest.mark.parametrize("mode,kind", [("exact", Fraction), ("float", float)])
+    def test_table_entries_are_the_instance_scalars(self, mode, kind):
+        table = mdp_value_table(mixed_denominator_instance(mode))
+        assert all(type(u) is kind for level in table.values for u in level)
+        reference = backward_induction(mixed_denominator_instance())
+        for level, exact_level in zip(table.values, reference):
+            assert level == pytest.approx([float(u) for u in exact_level], abs=1e-12)
+
+
+SOLVERS = {
+    "bnb": branch_and_bound_solve,
+    "enum": enumerate_solve,
+    "beam": lambda inst: beam_search(inst, width=2),
+    "decide": lambda inst: decide_threshold(inst, 1 if inst.numeric_mode == "exact" else 1.0),
+    "table": mdp_value_table,
+}
+
+
+def two_state_instance(mode, bad_row=None, start=(1, 0), target=0, N=2):
+    """Identity as matrix 0 and, as matrix 1, ``bad_row`` over the row
+    (0, 1); every entry cast to the mode's scalars."""
+    cast = Fraction if mode == "exact" else float
+    second = ((0, 1) if bad_row is None else bad_row, (0, 1))
+    return Instance(
+        matrices=(
+            StochasticMatrix.identity(2, mode),
+            StochasticMatrix(tuple(tuple(map(cast, row)) for row in second)),
+        ),
+        N=N,
+        start=Distribution(tuple(map(cast, start))),
+        target=target,
+        numeric_mode=mode,
+    )
+
+
+class TestInvalidInstances:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("bad_row", [(Fraction(3, 2), Fraction(-1, 2)), (1, 1)])
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_bad_row_rejected(self, solver, bad_row, mode):
+        inst = two_state_instance(mode, bad_row)
+        assert not validate_instance(inst).ok
+        with pytest.raises(ValueError, match="matrix 1 row 0"):
+            SOLVERS[solver](inst)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "start", [(Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 2), Fraction(-1, 2))]
+    )
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_bad_start_rejected(self, solver, start, mode):
+        inst = two_state_instance(mode, start=start)
+        assert not validate_instance(inst).ok
+        with pytest.raises(ValueError, match="start"):
+            SOLVERS[solver](inst)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_bad_shape_and_target_rejected(self, solver):
+        narrow = StochasticMatrix(((Fraction(1),), (Fraction(1),)))
+        ragged = Instance(
+            matrices=(StochasticMatrix.identity(2), narrow), N=1, numeric_mode="exact"
+        )
+        with pytest.raises(ValueError, match="matrix 1"):
+            SOLVERS[solver](ragged)
+        with pytest.raises(ValueError, match="target"):
+            SOLVERS[solver](two_state_instance("exact", target=2))
+
+    def test_float_tolerance_matches_validation(self):
+        # Row sums and start mass may drift by ROW_SUM_TOL, entries may not
+        # leave [0, 1]: the solvers accept exactly what validate_instance does.
+        cases = [
+            dict(bad_row=(0.5, 0.5 + 5e-10)),
+            dict(bad_row=(0.5, 0.5 + 5e-9)),
+            dict(bad_row=(1 + 5e-10, 0.0)),
+            dict(start=(1 + 5e-10, 0.0)),
+            dict(start=(1 + 5e-9, 0.0)),
+        ]
+        for case in cases:
+            inst = two_state_instance("float", **case)
+            try:
+                branch_and_bound_solve(inst)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == validate_instance(inst).ok, case
