@@ -38,7 +38,7 @@ ROW_SUM_TOL = 1e-9
 EVAL_TOL = 1e-12
 
 
-def _scalar_mode_error(x: Scalar, mode: str) -> Optional[str]:
+def scalar_mode_error(x: Scalar, mode: str) -> Optional[str]:
     """Return a description of why ``x`` is not a valid scalar for ``mode``."""
     if isinstance(x, bool):
         return "booleans are not numeric values"
@@ -148,7 +148,8 @@ class ValidationReport:
 
 
 def _check_mass(weights: Sequence[Scalar], mode: str, what: str, out: List[str]) -> None:
-    total = sum(weights)
+    # A float sum starts at 0.0, so that skipping zero entries leaves it unchanged.
+    total = sum(weights, 0 if mode == EXACT else 0.0)
     if mode == EXACT:
         if total != 1:
             out.append(f"{what}: mass {total} != 1")
@@ -156,12 +157,43 @@ def _check_mass(weights: Sequence[Scalar], mode: str, what: str, out: List[str])
         out.append(f"{what}: mass {total!r} not within {ROW_SUM_TOL} of 1")
 
 
+# The scalar types of each mode; a falsy entry of one of these is a valid zero.
+_MODE_TYPES = {EXACT: (int, Fraction), FLOAT: (float,)}
+
+
+def _row_violations(row: Sequence[Scalar], mode: str, d: int) -> List[str]:
+    """Violations of one matrix row, each to follow the row's name.
+
+    Zero entries of the mode's own types are skipped: they cannot leave
+    [0, 1] and add nothing to the mass.
+    """
+    if len(row) != d:
+        return [f": has {len(row)} entries, expected {d}"]
+    out: List[str] = []
+    zero_types = _MODE_TYPES[mode]
+    nonzero = []
+    for j, x in enumerate(row):
+        if type(x) in zero_types and not x:
+            continue
+        err = scalar_mode_error(x, mode)
+        if err is not None:
+            out.append(f" entry {j}: {err}")
+        elif not 0 <= x <= 1:
+            out.append(f" entry {j}: {x!r} outside [0, 1]")
+        nonzero.append(x)
+    if not out:
+        _check_mass(nonzero, mode, "", out)
+    return out
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every instance invariant and name each violation found.
 
     Covers: mode tag sanity, K >= 1, N >= 0, target range, start simplex
     membership, matrix shapes, entry ranges, per-row mass, and numeric-mode
-    uniformity (no floats in an exact instance and vice versa).
+    uniformity (no floats in an exact instance and vice versa).  Each
+    distinct row object is checked once per call, and its violations are
+    reported at every place it occurs.
     """
     out: List[str] = []
     mode = inst.numeric_mode
@@ -179,7 +211,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
     bad_start = False
     for i, w in enumerate(inst.start.weights):
-        err = _scalar_mode_error(w, mode)
+        err = scalar_mode_error(w, mode)
         if err is not None:
             out.append(f"start entry {i}: {err}")
             bad_start = True
@@ -189,26 +221,18 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if not bad_start:
         _check_mass(inst.start.weights, mode, "start", out)
 
+    checked = {}  # id(row) -> its violations; the instance keeps every row alive
     for k, matrix in enumerate(inst.matrices):
         name = f"matrix {k}" if matrix.label is None else f"matrix {k} ({matrix.label!r})"
         if matrix.dim != d:
             out.append(f"{name}: has {matrix.dim} rows, expected {d}")
             continue
         for i, row in enumerate(matrix.rows):
-            if len(row) != d:
-                out.append(f"{name} row {i}: has {len(row)} entries, expected {d}")
-                continue
-            bad_row = False
-            for j, x in enumerate(row):
-                err = _scalar_mode_error(x, mode)
-                if err is not None:
-                    out.append(f"{name} row {i} entry {j}: {err}")
-                    bad_row = True
-                elif not 0 <= x <= 1:
-                    out.append(f"{name} row {i} entry {j}: {x!r} outside [0, 1]")
-                    bad_row = True
-            if not bad_row:
-                _check_mass(row, mode, f"{name} row {i}", out)
+            found = checked.get(id(row))
+            if found is None:
+                found = checked[id(row)] = _row_violations(row, mode, d)
+            if found:
+                out.extend(f"{name} row {i}{v}" for v in found)
     return ValidationReport(tuple(out))
 
 

@@ -1,9 +1,20 @@
 """File formats: instance documents (JSON), plan files, and DIMACS CNF.
 
-Instance files are versioned JSON documents.  Exact-mode numbers travel as
+Instance files are versioned JSON documents.  Version 2, the one written,
+stores each matrix row as a list of ``[column, value]`` pairs for its
+nonzero entries, in increasing column order; zero entries are omitted, so
+a float ``-0.0`` entry reads back as ``0.0``.  Version 1, still read, stores
+each row densely, ``d`` values long.  Exact-mode numbers travel as
 "num/den" strings in lowest terms so fixtures are bit-stable across
 implementations; float-mode numbers are plain decimal literals (Python's
 shortest round-trip repr).  Reading re-validates every instance invariant.
+
+Reduction instances share row objects between matrices (they have d + 1
+distinct rows), so the writer formats each distinct number and sparsifies
+each distinct row once, and the reader parses each distinct number text
+once and decodes identical rows to one shared tuple, which lets
+:func:`~timemachine.core.validate_instance` check each of them once.  Both
+ways cost time in the number of nonzero entries, not in d * d * K.
 
 Plan files are a single line of whitespace-separated 0-based matrix
 indices; lines starting with '#' are comments.
@@ -34,7 +45,8 @@ from .core import (
 )
 from .reduction import RawLiteral, ReductionArtifact, formula_digest
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 PathOrFile = Union[str, "io.TextIOBase"]
 
@@ -69,11 +81,67 @@ def parse_exact_scalar(text) -> Fraction:
 def _parse_float_scalar(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"float number expected, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InstanceFormatError(f"number {value!r} is too large for a float") from exc
 
 
 def _reject_constant(token):
     raise InstanceFormatError(f"non-finite number {token!r} in document")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _memo_exact_parser():
+    """parse_exact_scalar, parsing each distinct text once."""
+    parsed: Dict[str, Fraction] = {}
+
+    def parse(text) -> Fraction:
+        value = parsed.get(text) if isinstance(text, str) else None
+        if value is None:
+            value = parsed[text] = parse_exact_scalar(text)
+        return value
+
+    return parse
+
+
+def _sparse_row_reader(d: int, mode: str, parse):
+    """Decoder of version-2 rows into dense tuples.  Identical rows, keyed on
+    their raw pairs, decode to one shared tuple, and only the first of them
+    has its values parsed; the structure is checked on every row."""
+    value_types = (str,) if mode == EXACT else (int, float)
+    zero = Fraction(0) if mode == EXACT else 0.0
+    decoded: Dict[tuple, tuple] = {}
+
+    def read_row(raw, k: int, i: int) -> tuple:
+        if type(raw) is not list:
+            raise InstanceFormatError(f"matrix {k} row {i} must be a list of [column, value] pairs")
+        last = -1
+        for pair in raw:
+            if type(pair) is not list or len(pair) != 2:
+                raise InstanceFormatError(f"matrix {k} row {i}: {pair!r} is not a [column, value] pair")
+            j, value = pair
+            if type(j) is not int or not last < j < d:
+                raise InstanceFormatError(
+                    f"matrix {k} row {i}: column {j!r} is not an integer in [0, {d}) "
+                    "above the column before it"
+                )
+            if type(value) not in value_types:
+                parse(value)  # raises: not a number of this mode
+            last = j
+        key = tuple(map(tuple, raw))
+        row = decoded.get(key)
+        if row is None:
+            dense = [zero] * d
+            for j, value in raw:
+                dense[j] = parse(value)
+            row = decoded[key] = tuple(dense)
+        return row
+
+    return read_row
 
 
 @dataclass(frozen=True)
@@ -103,11 +171,27 @@ def write_instance(
     path_or_file: PathOrFile,
     reduction_meta: Optional[ReductionMeta] = None,
 ) -> None:
-    """Serialize an instance (losslessly: write-then-read round-trips)."""
+    """Serialize an instance as a version-2 document (losslessly, up to the
+    sign of a float zero: write-then-read round-trips)."""
     mode = instance.numeric_mode
+    if mode == EXACT:
+        texts: Dict[Scalar, str] = {}
 
-    def scalar(x):
-        return format_scalar(x, mode) if mode == EXACT else float(x)
+        def scalar(x):
+            text = texts.get(x)
+            if text is None:
+                text = texts[x] = format_scalar(x, EXACT)
+            return text
+
+    else:
+        scalar = float
+    sparse: Dict[int, list] = {}  # id(row) -> its pairs; the instance keeps every row alive
+
+    def sparse_row(row):
+        pairs = sparse.get(id(row))
+        if pairs is None:
+            pairs = sparse[id(row)] = [[j, scalar(x)] for j, x in enumerate(row) if x]
+        return pairs
 
     doc = {
         "format_version": FORMAT_VERSION,
@@ -117,7 +201,7 @@ def write_instance(
         "N": instance.N,
         "target": instance.target,
         "start": [scalar(w) for w in instance.start.weights],
-        "matrices": [[[scalar(x) for x in row] for row in m.rows] for m in instance.matrices],
+        "matrices": [[sparse_row(row) for row in m.rows] for m in instance.matrices],
     }
     if any(m.label is not None for m in instance.matrices):
         doc["labels"] = [m.label for m in instance.matrices]
@@ -128,9 +212,11 @@ def write_instance(
             "p": format_scalar(reduction_meta.p, EXACT),
             "formula_digest": reduction_meta.formula_digest,
         }
+    # json.dumps without indent runs the C encoder; json.dump would not.
+    text = json.dumps(doc)
     fh, owned = _open(path_or_file, "w")
     try:
-        json.dump(doc, fh, indent=2)
+        fh.write(text)
         fh.write("\n")
     finally:
         if owned:
@@ -155,13 +241,15 @@ def _require(condition: bool, message: str) -> None:
 
 
 def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
-    """Parse and fully re-validate an instance document."""
+    """Parse and fully re-validate an instance document (version 1 or 2)."""
     fh, owned = _open(path_or_file, "r")
     try:
         try:
             doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InstanceFormatError("document nests too deeply") from exc
     finally:
         if owned:
             fh.close()
@@ -169,8 +257,8 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
     _require(isinstance(doc, dict), "document must be a JSON object")
     version = doc.get("format_version")
     _require(
-        version == FORMAT_VERSION,
-        f"unsupported format_version {version!r} (expected {FORMAT_VERSION})",
+        _is_int(version) and version in READABLE_VERSIONS,
+        f"unsupported format_version {version!r} (expected one of {READABLE_VERSIONS})",
     )
     mode = doc.get("numeric_mode")
     _require(mode in (EXACT, FLOAT), f"numeric_mode must be 'exact' or 'float', got {mode!r}")
@@ -178,12 +266,21 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
         _require(field in doc, f"missing field {field!r}")
     d, K, N, target = doc["d"], doc["K"], doc["N"], doc["target"]
     for name, value in (("d", d), ("K", K), ("N", N), ("target", target)):
-        _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
+        _require(_is_int(value), f"{name} must be an integer")
 
-    parse = parse_exact_scalar if mode == EXACT else _parse_float_scalar
+    parse = _memo_exact_parser() if mode == EXACT else _parse_float_scalar
     start_raw = doc["start"]
     _require(isinstance(start_raw, list) and len(start_raw) == d, f"start must be a length-{d} array")
     start = Distribution(tuple(parse(x) for x in start_raw))
+
+    if version == 1:
+
+        def read_row(raw, k: int, i: int) -> tuple:
+            _require(isinstance(raw, list) and len(raw) == d, f"matrix {k} row {i} must have {d} entries")
+            return tuple(parse(x) for x in raw)
+
+    else:
+        read_row = _sparse_row_reader(d, mode, parse)
 
     matrices_raw = doc["matrices"]
     _require(isinstance(matrices_raw, list) and len(matrices_raw) == K, f"matrices must hold {K} entries")
@@ -193,13 +290,10 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
     matrices = []
     for k, grid in enumerate(matrices_raw):
         _require(isinstance(grid, list) and len(grid) == d, f"matrix {k} must have {d} rows")
-        rows = []
-        for i, row in enumerate(grid):
-            _require(isinstance(row, list) and len(row) == d, f"matrix {k} row {i} must have {d} entries")
-            rows.append(tuple(parse(x) for x in row))
+        rows = tuple(read_row(row, k, i) for i, row in enumerate(grid))
         label = labels[k] if labels is not None else None
         _require(label is None or isinstance(label, str), f"label {k} must be a string or null")
-        matrices.append(StochasticMatrix(tuple(rows), label=label))
+        matrices.append(StochasticMatrix(rows, label=label))
 
     instance = Instance(
         matrices=tuple(matrices), N=N, start=start, target=target, numeric_mode=mode
@@ -217,11 +311,11 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
         state_table = meta_raw["state_table"]
         matrix_table = meta_raw["matrix_table"]
         _require(
-            isinstance(state_table, dict) and all(isinstance(v, int) for v in state_table.values()),
+            isinstance(state_table, dict) and all(_is_int(v) for v in state_table.values()),
             "state_table must map names to indices",
         )
         _require(
-            isinstance(matrix_table, dict) and all(isinstance(v, int) for v in matrix_table.values()),
+            isinstance(matrix_table, dict) and all(_is_int(v) for v in matrix_table.values()),
             "matrix_table must map names to indices",
         )
         meta = ReductionMeta(

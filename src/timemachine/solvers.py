@@ -38,7 +38,8 @@ Branch and bound and the threshold decision are the two depth-first walks.
 The first chases strict improvements and memoizes certified subtree
 bounds; the second stops at the first witness and memoizes dead states.
 All searches are deterministic, node counts included, and raise ValueError
-on an instance with a bad shape, target, row or start.
+on an instance with a bad mode tag, K, N, shape, target, row or start, or
+with a start weight or nonzero entry that is not a number of its mode.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import EXACT, EVAL_TOL, ROW_SUM_TOL, Instance, Plan, Scalar
+from .core import EXACT, EVAL_TOL, FLOAT, ROW_SUM_TOL, Instance, Plan, Scalar, scalar_mode_error
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -98,14 +99,40 @@ def _mask(flags) -> int:
 
 
 def _sparse_rows(inst: Instance):
-    """Nonzero ``(column, entry)`` pairs per row per matrix; ValueError on a bad target or shape."""
-    d = inst.d
+    """Nonzero ``(column, entry)`` pairs per row per matrix, each distinct row
+    object converted once.  Raises ValueError on a bad mode tag, K, N, target
+    or shape, and on a start weight or nonzero entry that is not a number of
+    the instance's mode."""
+    mode, d = inst.numeric_mode, inst.d
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"numeric_mode must be '{EXACT}' or '{FLOAT}', got {mode!r}")
+    if inst.K < 1:
+        raise ValueError("instance must contain at least one matrix")
+    if inst.N < 0:
+        raise ValueError(f"horizon N must be >= 0, got {inst.N}")
     if not 0 <= inst.target < d:
         raise ValueError(f"target index {inst.target} out of range for d={d}")
+    for i, w in enumerate(inst.start.weights):
+        err = scalar_mode_error(w, mode)
+        if err is not None:
+            raise ValueError(f"start entry {i}: {err}")
+    sparse = {}  # id(row) -> its pairs; the instance keeps every row alive
+    rows = []
     for k, matrix in enumerate(inst.matrices):
         if matrix.dim != d or any(len(row) != d for row in matrix.rows):
             raise ValueError(f"matrix {k}: not a {d}x{d} matrix")
-    return [[tuple((j, t) for j, t in enumerate(row) if t) for row in m.rows] for m in inst.matrices]
+        rows_k = []
+        for i, row in enumerate(matrix.rows):
+            pairs = sparse.get(id(row))
+            if pairs is None:
+                pairs = sparse[id(row)] = tuple((j, t) for j, t in enumerate(row) if t)
+                for j, t in pairs:
+                    err = scalar_mode_error(t, mode)
+                    if err is not None:
+                        raise ValueError(f"matrix {k} row {i} entry {j}: {err}")
+            rows_k.append(pairs)
+        rows.append(rows_k)
+    return rows
 
 
 def _check_mass(rows, start, one, tol) -> None:

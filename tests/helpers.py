@@ -6,11 +6,21 @@ of raw literal clauses via a tiny truth-table evaluator, and matrix powers
 by naive multiplication.
 """
 
+import io
+import json
 from fractions import Fraction
 from itertools import product
 from random import Random
 
-from timemachine import Clause, CnfFormula, Distribution, Instance, StochasticMatrix
+from timemachine import (
+    Clause,
+    CnfFormula,
+    Distribution,
+    Instance,
+    StochasticMatrix,
+    write_instance,
+)
+from timemachine.instance_io import format_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +132,22 @@ def random_instance(rng: Random, d: int, K: int, N: int, mode: str = "float") ->
     )
 
 
+def instance_v1_text(instance: Instance, reduction_meta=None) -> str:
+    """The instance as a version-1 document: every matrix row written densely,
+    d numbers long, in the layout the library wrote before version 2."""
+    buf = io.StringIO()
+    write_instance(instance, buf, reduction_meta=reduction_meta)
+    doc = json.loads(buf.getvalue())
+    mode = instance.numeric_mode
+
+    def scalar(x):
+        return format_scalar(x, mode) if mode == "exact" else float(x)
+
+    doc["format_version"] = 1
+    doc["matrices"] = [[[scalar(x) for x in row] for row in m.rows] for m in instance.matrices]
+    return json.dumps(doc, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # formulas
 
@@ -137,6 +163,22 @@ def all_patterns_formula() -> CnfFormula:
         Clause(((0, a), (1, b), (2, c))) for a, b, c in product((-1, 1), repeat=3)
     )
     return CnfFormula(3, clauses)
+
+
+def planted_formula(rng: Random, num_vars: int, num_clauses: int):
+    """A random normalized formula over all ``num_vars`` variables, satisfied
+    by a planted assignment; returns (assignment, formula).  No clause
+    forbids the planted pattern."""
+    planted = tuple(rng.choice((-1, 1)) for _ in range(num_vars))
+    while True:
+        clauses = []
+        while len(clauses) < num_clauses:
+            variables = sorted(rng.sample(range(num_vars), 3))
+            signs = tuple(rng.choice((-1, 1)) for _ in range(3))
+            if signs != tuple(planted[v] for v in variables):
+                clauses.append(Clause(tuple(zip(variables, signs))))
+        if len({v for clause in clauses for v in clause.variables}) == num_vars:
+            return planted, CnfFormula(num_vars, tuple(clauses))
 
 
 def random_normal_formula(rng: Random, num_vars: int, num_clauses: int) -> CnfFormula:

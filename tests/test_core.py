@@ -62,6 +62,120 @@ class TestValidateInstance:
         assert any("target" in v for v in report.violations)
 
 
+def _bad_exact_instance():
+    shared = (Fraction(3, 2), Fraction(-1, 2), Fraction(0))  # one row object, two matrices
+    good = (Fraction(0), Fraction(1), Fraction(0))
+    return Instance(
+        matrices=(
+            StochasticMatrix((good, shared, (Fraction(1), 0.0, Fraction(0)))),
+            StochasticMatrix(
+                ((True, Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 3), Fraction(0)), (1, 1, 0)),
+                label="x1+",
+            ),
+            StochasticMatrix((shared, (0, 0, 0), (Fraction(1),)), label="shared"),
+            StochasticMatrix((good, good)),
+            StochasticMatrix((("1/2", Fraction(1, 2), Fraction(0)), good, (Fraction(1, 4), Fraction(3, 4), -0.0))),
+        ),
+        N=-1,
+        start=Distribution((Fraction(1, 2), 0.5, Fraction(-1, 2))),
+        target=3,
+        numeric_mode="exact",
+    )
+
+
+def _bad_float_instance():
+    shared = (0.7, 0.7, 0.0)
+    return Instance(
+        matrices=(
+            StochasticMatrix(((0.0, 0.0, 0.0), shared, (-0.0, 1.0, 0.0)), label="a"),
+            StochasticMatrix(((float("nan"), 0.5, 0.5), (float("inf"), 0.0, 0.0), (1, 0.0, 0.0))),
+            StochasticMatrix(((Fraction(1), 0.0, 0.0), (0.5, 0.48, 0.0), (-0.25, 1.25, 0.0))),
+            StochasticMatrix(((0.0, 1.0, 0.0), shared, (False, 1.0, 0.0)), label="b"),
+            StochasticMatrix(((0.1, 0.0, 0.2), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0))),
+        ),
+        N=2,
+        start=Distribution((0.5, 0.5000001, 0.0)),
+        numeric_mode="float",
+    )
+
+
+class TestPinnedViolations:
+    """The exact violation tuples, text and order, on instances that break
+    every invariant at once; a shared bad row is reported at each place."""
+
+    def test_exact_instance(self):
+        assert validate_instance(_bad_exact_instance()).violations == (
+            "horizon N must be >= 0, got -1",
+            "target index 3 out of range for d=3",
+            "start entry 1: 0.5 is not an exact rational",
+            "start entry 2: Fraction(-1, 2) is negative",
+            "matrix 0 row 1 entry 0: Fraction(3, 2) outside [0, 1]",
+            "matrix 0 row 1 entry 1: Fraction(-1, 2) outside [0, 1]",
+            "matrix 0 row 2 entry 1: 0.0 is not an exact rational",
+            "matrix 1 ('x1+') row 0 entry 0: booleans are not numeric values",
+            "matrix 1 ('x1+') row 1: mass 5/6 != 1",
+            "matrix 1 ('x1+') row 2: mass 2 != 1",
+            "matrix 2 ('shared') row 0 entry 0: Fraction(3, 2) outside [0, 1]",
+            "matrix 2 ('shared') row 0 entry 1: Fraction(-1, 2) outside [0, 1]",
+            "matrix 2 ('shared') row 1: mass 0 != 1",
+            "matrix 2 ('shared') row 2: has 1 entries, expected 3",
+            "matrix 3: has 2 rows, expected 3",
+            "matrix 4 row 0 entry 0: '1/2' is not an exact rational",
+            "matrix 4 row 2 entry 2: -0.0 is not an exact rational",
+        )
+
+    def test_float_instance(self):
+        assert validate_instance(_bad_float_instance()).violations == (
+            "start: mass 1.0000000999999998 not within 1e-09 of 1",
+            "matrix 0 ('a') row 0: mass 0.0 not within 1e-09 of 1",
+            "matrix 0 ('a') row 1: mass 1.4 not within 1e-09 of 1",
+            "matrix 1 row 0 entry 0: nan is not finite",
+            "matrix 1 row 1 entry 0: inf is not finite",
+            "matrix 1 row 2 entry 0: 1 is not a float",
+            "matrix 2 row 0 entry 0: Fraction(1, 1) is not a float",
+            "matrix 2 row 1: mass 0.98 not within 1e-09 of 1",
+            "matrix 2 row 2 entry 0: -0.25 outside [0, 1]",
+            "matrix 2 row 2 entry 1: 1.25 outside [0, 1]",
+            "matrix 3 ('b') row 1: mass 1.4 not within 1e-09 of 1",
+            "matrix 3 ('b') row 2 entry 0: booleans are not numeric values",
+            "matrix 4 row 0: mass 0.30000000000000004 not within 1e-09 of 1",
+        )
+
+    @pytest.mark.parametrize(
+        "inst, violations",
+        [
+            (
+                Instance(matrices=(), N=1, start=Distribution((1.0,)), numeric_mode="float"),
+                ("instance must contain at least one matrix",),
+            ),
+            (
+                Instance(matrices=(StochasticMatrix.identity(2),), N=1, numeric_mode="fuzzy"),
+                ("numeric_mode must be 'exact' or 'float', got 'fuzzy'",),
+            ),
+            (
+                Instance(
+                    matrices=(StochasticMatrix.identity(2, "float"),),
+                    N=1,
+                    start=Distribution((1, 0)),
+                    numeric_mode="float",
+                ),
+                ("start entry 0: 1 is not a float", "start entry 1: 0 is not a float"),
+            ),
+            (
+                Instance(
+                    matrices=(StochasticMatrix.identity(2),),
+                    N=1,
+                    start=Distribution((Fraction(1, 3), Fraction(1, 3))),
+                    numeric_mode="exact",
+                ),
+                ("start: mass 2/3 != 1",),
+            ),
+        ],
+    )
+    def test_instance_level_violations(self, inst, violations):
+        assert validate_instance(inst).violations == violations
+
+
 class TestApply:
     def test_identity_fixes_point_mass(self):
         v = Distribution.unit(2, 0)

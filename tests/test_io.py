@@ -1,14 +1,18 @@
 import io
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from timemachine import (
+    Distribution,
     Instance,
     InstanceFormatError,
     StochasticMatrix,
     artifact_from_document,
+    branch_and_bound_solve,
+    decide_threshold,
     decode_assignment,
     encode_reduction,
     evaluate_plan,
@@ -21,7 +25,15 @@ from timemachine import (
     write_plan,
 )
 
-from helpers import all_patterns_formula, random_instance, single_clause_formula
+from timemachine.cli import main
+
+from helpers import (
+    all_patterns_formula,
+    instance_v1_text,
+    planted_formula,
+    random_instance,
+    single_clause_formula,
+)
 
 
 def roundtrip_text(instance, meta=None):
@@ -127,18 +139,43 @@ class TestInstanceRoundtrip:
     def test_version_mismatch_rejected(self):
         art = encode_reduction(single_clause_formula())
         payload = json.loads(roundtrip_text(art.instance))
-        payload["format_version"] = 2
-        with pytest.raises(InstanceFormatError, match="format_version"):
-            read_instance(io.StringIO(json.dumps(payload)))
+        # version 2 is read; true and 1.0 are not the integer 1
+        for version in (3, True, 1.0, "2"):
+            payload["format_version"] = version
+            with pytest.raises(InstanceFormatError, match="format_version"):
+                read_instance(io.StringIO(json.dumps(payload)))
 
     def test_invariant_violations_rejected_on_read(self):
+        payload = json.loads(instance_v1_text(Instance(
+            matrices=(StochasticMatrix.identity(2, "float"),),
+            N=1,
+            numeric_mode="float",
+        )))
+        assert payload["format_version"] == 1
+        payload["matrices"][0][0] = [0.7, 0.7]
+        with pytest.raises(InstanceFormatError, match="invalid instance"):
+            read_instance(io.StringIO(json.dumps(payload)))
+
+    def test_invariant_violations_rejected_on_read_v2(self):
         payload = json.loads(roundtrip_text(Instance(
             matrices=(StochasticMatrix.identity(2, "float"),),
             N=1,
             numeric_mode="float",
         )))
-        payload["matrices"][0][0] = [0.7, 0.7]
+        assert payload["format_version"] == 2
+        payload["matrices"][0][0] = [[0, 0.7], [1, 0.7]]
         with pytest.raises(InstanceFormatError, match="invalid instance"):
+            read_instance(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("table", ["state_table", "matrix_table"])
+    def test_boolean_table_index_rejected(self, table):
+        art = encode_reduction(single_clause_formula())
+        buf = io.StringIO()
+        write_artifact(art, buf)
+        payload = json.loads(buf.getvalue())
+        name = next(iter(payload["reduction_meta"][table]))
+        payload["reduction_meta"][table][name] = True
+        with pytest.raises(InstanceFormatError, match=table):
             read_instance(io.StringIO(json.dumps(payload)))
 
     def test_non_finite_numbers_rejected(self):
@@ -150,6 +187,10 @@ class TestInstanceRoundtrip:
         with pytest.raises(InstanceFormatError):
             read_instance(io.StringIO(payload))
 
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(InstanceFormatError, match="nests too deeply"):
+            read_instance(io.StringIO("[" * 100000 + "]" * 100000))
+
     def test_labels_preserved(self):
         art = encode_reduction(single_clause_formula())
         doc = read_instance(io.StringIO(roundtrip_text(
@@ -158,6 +199,146 @@ class TestInstanceRoundtrip:
         assert [m.label for m in doc.instance.matrices] == [
             m.label for m in art.instance.matrices
         ]
+
+
+class TestSparseFormat:
+    def test_rows_hold_only_nonzero_pairs(self):
+        inst = Instance(
+            matrices=(StochasticMatrix(((0.25, 0.0, 0.75), (0.0, 1.0, 0.0), (-0.0, 0.5, 0.5))),),
+            N=1,
+            start=Distribution((0.0, 1.0, 0.0)),
+            numeric_mode="float",
+        )
+        payload = json.loads(roundtrip_text(inst))
+        assert payload["format_version"] == 2
+        assert payload["start"] == [0.0, 1.0, 0.0]
+        assert payload["matrices"] == [[[[0, 0.25], [2, 0.75]], [[1, 1.0]], [[1, 0.5], [2, 0.5]]]]
+        read_back = read_instance(io.StringIO(json.dumps(payload))).instance
+        assert read_back == inst
+        # the omitted -0.0 comes back as 0.0
+        assert str(read_back.matrices[0].rows[2][0]) == "0.0"
+
+    def test_identical_rows_share_one_tuple(self):
+        art = encode_reduction(all_patterns_formula())
+        doc = read_instance(io.StringIO(roundtrip_text(art.instance)))
+        rows = [row for m in doc.instance.matrices for row in m.rows]
+        assert len(rows) == 58 * 20
+        # equal rows are one object; a reduction instance has at most d + 1 distinct rows
+        assert len({id(row) for row in rows}) == len(set(rows)) <= doc.instance.d + 1
+
+
+def _equivalence_cases():
+    rng = Random(2024)
+    cases = [(encode_reduction(single_clause_formula()).instance, 1)]
+    for n, m in ((4, 4), (5, 5)):
+        _, formula = planted_formula(rng, n, m)
+        cases.append((encode_reduction(formula).instance, 1))
+    for seed in range(3):
+        seeded = Random(seed)
+        cases.append((random_instance(seeded, 4, 3, 4, mode="float"), None))
+        cases.append((random_instance(seeded, 3, 3, 4, mode="exact"), None))
+    return cases
+
+
+class TestVersionEquivalence:
+    """A version-1 and a version-2 document of one instance read back as
+    equal instances, on which the solvers give the same answers."""
+
+    @pytest.mark.parametrize("inst, alpha", _equivalence_cases())
+    def test_v1_and_v2_reads_agree(self, inst, alpha):
+        v1 = read_instance(io.StringIO(instance_v1_text(inst))).instance
+        v2 = read_instance(io.StringIO(roundtrip_text(inst))).instance
+        assert v1 == v2 == inst
+        bnb = [branch_and_bound_solve(x) for x in (v1, v2)]
+        assert [(r.value, r.plan, r.nodes_explored, r.nodes_pruned) for r in bnb[:1]] == [
+            (r.value, r.plan, r.nodes_explored, r.nodes_pruned) for r in bnb[1:]
+        ]
+        if alpha is None:
+            alpha = bnb[0].value
+        assert decide_threshold(v1, alpha) == decide_threshold(v2, alpha)
+        assert decide_threshold(v1, alpha)[0]
+
+    def test_reduction_meta_reads_the_same(self):
+        art = encode_reduction(single_clause_formula())
+        buf = io.StringIO()
+        write_artifact(art, buf)
+        meta = read_instance(io.StringIO(buf.getvalue())).reduction_meta
+        v1 = read_instance(io.StringIO(instance_v1_text(art.instance, meta)))
+        assert v1.reduction_meta == meta
+        assert v1.instance == art.instance
+
+
+def _exact_base():
+    """A small exact version-2 document; matrix 1 row 0 is [[1, "1/1"]]."""
+    shift = StochasticMatrix(((Fraction(0), Fraction(1), Fraction(0)),) * 3)
+    inst = Instance(
+        matrices=(StochasticMatrix.identity(3), shift), N=2, numeric_mode="exact"
+    )
+    return json.loads(roundtrip_text(inst))
+
+
+def _float_base():
+    shift = StochasticMatrix(((0.0, 1.0, 0.0),) * 3)
+    inst = Instance(
+        matrices=(StochasticMatrix.identity(3, "float"), shift), N=2, numeric_mode="float"
+    )
+    return json.loads(roundtrip_text(inst))
+
+
+# (name, base document, replacement for matrix 1 row 0)
+MALFORMED_V2 = [
+    ("row is a string", _exact_base, "1 1/1"),
+    ("row is an object", _exact_base, {"1": "1/1"}),
+    ("row is a dense v1 row", _exact_base, ["0/1", "1/1", "0/1"]),
+    ("pair too short", _exact_base, [[1]]),
+    ("pair too long", _exact_base, [[1, "1/1", 0]]),
+    ("pair is a string", _exact_base, ["1/1"]),
+    ("column is a bool", _exact_base, [[True, "1/1"]]),
+    ("column is a float", _exact_base, [[1.0, "1/1"]]),
+    ("column is negative", _exact_base, [[-1, "1/1"]]),
+    ("column is d", _exact_base, [[3, "1/1"]]),
+    ("column is a string", _exact_base, [["1", "1/1"]]),
+    ("column repeated", _exact_base, [[1, "1/2"], [1, "1/2"]]),
+    ("column descending", _exact_base, [[2, "1/2"], [1, "1/2"]]),
+    ("exact value is a float", _exact_base, [[1, 1.0]]),
+    ("exact value is a list", _exact_base, [[1, ["1/1"]]]),
+    ("exact value has a zero denominator", _exact_base, [[1, "1/0"]]),
+    ("exact value is not a rational", _exact_base, [[1, "one"]]),
+    ("row mass is not 1", _exact_base, [[1, "1/2"]]),
+    ("float value is a string", _float_base, [[1, "1/1"]]),
+    ("float value is a bool", _float_base, [[1, True]]),
+    ("float value is NaN", _float_base, [[1, float("nan")]]),
+    ("float value overflows", _float_base, [[1, 10**400]]),
+    ("float column is a bool", _float_base, [[True, 1.0]]),
+]
+
+
+class TestMalformedV2:
+    @pytest.mark.parametrize("base", [_exact_base, _float_base])
+    def test_unmutated_bases_read(self, base):
+        read_instance(io.StringIO(json.dumps(base())))
+
+    @pytest.mark.parametrize("name, base, row", MALFORMED_V2, ids=[c[0] for c in MALFORMED_V2])
+    def test_read_instance_raises_format_error(self, name, base, row):
+        payload = base()
+        payload["matrices"][1][0] = row
+        with pytest.raises(InstanceFormatError):
+            read_instance(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("name, base, row", MALFORMED_V2, ids=[c[0] for c in MALFORMED_V2])
+    def test_cli_reports_one_error_line(self, name, base, row, tmp_path, capsys):
+        payload = base()
+        payload["matrices"][1][0] = row
+        inst_path = tmp_path / "bad.json"
+        inst_path.write_text(json.dumps(payload))
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("0 1\n")
+        assert main(["simulate", str(inst_path), str(plan_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
 
 
 class TestPlanFiles:

@@ -488,6 +488,44 @@ class TestInvalidInstances:
         with pytest.raises(ValueError, match="target"):
             SOLVERS[solver](two_state_instance("exact", target=2))
 
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_entry_of_the_wrong_type_rejected(self, solver):
+        exact = two_state_instance("exact")
+        float_entry = StochasticMatrix(((Fraction(1, 2), 0.5), (Fraction(0), Fraction(1))))
+        int_entry = StochasticMatrix(((0.0, 1.0), (0.0, 1)))
+        wrong = [
+            Instance(matrices=(exact.matrices[0], float_entry), N=2, numeric_mode="exact"),
+            Instance(
+                matrices=(StochasticMatrix.identity(2, "float"), int_entry), N=2, numeric_mode="float"
+            ),
+        ]
+        for inst, where in zip(wrong, ("matrix 1 row 0 entry 1", "matrix 1 row 1 entry 1")):
+            assert not validate_instance(inst).ok
+            with pytest.raises(ValueError, match=where):
+                SOLVERS[solver](inst)
+
+    @pytest.mark.parametrize("start", [(Fraction(1), 0.0), (0.5, Fraction(1, 2)), (1.0, 0.0)])
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_float_start_in_exact_instance_rejected(self, solver, start):
+        inst = two_state_instance("exact")
+        inst = Instance(matrices=inst.matrices, N=2, start=Distribution(start), numeric_mode="exact")
+        assert not validate_instance(inst).ok
+        with pytest.raises(ValueError, match="start entry"):
+            SOLVERS[solver](inst)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_bad_count_horizon_and_mode_rejected(self, solver):
+        inst = two_state_instance("exact")
+        cases = [
+            (Instance(matrices=(), N=2, start=inst.start, numeric_mode="exact"), "at least one matrix"),
+            (Instance(matrices=inst.matrices, N=-1, numeric_mode="exact"), "horizon N"),
+            (Instance(matrices=inst.matrices, N=2, numeric_mode="fuzzy"), "numeric_mode"),
+        ]
+        for bad, message in cases:
+            assert not validate_instance(bad).ok
+            with pytest.raises(ValueError, match=message):
+                SOLVERS[solver](bad)
+
     def test_float_tolerance_matches_validation(self):
         # Row sums and start mass may drift by ROW_SUM_TOL, entries may not
         # leave [0, 1]: the solvers accept exactly what validate_instance does.
