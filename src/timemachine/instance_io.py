@@ -310,14 +310,11 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
             _require(field in meta_raw, f"reduction_meta missing {field!r}")
         state_table = meta_raw["state_table"]
         matrix_table = meta_raw["matrix_table"]
-        _require(
-            isinstance(state_table, dict) and all(_is_int(v) for v in state_table.values()),
-            "state_table must map names to indices",
-        )
-        _require(
-            isinstance(matrix_table, dict) and all(_is_int(v) for v in matrix_table.values()),
-            "matrix_table must map names to indices",
-        )
+        for name, table, size in (("state_table", state_table, d), ("matrix_table", matrix_table, K)):
+            _require(
+                isinstance(table, dict) and all(_is_int(v) and 0 <= v < size for v in table.values()),
+                f"{name} must map names to indices in [0, {size})",
+            )
         meta = ReductionMeta(
             state_table=dict(state_table),
             matrix_table=dict(matrix_table),
@@ -328,17 +325,25 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
 
 
 def artifact_from_document(doc: InstanceDocument) -> ReductionArtifact:
-    """Rebuild a (formula-less) reduction artifact from a loaded document."""
+    """Rebuild a (formula-less) reduction artifact from a loaded document.
+
+    Raises InstanceFormatError unless the state table names both signed
+    states of every variable, the states an assignment is decoded from.
+    """
     if doc.reduction_meta is None:
         raise InstanceFormatError("instance document carries no reduction_meta")
     meta = doc.reduction_meta
-    return ReductionArtifact(
+    artifact = ReductionArtifact(
         instance=doc.instance,
         state_table=dict(meta.state_table),
         matrix_table=dict(meta.matrix_table),
         p=meta.p,
         formula=None,
     )
+    for i in range(artifact.num_vars):
+        for name in (f"x{i}+", f"x{i}-"):
+            _require(name in artifact.state_table, f"reduction_meta state_table has no {name!r}")
+    return artifact
 
 
 def write_plan(plan: Sequence[int], path_or_file: PathOrFile, comment: Optional[str] = None) -> None:

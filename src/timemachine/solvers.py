@@ -21,22 +21,31 @@ value >= alpha?) with early exit on the first witness found.
 Every search runs on a numeric backend built once per call, and is written
 once against the interface the two backends share: ``start``,
 ``apply(weights, k)``, lookahead tables ``lookahead[r][k]`` and value levels
-``U[r]`` (both scaled by ``level_scale[r]``), the bitmasks ``live[r]`` and
-``certain[r][k]``, the total mass ``full[r]`` at each level's scale,
-memo-key ``normalize``, ``divide`` and ``to_value``.  Both hold the matrices
-as sparse ``(column, coefficient)`` rows, checked once to be stochastic,
-and build their tables from them with :func:`_tables`, in their own numbers.
+``U[r]`` (both scaled by ``level_scale[r]``, one level ``base`` times the
+scale of the level below), the bitmasks ``live[r]`` and ``certain[r][k]``,
+the total mass ``full[r]`` at each level's scale, ``memoize``, ``divide``
+and ``to_value``.  Both hold the matrices as sparse ``(column,
+coefficient)`` rows, checked once to be stochastic, and build their tables
+from them with :func:`_tables`, in their own numbers.
 
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
-  weights unscaled and its certainty masks empty, so float arithmetic and
-  its summation order are those of the plain problem.
+  weights unscaled and has no certainty masks, so float arithmetic and its
+  summation order are those of the plain problem.  Float populations
+  practically never repeat exactly, so searches keep no memo over it.
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
 
+A leaf is never materialized: its value is the sum of its parent's weights
+times ``lookahead[1][k]``, which at one step from the end is the leaf's
+target weight itself, scaled by ``base``.  In float mode the two sums have
+the same nonzero terms in the same order, so they agree bit for bit as long
+as ``sum()`` adds left to right (it does up to CPython 3.11).
+
 Branch and bound and the threshold decision are the two depth-first walks.
-The first chases strict improvements and memoizes certified subtree
-bounds; the second stops at the first witness and memoizes dead states.
+The first chases strict improvements and, over exact populations, memoizes
+certified subtree bounds; the second stops at the first witness and, over
+exact populations, memoizes dead states.
 All searches are deterministic, node counts included, and raise ValueError
 on an instance with a bad mode tag, K, N, shape, target, row or start, or
 with a start weight or nonzero entry that is not a number of its mode.
@@ -47,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import EXACT, EVAL_TOL, FLOAT, ROW_SUM_TOL, Instance, Plan, Scalar, scalar_mode_error
@@ -176,11 +186,15 @@ def mdp_value_table(inst: Instance) -> ValueTable:
 class _FloatView:
     """Float backend: the instance's weights and entries as they are.
 
-    Every level scale and full mass is 1 and every certainty mask is 0, so
-    each bound is the plain float sum over the occupied states, in the same
-    order as in the unscaled problem.  Memo keys divide a population by its
-    live mass.
+    Every level scale and full mass is 1 and no level has certainty masks,
+    so each bound is the plain float sum over the states, in the same order
+    as in the unscaled problem.  Searches keep no memo over float
+    populations: on dense random instances they practically never repeat
+    exactly, so a memo costs a key per node and prunes nothing.
     """
+
+    base = 1
+    memoize = False
 
     def __init__(self, inst: Instance):
         self.rows = _sparse_rows(inst)
@@ -189,7 +203,7 @@ class _FloatView:
         self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
         self.live = [_mask(level) for level in self.U]
-        self.certain = [None] + [(0,) * inst.K] * inst.N
+        self.certain = [None] * (inst.N + 1)
 
     def apply(self, weights, k: int):
         rows = self.rows[k]
@@ -201,18 +215,11 @@ class _FloatView:
         return tuple(out)
 
     @staticmethod
-    def normalize(live):
-        """Memo key of the live ``(state, weight)`` pairs, and the factor
-        the weights were divided by to get it."""
-        mass = sum(w for _, w in live)
-        return tuple((i, w / mass) for i, w in live), mass
-
-    @staticmethod
     def divide(x, scale):
         return x / scale
 
     @staticmethod
-    def to_value(x):
+    def to_value(x, steps_left=0):
         return x
 
 
@@ -225,9 +232,13 @@ class _IntegerView:
     Populations are scaled by D = L^(N+1), and each of the N applications
     divides by L, so every reachable weight stays an exact integer.
     Certainty masks mark states whose scaled lookahead is L^r, i.e. whose
-    relaxed value is exactly 1.  Memo keys divide a population by the gcd
-    of its live weights.
+    relaxed value is exactly 1; a level where no state is certain has None.
+    Exact populations repeat (the reduction's 0/1 matrices move whole
+    packets), so searches memoize over them, keyed on a population divided
+    by the gcd of its live weights.
     """
+
+    memoize = True
 
     def __init__(self, inst: Instance):
         entries = _sparse_rows(inst)
@@ -244,8 +255,10 @@ class _IntegerView:
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
         self.live = [_mask(level) for level in self.U]
-        scaled_levels = zip(self.lookahead[1:], self.level_scale[1:])
-        self.certain = [None] + [[_mask(q == s for q in qk) for qk in Q] for Q, s in scaled_levels]
+        self.certain = [None]
+        for Q, s in zip(self.lookahead[1:], self.level_scale[1:]):
+            masks = tuple(_mask(q == s for q in qk) for qk in Q)
+            self.certain.append(masks if any(masks) else None)
 
     def apply(self, weights, k: int):
         rows, L = self.rows[k], self.base
@@ -267,8 +280,9 @@ class _IntegerView:
     def divide(x, scale):
         return Fraction(x, scale)
 
-    def to_value(self, scaled) -> Fraction:
-        return Fraction(scaled, self.full[0])
+    def to_value(self, scaled, steps_left=0) -> Fraction:
+        """The value of a target mass at the scale of level ``steps_left``."""
+        return Fraction(scaled, self.full[steps_left])
 
 
 def _view(inst: Instance):
@@ -289,26 +303,30 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
             f"enumeration would visit K^N = {total} plans, budget is {budget}", total
         )
     view = _view(inst)
-    target = inst.target
+    if N == 0:
+        return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
+    apply, last_step = view.apply, view.lookahead[1]
 
-    best_value = None
+    best_value = None  # at level 1's scale
     best_plan: Plan = ()
     explored = 0
 
-    def walk(weights, depth: int, prefix: Plan):
+    def walk(weights, steps_left: int, prefix: Plan):
         nonlocal best_value, best_plan, explored
-        if depth == N:
-            value = weights[target]
-            if best_value is None or value > best_value:
-                best_value, best_plan = value, prefix
+        if steps_left == 1:
+            explored += K
+            for k, qk in enumerate(last_step):
+                value = sum(map(mul, weights, qk))  # the leaf's value
+                if best_value is None or value > best_value:
+                    best_value, best_plan = value, prefix + (k,)
             return
         for k in range(K):
             explored += 1
-            walk(view.apply(weights, k), depth + 1, prefix + (k,))
+            walk(apply(weights, k), steps_left - 1, prefix + (k,))
 
-    walk(view.start, 0, ())
+    walk(view.start, N, ())
     del walk  # free the search state now, not at the next cycle collection
-    return SolveResult(view.to_value(best_value), best_plan, explored, 0, "enum")
+    return SolveResult(view.to_value(best_value, 1), best_plan, explored, 0, "enum")
 
 
 def branch_and_bound_solve(inst: Instance) -> SolveResult:
@@ -319,81 +337,82 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     ``sum_i v[i] * U[r][i] <= incumbent`` -- only strict improvements are
     chased, so the returned plan is the first one attaining the final best
     value in this order (which may differ from enumerate_solve's tie-break;
-    the values always agree).  Subtree value certificates are memoized per
-    rescaled population so that revisited states prune immediately.
+    the values always agree).  On exact instances, subtree value
+    certificates are memoized per rescaled population so that revisited
+    states prune immediately.
 
-    ``nodes_explored`` counts one per child state materialized (one apply
-    each); ``nodes_pruned`` counts skipped subtrees.
+    ``nodes_explored`` counts one per child state visited: an apply for an
+    inner node; a leaf is read off its parent's bound, which is its value.
+    ``nodes_pruned`` counts skipped subtrees.
     """
     K, N = inst.K, inst.N
-    target = inst.target
     view = _view(inst)
+    if N == 0:
+        return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
+    apply, lookahead, certain, full = view.apply, view.lookahead, view.certain, view.full
+    base, memoize, live_masks = view.base, view.memoize, view.live
+    # level r's scale is level_scale[r - 1] times level 1's
+    above_level_one = view.level_scale[:N]
 
-    best_value = None  # at leaf scale
+    best_value = None  # at level 1's scale
     best_plan: Plan = ()
     incumbent_by_level: List = [None] * (N + 1)  # best_value at each level's scale
     explored = 0
     pruned = 0
-    certificates: Dict[tuple, Scalar] = {}
+    certificates: Dict[tuple, int] = {}  # per unit of a normalized population
 
-    def walk(weights, depth: int, prefix: Plan):
+    def walk(weights, steps_left: int, prefix: Plan):
         """Explore a subtree; return a certified upper bound on its best
-        value, at leaf scale."""
+        value, at its own level's scale."""
         nonlocal best_value, best_plan, incumbent_by_level, explored, pruned
-        if depth == N:
-            value = weights[target]
-            if best_value is None or value > best_value:
-                best_value, best_plan = value, prefix
-                incumbent_by_level = [value * scale for scale in view.level_scale]
-            return value
-        steps_left = N - depth
-        live_mask = view.live[steps_left]
-        live = [(i, w) for i, w in enumerate(weights) if w and (live_mask >> i) & 1]
-        key = scale = None
-        if live:
-            normalized, scale = view.normalize(live)
-            key = (steps_left, normalized)
-            cached = certificates.get(key)
-            if cached is not None:
-                ceiling = cached * scale
-                if best_value is not None and ceiling <= best_value:
-                    pruned += 1
-                    return ceiling
-        q_level = view.lookahead[steps_left]
-        masks = view.certain[steps_left]
-        level_scale = view.level_scale[steps_left]
         incumbent = incumbent_by_level[steps_left]
-        nonzero = [(i, w) for i, w in enumerate(weights) if w]
-        support = 0
-        for i, _ in nonzero:
-            support |= 1 << i
+        key = None
+        if memoize:
+            live_mask = live_masks[steps_left]
+            live = [(i, w) for i, w in enumerate(weights) if w and (live_mask >> i) & 1]
+            if live:
+                normalized, scale = view.normalize(live)
+                key = (steps_left, normalized)
+                cached = certificates.get(key)
+                if cached is not None:
+                    ceiling = cached * scale
+                    if incumbent is not None and ceiling <= incumbent:
+                        pruned += 1
+                        return ceiling
+        q_level = lookahead[steps_left]
+        masks = certain[steps_left]
+        support = _mask(weights) if masks else 0
         level_cap = 0  # best child cap, at this level's scale
         for k in range(K):
-            if not support & ~masks[k]:
+            if masks and not support & ~masks[k]:
                 # every occupied state has relaxed value exactly 1
-                cap = view.full[steps_left]
+                cap = full[steps_left]
             else:
-                qk = q_level[k]
-                cap = sum(w * qk[i] for i, w in nonzero)
+                cap = sum(map(mul, weights, q_level[k]))
             if incumbent is not None and cap <= incumbent:
                 pruned += 1
             else:
                 explored += 1
-                cap = walk(view.apply(weights, k), depth + 1, prefix + (k,)) * level_scale
+                if steps_left == 1:
+                    # a leaf: its cap is its value, a strict improvement
+                    best_value, best_plan = cap, prefix + (k,)
+                    incumbent_by_level = [None, *(cap * s for s in above_level_one)]
+                else:
+                    cap = walk(apply(weights, k), steps_left - 1, prefix + (k,)) * base
                 incumbent = incumbent_by_level[steps_left]
             if cap > level_cap:
                 level_cap = cap
-        subtree_cap = view.divide(level_cap, level_scale)
         if key is not None:
-            per_unit = view.divide(subtree_cap, scale)
-            cached = certificates.get(key)
+            # Exact: every cap is a sum of live weights times integers, so
+            # their gcd divides it.
+            per_unit = level_cap // scale
             if cached is None or per_unit < cached:
                 certificates[key] = per_unit
-        return subtree_cap
+        return level_cap
 
-    walk(view.start, 0, ())
+    walk(view.start, N, ())
     del walk  # free the memo now, not at the next cycle collection
-    return SolveResult(view.to_value(best_value), best_plan, explored, pruned, "bnb")
+    return SolveResult(view.to_value(best_value, 1), best_plan, explored, pruned, "bnb")
 
 
 def beam_search(inst: Instance, width: int) -> SolveResult:
@@ -444,12 +463,14 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
     Depth-first in ascending matrix order with early exit on the first
     witness; a child is pruned when its relaxation bound falls below alpha
     (below ``alpha - 1e-12`` in float mode, where a leaf also qualifies at
-    ``value >= alpha - 1e-12``).  Exact mode compares exactly -- alpha = 1
-    is the case the 3-SAT reduction rides on, and there any state that has
-    leaked mass toward a dead end is cut by a mask check before its bound
-    is summed or the child materialized.  In both modes failed states more
-    than one step from the leaves are memoized, so the search never
-    re-proves the same dead subtree of depth two or more.
+    ``value >= alpha - 1e-12``).  One step from the end the bound is the
+    leaf's value, so the first child that passes is the witness.  Exact
+    mode compares exactly -- alpha = 1 is the case the 3-SAT reduction
+    rides on, and there any state that has leaked mass toward a dead end is
+    cut by a mask check before its bound is summed or the child
+    materialized.  On exact instances failed states more than one step from
+    the leaves are memoized, so the search never re-proves the same dead
+    subtree of depth two or more.
     """
     if isinstance(alpha, bool):
         raise ValueError("alpha must be a number, not a boolean")
@@ -464,42 +485,43 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
     K, N = inst.K, inst.N
-    target = inst.target
     view = _view(inst)
     cutoffs = [threshold * full for full in view.full]
+    if N == 0:
+        attained = view.start[inst.target] >= cutoffs[0]
+        return attained, (() if attained else None)
+    apply, lookahead, certain, memoize = view.apply, view.lookahead, view.certain, view.memoize
     # Where the cutoff is the full mass, a child passes only if every
     # occupied state is certain, so the mask alone decides.
     mask_decides = [cutoff == full for cutoff, full in zip(cutoffs, view.full)]
     failed = set()
 
-    def walk(weights, depth: int, prefix: Plan) -> Optional[Plan]:
-        if depth == N:
-            return prefix if weights[target] >= cutoffs[0] else None
-        steps_left = N - depth
+    def walk(weights, steps_left: int, prefix: Plan) -> Optional[Plan]:
         # One step from the leaves a dead state costs at most K bound sums
         # to prove again, less than hashing and keeping it.
-        key = (depth, weights) if steps_left > 1 else None
+        key = (steps_left, weights) if memoize and steps_left > 1 else None
         if key in failed:
             return None
-        q_level = view.lookahead[steps_left]
-        masks = view.certain[steps_left]
+        q_level = lookahead[steps_left]
+        masks = certain[steps_left]
         cutoff = cutoffs[steps_left]
         by_mask = mask_decides[steps_left]
-        support = _mask(weights)
+        support = _mask(weights) if masks else 0
         for k in range(K):
-            if support & ~masks[k]:
+            if not masks or support & ~masks[k]:
                 if by_mask:
                     continue  # some occupied state cannot fully return
-                qk = q_level[k]
-                if sum(w * qk[i] for i, w in enumerate(weights) if w) < cutoff:
+                if sum(map(mul, weights, q_level[k])) < cutoff:
                     continue
-            witness = walk(view.apply(weights, k), depth + 1, prefix + (k,))
+            if steps_left == 1:
+                return prefix + (k,)  # the leaf's value is its bound
+            witness = walk(apply(weights, k), steps_left - 1, prefix + (k,))
             if witness is not None:
                 return witness
         if key is not None:
             failed.add(key)
         return None
 
-    witness = walk(view.start, 0, ())
+    witness = walk(view.start, N, ())
     del walk  # free the memo now, not at the next cycle collection
     return (witness is not None), witness

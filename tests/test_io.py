@@ -341,6 +341,67 @@ class TestMalformedV2:
         assert "Traceback" not in captured.err
 
 
+def _reduction_base():
+    """The single-clause reduction as a document; its witness is 0 2 1."""
+    buf = io.StringIO()
+    write_artifact(encode_reduction(single_clause_formula()), buf)
+    return json.loads(buf.getvalue())
+
+
+def _shift(table, by):
+    return {name: index + by for name, index in table.items()}
+
+
+def _without(table, name):
+    return {key: index for key, index in table.items() if key != name}
+
+
+# (name, mutation of reduction_meta); d = 13 states and K = 9 matrices
+BAD_REDUCTION_META = [
+    ("state_table emptied", lambda meta: meta.update(state_table={})),
+    ("state_table lacks x0-", lambda meta: meta.update(state_table=_without(meta["state_table"], "x0-"))),
+    ("state_table lacks x2+", lambda meta: meta.update(state_table=_without(meta["state_table"], "x2+"))),
+    ("state indices shifted by 1000", lambda meta: meta.update(state_table=_shift(meta["state_table"], 1000))),
+    ("state index is d", lambda meta: meta["state_table"].update(f=13)),
+    ("state index is negative", lambda meta: meta["state_table"].update(d=-1)),
+    ("matrix indices shifted by 1000", lambda meta: meta.update(matrix_table=_shift(meta["matrix_table"], 1000))),
+    ("matrix index is K", lambda meta: meta["matrix_table"].update(F=9)),
+    ("matrix index is negative", lambda meta: meta["matrix_table"].update(S=-1)),
+]
+
+
+class TestMalformedReductionMeta:
+    def test_unmutated_base_decodes(self, tmp_path, capsys):
+        inst_path = tmp_path / "good.json"
+        inst_path.write_text(json.dumps(_reduction_base()))
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("0 2 1\n")
+        assert main(["decode", str(inst_path), str(plan_path)]) == 0
+        assert capsys.readouterr().out.startswith("x0=")
+
+    @pytest.mark.parametrize("name, mutate", BAD_REDUCTION_META, ids=[c[0] for c in BAD_REDUCTION_META])
+    def test_read_raises_format_error(self, name, mutate):
+        payload = _reduction_base()
+        mutate(payload["reduction_meta"])
+        with pytest.raises(InstanceFormatError):
+            artifact_from_document(read_instance(io.StringIO(json.dumps(payload))))
+
+    @pytest.mark.parametrize("name, mutate", BAD_REDUCTION_META, ids=[c[0] for c in BAD_REDUCTION_META])
+    def test_cli_decode_reports_one_error_line(self, name, mutate, tmp_path, capsys):
+        payload = _reduction_base()
+        mutate(payload["reduction_meta"])
+        inst_path = tmp_path / "bad.json"
+        inst_path.write_text(json.dumps(payload))
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("0 2 1\n")
+        assert main(["decode", str(inst_path), str(plan_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+
 class TestPlanFiles:
     def test_roundtrip_with_comment(self, tmp_path):
         path = str(tmp_path / "plan.txt")

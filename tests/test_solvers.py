@@ -1,11 +1,13 @@
 import gc
 from fractions import Fraction
 from itertools import product
+from math import nextafter
 from random import Random
 
 import pytest
 
 from timemachine import (
+    EVAL_TOL,
     BudgetExceededError,
     Distribution,
     Instance,
@@ -19,6 +21,7 @@ from timemachine import (
     mdp_value_table,
     validate_instance,
 )
+from timemachine import solvers
 from timemachine.reduction import encode_reduction, sat_bruteforce
 
 from helpers import (
@@ -372,6 +375,131 @@ class TestSearchStateLifetime:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def threshold_alpha(value):
+    """An alpha whose float threshold ``alpha - EVAL_TOL`` is ``value`` itself."""
+    alpha = value + EVAL_TOL
+    for _ in range(16):
+        if alpha - EVAL_TOL == value:
+            return alpha
+        alpha = nextafter(alpha, 1.0 if alpha - EVAL_TOL < value else 0.0)
+    raise AssertionError(f"no alpha has threshold {value!r}")
+
+
+def deterministic_instance(rng, d, K, N):
+    """Exact 0/1 matrices, each row a single 1, and a point start: L = 1."""
+    matrices = []
+    for _ in range(K):
+        cols = [rng.randrange(d) for _ in range(d)]
+        matrices.append(
+            StochasticMatrix(tuple(tuple(Fraction(int(j == c)) for j in range(d)) for c in cols))
+        )
+    return Instance(
+        matrices=tuple(matrices),
+        N=N,
+        start=Distribution(tuple(Fraction(int(i == 0)) for i in range(d))),
+        target=rng.randrange(d),
+        numeric_mode="exact",
+    )
+
+
+class TestLastStepOffLookahead:
+    # The searches read a leaf's value off its parent's lookahead sum instead
+    # of applying the last matrix.  In float mode both are sums of the same
+    # nonzero products in the same order, plus +0.0 terms, so they agree bit
+    # for bit only while sum() adds left to right: CPython 3.12 made float
+    # sum() compensated, and CI runs these tests on 3.10 and 3.11 alone.
+    @pytest.mark.parametrize("N", [0, 1, 2, 5])
+    def test_float_values_and_witnesses_equal_evaluate_plan(self, N):
+        rng = Random(5150 + N)
+        for _ in range(4):
+            d, K = rng.randint(2, 5), rng.randint(1, 3)
+            inst = random_instance(rng, d, K, N, mode="float")
+            values = {plan: evaluate_plan(inst, plan) for plan in product(range(K), repeat=N)}
+            optimum = max(values.values())
+            enum = enumerate_solve(inst)
+            bnb = branch_and_bound_solve(inst)
+            assert enum.value == values[enum.plan] == optimum
+            assert bnb.value == values[bnb.plan] == optimum
+            # decide returns the first plan whose value reaches the threshold
+            thresholds = [optimum - EVAL_TOL]
+            if N <= 1:
+                # Without inner levels only leaves are compared, so a plan
+                # qualifies at a threshold equal to its value, not an ulp
+                # above.  (An inner bound is a float sum too and can sit an
+                # ulp below a plan that attains it, e.g. when K = 1.)
+                thresholds += values.values()
+            for threshold in thresholds:
+                first = next(p for p, v in values.items() if v >= threshold)
+                assert decide_threshold(inst, threshold_alpha(threshold)) == (True, first)
+            above = threshold_alpha(nextafter(optimum, 1.0))
+            assert decide_threshold(inst, above) == (False, None)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 4])
+    def test_exact_unit_scale_solvers_agree(self, N):
+        rng = Random(6060 + N)
+        for _ in range(12):
+            inst = deterministic_instance(rng, rng.randint(2, 5), rng.randint(1, 3), N)
+            enum = enumerate_solve(inst)
+            bnb = branch_and_bound_solve(inst)
+            assert bnb.value == enum.value == evaluate_plan(inst, enum.plan)
+            assert evaluate_plan(inst, bnb.plan) == bnb.value
+            # alpha = 1: every child is settled by its certainty mask
+            expected = (True, enum.plan) if enum.value == 1 else (False, None)
+            assert decide_threshold(inst, Fraction(1)) == expected
+            assert decide_threshold(inst, Fraction(0)) == (True, (0,) * N)
+
+    def test_certainty_mask_picks_the_last_step(self):
+        # identity and swap from state 0 towards target 1: only the swap as
+        # the last step returns the whole population
+        swap = StochasticMatrix(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+        for N in (1, 2, 3):
+            inst = Instance(
+                matrices=(StochasticMatrix.identity(2), swap),
+                N=N,
+                target=1,
+                numeric_mode="exact",
+            )
+            assert decide_threshold(inst, Fraction(1)) == (True, (0,) * (N - 1) + (1,))
+            assert enumerate_solve(inst).plan == (0,) * (N - 1) + (1,)
+            assert branch_and_bound_solve(inst).value == 1
+
+    def test_exact_bnb_builds_one_fraction(self, monkeypatch):
+        built = []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(solvers, "Fraction", counting_fraction)
+        result = branch_and_bound_solve(encode_reduction(all_patterns_formula()).instance)
+        assert (result.nodes_explored, result.nodes_pruned) == (156801, 597973)
+        assert len(built) == 1  # the reported value
+
+
+class TestFloatPermutationInstance:
+    def test_bnb_value_where_populations_repeat(self):
+        # Permutation matrices only move weights around, so the same float
+        # populations recur along many plans.  Float searches keep no memo,
+        # so this pins the value alone: the largest start weight, moved
+        # onto the target.
+        permutations = [(0, 1, 2, 3), (1, 0, 3, 2), (1, 2, 3, 0)]
+        matrices = tuple(
+            StochasticMatrix(tuple(tuple(float(j == p[i]) for j in range(4)) for i in range(4)))
+            for p in permutations
+        )
+        inst = Instance(
+            matrices=matrices,
+            N=6,
+            start=Distribution((0.1, 0.2, 0.3, 0.4)),
+            target=0,
+            numeric_mode="float",
+        )
+        result = branch_and_bound_solve(inst)
+        assert result.value == 0.4
+        assert evaluate_plan(inst, result.plan) == 0.4
+        assert enumerate_solve(inst).value == 0.4
 
 
 def mixed_denominator_instance(mode="exact"):
