@@ -19,14 +19,14 @@ Four entry points, all pure functions of an :class:`~timemachine.core.Instance`:
 value >= alpha?) with early exit on the first witness found.
 
 Every search runs on a numeric backend built once per call, and is written
-once against the interface the two backends share: ``start``,
+once against the interface the backends share: ``start``,
 ``apply(weights, k)``, lookahead tables ``lookahead[r][k]`` and value levels
 ``U[r]`` (both scaled by ``level_scale[r]``, one level ``base`` times the
-scale of the level below), the bitmasks ``live[r]`` and ``certain[r][k]``,
-the total mass ``full[r]`` at each level's scale, ``memoize``, ``divide``
-and ``to_value``.  Both hold the matrices as sparse ``(column,
-coefficient)`` rows, checked once to be stochastic, and build their tables
-from them with :func:`_tables`, in their own numbers.
+scale of the level below), the bitmasks ``certain[r][k]``, the total mass
+``full[r]`` at each level's scale, ``memoize``, ``commuting_below``,
+``divide`` and ``to_value``.  The two value backends hold the matrices as
+sparse ``(column, coefficient)`` rows, checked once to be stochastic, and
+build their tables from them with :func:`_tables`, in their own numbers.
 
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
   weights unscaled and has no certainty masks, so float arithmetic and its
@@ -35,6 +35,12 @@ from them with :func:`_tables`, in their own numbers.
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
+* :class:`_SupportView` serves only the exact decision at alpha = 1, the
+  regime of the 3-SAT reduction.  Its populations are support bitmasks; it
+  builds no value table, only certainty masks that know the matrix order,
+  and it declares the pairs of matrices whose supports commute, so that
+  the walk skips plans with such a pair out of ascending order.  The value
+  backends declare none.
 
 A leaf is never materialized: its value is the sum of its parent's weights
 times ``lookahead[1][k]``, which at one step from the end is the leaf's
@@ -55,8 +61,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import floordiv, itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import EXACT, EVAL_TOL, FLOAT, ROW_SUM_TOL, Instance, Plan, Scalar, scalar_mode_error
@@ -146,9 +153,14 @@ def _sparse_rows(inst: Instance):
 
 
 def _check_mass(rows, start, one, tol) -> None:
-    """Raise ValueError unless rows and start are distributions of mass ``one`` within ``tol``."""
+    """Raise ValueError unless rows and start are distributions of mass ``one`` within ``tol``.
+    Each distinct row object is checked once."""
+    checked = set()
     for k, rows_k in enumerate(rows):
         for i, row in enumerate(rows_k):
+            if id(row) in checked:
+                continue
+            checked.add(id(row))
             if not all(0 <= c <= one for _, c in row) or abs(sum(c for _, c in row) - one) > tol:
                 raise ValueError(f"matrix {k} row {i}: entries must lie in [0, 1] and sum to 1")
     if not all(w >= 0 for w in start) or abs(sum(start) - one) > tol:
@@ -195,6 +207,7 @@ class _FloatView:
 
     base = 1
     memoize = False
+    commuting_below = None
 
     def __init__(self, inst: Instance):
         self.rows = _sparse_rows(inst)
@@ -202,7 +215,6 @@ class _FloatView:
         _check_mass(self.rows, self.start, 1, ROW_SUM_TOL)
         self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
-        self.live = [_mask(level) for level in self.U]
         self.certain = [None] * (inst.N + 1)
 
     def apply(self, weights, k: int):
@@ -239,6 +251,8 @@ class _IntegerView:
     """
 
     memoize = True
+    commuting_below = None
+    support = staticmethod(_mask)
 
     def __init__(self, inst: Instance):
         entries = _sparse_rows(inst)
@@ -254,7 +268,6 @@ class _IntegerView:
         self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
-        self.live = [_mask(level) for level in self.U]
         self.certain = [None]
         for Q, s in zip(self.lookahead[1:], self.level_scale[1:]):
             masks = tuple(_mask(q == s for q in qk) for qk in Q)
@@ -270,13 +283,6 @@ class _IntegerView:
         return tuple(out)
 
     @staticmethod
-    def normalize(live):
-        """Memo key of the live ``(state, weight)`` pairs, and the factor
-        the weights were divided by to get it."""
-        scale = gcd(*(w for _, w in live))
-        return tuple((i, w // scale) for i, w in live), scale
-
-    @staticmethod
     def divide(x, scale):
         return Fraction(x, scale)
 
@@ -288,6 +294,119 @@ class _IntegerView:
 def _view(inst: Instance):
     """The search backend of an instance."""
     return _IntegerView(inst) if inst.numeric_mode == EXACT else _FloatView(inst)
+
+
+def _image(successors, s: int) -> int:
+    """The OR of ``successors[i]`` over the set bits ``i`` of ``s``."""
+    out = 0
+    while s:
+        low = s & -s
+        out |= successors[low.bit_length() - 1]
+        s ^= low
+    return out
+
+
+class _SupportView:
+    """Support backend: the exact decision at alpha = 1, on bitmasks.
+
+    Mass is conserved, so a plan has value 1 iff its final support lies in
+    {target}, and a child's support is the image of its parent's under the
+    matrix's support relation (Eppstein's subset construction).  So a
+    population is the bitmask of its support, and ``apply`` ORs the
+    successor masks of the occupied rows that the matrix moves, a row being
+    moved unless it is the unit row e_i.
+
+    Swapping adjacent matrices whose support relations commute leaves every
+    final support unchanged.  So the lexicographically first plan of value
+    1 has no adjacent pair ``a > b`` that commutes (a trace-monoid normal
+    form, as in Mazurkiewicz 1977 and Godefroid 1996), and the walk skips a
+    child below ``last`` that commutes with it: ``commuting_below[last]``
+    marks those children, with index K standing for the root.  The
+    certainty masks know the order: ``certain[r][k]`` holds the states whose
+    k-successors all lie in C[r-1][k], where C[r][last] is the union of
+    ``certain[r][k]`` over the k allowed after ``last`` and C[0] is
+    {target}.  So a child passes iff its parent's support lies in its mask.
+
+    Every level's cutoff is its full mass 1, so the masks decide every
+    child and no bound is read; ``lookahead`` is there for the interface.
+    """
+
+    memoize = True
+
+    def __init__(self, inst: Instance):
+        entries = _sparse_rows(inst)
+        _check_mass(entries, inst.start.weights, 1, 0)
+        K, N = inst.K, inst.N
+        self.start = _mask(inst.start.weights)
+        self.full = (1,) * (N + 1)
+        self.lookahead = (None,) * (N + 1)
+        row_masks = {}  # id(row) -> its successor mask; entries keeps the rows alive
+        self.rows, self.moved, moved_rows, maps = [], [], [], []
+        for rows_k in entries:
+            successors = []
+            for row in rows_k:
+                m = row_masks.get(id(row))
+                if m is None:
+                    m = row_masks[id(row)] = sum(1 << j for j, _ in row)
+                successors.append(m)
+            moved = [i for i, m in enumerate(successors) if m != 1 << i]
+            self.rows.append(successors)
+            self.moved.append(sum(1 << i for i in moved))
+            moved_rows.append(moved)
+            # a matrix whose every row has one successor maps states to states
+            single = all(len(row) == 1 for row in rows_k)
+            maps.append(tuple(row[0][0] for row in rows_k) if single else None)
+        getters = [None if f is None else itemgetter(*f) for f in maps]
+
+        # Compare R_a R_b with R_b R_a.  Two maps are composed whole by one
+        # C-level call each; on a row neither matrix moves both products
+        # are the unit row, so any other pair is compared on moved rows.
+        below = [0] * (K + 1)
+        for b in range(1, K):
+            fb, get_b, rows_b = maps[b], getters[b], self.rows[b]
+            for a in range(b):
+                fa = maps[a]
+                if fa is not None and fb is not None:
+                    same = getters[a](fb) == get_b(fa)
+                else:
+                    rows_a = self.rows[a]
+                    same = all(
+                        _image(rows_b, rows_a[i]) == _image(rows_a, rows_b[i])
+                        for i in moved_rows[a] + moved_rows[b]
+                    )
+                if same:
+                    below[b] |= 1 << a
+        self.commuting_below = below
+
+        # C[r][last] is the union of suffix[last] and the masks of the
+        # children below last that do not commute with it.
+        others_below = [(1 << last) - 1 & ~below[last] for last in range(K)]
+        after = [1 << inst.target] * K  # C[r-1][k]
+        self.certain = [None]
+        for r in range(1, N + 1):
+            level = []
+            for k, c in enumerate(after):
+                a, successors = c & ~self.moved[k], self.rows[k]
+                for i in moved_rows[k]:
+                    if not successors[i] & ~c:
+                        a |= 1 << i
+                level.append(a)
+            self.certain.append(level)
+            suffix = [0] * (K + 1)
+            for k in range(K - 1, -1, -1):
+                suffix[k] = suffix[k + 1] | level[k]
+            after = [
+                suffix[last] | _image(level, others) if below[last] else suffix[0]
+                for last, others in enumerate(others_below)
+            ]
+
+    def apply(self, s: int, k: int) -> int:
+        moved = self.moved[k]
+        return s & ~moved | _image(self.rows[k], s & moved)
+
+    @staticmethod
+    def support(s: int) -> int:
+        return s
 
 
 def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) -> SolveResult:
@@ -350,7 +469,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
     apply, lookahead, certain, full = view.apply, view.lookahead, view.certain, view.full
-    base, memoize, live_masks = view.base, view.memoize, view.live
+    base, memoize, levels = view.base, view.memoize, view.U
     # level r's scale is level_scale[r - 1] times level 1's
     above_level_one = view.level_scale[:N]
 
@@ -368,11 +487,11 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
         incumbent = incumbent_by_level[steps_left]
         key = None
         if memoize:
-            live_mask = live_masks[steps_left]
-            live = [(i, w) for i, w in enumerate(weights) if w and (live_mask >> i) & 1]
-            if live:
-                normalized, scale = view.normalize(live)
-                key = (steps_left, normalized)
+            # the weights of the live states (U > 0), divided by their gcd
+            live = list(compress(weights, levels[steps_left]))
+            scale = gcd(*live)
+            if scale:
+                key = (steps_left, *map(floordiv, live, repeat(scale)))
                 cached = certificates.get(key)
                 if cached is not None:
                     ceiling = cached * scale
@@ -461,20 +580,27 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
     """Is there a length-N plan with value >= alpha?  Returns (yes/no, witness).
 
     Depth-first in ascending matrix order with early exit on the first
-    witness; a child is pruned when its relaxation bound falls below alpha
-    (below ``alpha - 1e-12`` in float mode, where a leaf also qualifies at
+    witness, which is the lexicographically first plan that qualifies; a
+    child is pruned when its relaxation bound falls below alpha (below
+    ``alpha - 1e-12`` in float mode, where a leaf also qualifies at
     ``value >= alpha - 1e-12``).  One step from the end the bound is the
     leaf's value, so the first child that passes is the witness.  Exact
-    mode compares exactly -- alpha = 1 is the case the 3-SAT reduction
-    rides on, and there any state that has leaked mass toward a dead end is
-    cut by a mask check before its bound is summed or the child
-    materialized.  On exact instances failed states more than one step from
-    the leaves are memoized, so the search never re-proves the same dead
-    subtree of depth two or more.
+    mode compares exactly.  On exact instances failed states more than one
+    step from the leaves are memoized, so the search never re-proves the
+    same dead subtree of depth two or more.
+
+    Exact alpha = 1 (with N >= 1) is the case the 3-SAT reduction rides on,
+    and it runs on support bitmasks (:class:`_SupportView`): a plan has
+    value 1 iff its final support lies in {target}.  A child is skipped
+    when it sorts below the previous matrix and their supports commute, as
+    the first witness never has such a pair, and a child passes iff every
+    occupied state lies in its order-aware certainty mask.  The witness is
+    the same as on exact populations, found in far fewer nodes.
     """
     if isinstance(alpha, bool):
         raise ValueError("alpha must be a number, not a boolean")
-    if inst.numeric_mode == EXACT:
+    exact = inst.numeric_mode == EXACT
+    if exact:
         if isinstance(alpha, float):
             raise ValueError("exact instance requires an exact (int/Fraction) alpha")
         threshold = alpha
@@ -485,20 +611,26 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
     K, N = inst.K, inst.N
-    view = _view(inst)
+    view = _SupportView(inst) if exact and alpha == 1 and N else _view(inst)
     cutoffs = [threshold * full for full in view.full]
     if N == 0:
         attained = view.start[inst.target] >= cutoffs[0]
         return attained, (() if attained else None)
     apply, lookahead, certain, memoize = view.apply, view.lookahead, view.certain, view.memoize
+    support_of = view.support if exact else None
+    commuting_below = view.commuting_below or (0,) * (K + 1)
     # Where the cutoff is the full mass, a child passes only if every
     # occupied state is certain, so the mask alone decides.
     mask_decides = [cutoff == full for cutoff, full in zip(cutoffs, view.full)]
     failed = set()
 
-    def walk(weights, steps_left: int, prefix: Plan) -> Optional[Plan]:
+    def walk(weights, steps_left: int, prefix: Plan, last: int) -> Optional[Plan]:
         # One step from the leaves a dead state costs at most K bound sums
-        # to prove again, less than hashing and keeping it.
+        # to prove again, less than hashing and keeping it.  The key leaves
+        # out last, which decides the skipped children: if the state failed
+        # after an earlier prefix, a witness through it now would reach
+        # value 1 after that prefix too, from a plan sorting before it, so
+        # it would not be the first.
         key = (steps_left, weights) if memoize and steps_left > 1 else None
         if key in failed:
             return None
@@ -506,8 +638,11 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         masks = certain[steps_left]
         cutoff = cutoffs[steps_left]
         by_mask = mask_decides[steps_left]
-        support = _mask(weights) if masks else 0
+        support = support_of(weights) if masks else 0
+        skip = commuting_below[last]
         for k in range(K):
+            if skip >> k & 1:
+                continue  # k commutes with last and sorts before it
             if not masks or support & ~masks[k]:
                 if by_mask:
                     continue  # some occupied state cannot fully return
@@ -515,13 +650,13 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
                     continue
             if steps_left == 1:
                 return prefix + (k,)  # the leaf's value is its bound
-            witness = walk(apply(weights, k), steps_left - 1, prefix + (k,))
+            witness = walk(apply(weights, k), steps_left - 1, prefix + (k,), k)
             if witness is not None:
                 return witness
         if key is not None:
             failed.add(key)
         return None
 
-    witness = walk(view.start, N, ())
+    witness = walk(view.start, N, (), K)
     del walk  # free the memo now, not at the next cycle collection
     return (witness is not None), witness

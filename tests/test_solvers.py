@@ -1,4 +1,5 @@
 import gc
+import time
 from fractions import Fraction
 from itertools import product
 from math import nextafter
@@ -22,11 +23,17 @@ from timemachine import (
     validate_instance,
 )
 from timemachine import solvers
-from timemachine.reduction import encode_reduction, sat_bruteforce
+from timemachine.reduction import (
+    clause_satisfied,
+    decode_assignment,
+    encode_reduction,
+    sat_bruteforce,
+)
 
 from helpers import (
     all_patterns_formula,
     matrix_power,
+    planted_formula,
     random_instance,
     single_clause_formula,
 )
@@ -672,3 +679,145 @@ class TestInvalidInstances:
             except ValueError:
                 accepted = False
             assert accepted == validate_instance(inst).ok, case
+
+
+def first_plan_of_value_one(inst):
+    """The lexicographically first plan with value exactly 1, by a scan of
+    all K^N plans in order, or None when no plan reaches 1."""
+    for plan in product(range(inst.K), repeat=inst.N):
+        if evaluate_plan(inst, plan) == 1:
+            return plan
+    return None
+
+
+def scan_answer(inst):
+    plan = first_plan_of_value_one(inst)
+    return (plan is not None), plan
+
+
+def exact_matrix(*rows):
+    return StochasticMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+def commuting_pairs(inst):
+    """The pairs ``(a, b)``, a < b, that the support backend skips as ``b, a``."""
+    below = solvers._SupportView(inst).commuting_below
+    return {(a, b) for b in range(inst.K) for a in range(b) if below[b] >> a & 1}
+
+
+def sparse_exact_instance(rng, d, K, N):
+    """Exact matrices whose rows are mostly unit rows, so that some pairs of
+    matrices commute; a moved row has one or two successors."""
+    matrices = []
+    for _ in range(K):
+        rows = []
+        for i in range(d):
+            row = [Fraction(0)] * d
+            if rng.random() < 0.5:
+                row[i] = Fraction(1)
+            else:
+                a, b = rng.randrange(d), rng.randrange(d)
+                share = Fraction(rng.randint(1, 3), 4)
+                row[a] += share
+                row[b] += 1 - share
+            rows.append(tuple(row))
+        matrices.append(StochasticMatrix(tuple(rows)))
+    return Instance(
+        matrices=tuple(matrices),
+        N=N,
+        start=Distribution.unit(d, rng.randrange(d), "exact"),
+        target=rng.randrange(d),
+        numeric_mode="exact",
+    )
+
+
+class TestSupportDecision:
+    """decide_threshold at exact alpha = 1 runs on support bitmasks and skips
+    plans that swap adjacent commuting matrices out of ascending order; its
+    answer must still be the first value-1 plan of a full scan."""
+
+    def test_single_clause_reduction(self):
+        inst = encode_reduction(single_clause_formula()).instance
+        assert decide_threshold(inst, Fraction(1)) == scan_answer(inst) == (True, (0, 2, 1))
+
+    @pytest.mark.parametrize("n,m,seed", [(3, 1, 0), (3, 2, 1), (3, 2, 2), (4, 2, 3), (4, 2, 4)])
+    def test_planted_formulas(self, n, m, seed):
+        _, formula = planted_formula(Random(seed), n, m)
+        inst = encode_reduction(formula).instance
+        # every pair of clause matrices commutes; S and F commute with nothing
+        clause_matrices = range(2, inst.K)
+        assert commuting_pairs(inst) == {
+            (a, b) for b in clause_matrices for a in clause_matrices if a < b
+        }
+        assert decide_threshold(inst, Fraction(1)) == scan_answer(inst)
+
+    def test_commuting_permutations(self):
+        # states 0..3; swap01 and swap23 commute with each other and with the
+        # identity, the 4-cycle commutes with neither swap
+        identity = exact_matrix((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        swap23 = exact_matrix((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+        swap01 = exact_matrix((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        cycle = exact_matrix((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
+        matrices = (identity, swap23, swap01, cycle)
+        for N in (1, 2, 3, 4):
+            for target in range(4):
+                inst = Instance(matrices=matrices, N=N, target=target, numeric_mode="exact")
+                assert commuting_pairs(inst) == {(0, 1), (0, 2), (0, 3), (1, 2)}
+                assert decide_threshold(inst, Fraction(1)) == scan_answer(inst)
+        # from state 0 the swaps and the cycle never reach 2 in one step
+        inst = Instance(matrices=matrices, N=1, target=2, numeric_mode="exact")
+        assert decide_threshold(inst, Fraction(1)) == (False, None)
+
+    def test_supports_commute_but_entries_do_not(self):
+        # a and b both send state 0 to {1, 2}, with different weights; c sends 2 to 1
+        a = exact_matrix((0, Fraction(1, 2), Fraction(1, 2)), (0, 1, 0), (0, 0, 1))
+        b = exact_matrix((0, Fraction(1, 3), Fraction(2, 3)), (0, 1, 0), (0, 0, 1))
+        c = exact_matrix((1, 0, 0), (0, 1, 0), (0, 1, 0))
+        for N in (1, 2, 3, 4):
+            inst = Instance(matrices=(a, b, c), N=N, target=1, numeric_mode="exact")
+            assert commuting_pairs(inst) == {(0, 1)}
+            expected = scan_answer(inst)
+            assert decide_threshold(inst, Fraction(1)) == expected
+            assert expected == ((False, None) if N == 1 else (True, (0,) * (N - 1) + (2,)))
+        # the swapped pair moves different mass, so its products differ
+        inst = Instance(matrices=(a, b, c), N=2, target=1, numeric_mode="exact")
+        assert evaluate_plan(inst, (0, 1)) == Fraction(1, 2)
+        assert evaluate_plan(inst, (1, 0)) == Fraction(1, 3)
+
+    def test_split_rows_compared_on_rows_either_matrix_moves(self):
+        # a splits state 0 over {0, 1}; b sends 2 to 0.  They agree on row 0,
+        # the only row a moves, but differ on row 2: a, b sends 2 to {0}, and
+        # b, a sends it to {0, 1}.
+        a = exact_matrix((Fraction(1, 2), Fraction(1, 2), 0), (0, 1, 0), (0, 0, 1))
+        b = exact_matrix((1, 0, 0), (0, 1, 0), (1, 0, 0))
+        c = exact_matrix((0, 1, 0), (0, 1, 0), (0, 0, 1))
+        inst = Instance(matrices=(a, b, c), N=2, target=1, numeric_mode="exact")
+        assert commuting_pairs(inst) == {(0, 2)}
+        for N in (1, 2, 3):
+            inst = Instance(
+                matrices=(a, b, c), N=N, start=Distribution.unit(3, 2, "exact"),
+                target=0, numeric_mode="exact",
+            )
+            assert decide_threshold(inst, Fraction(1)) == scan_answer(inst)
+
+    def test_seeded_sparse_instances(self):
+        rng = Random(4242)
+        attained = 0
+        for _ in range(60):
+            d, K, N = rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 4)
+            inst = sparse_exact_instance(rng, d, K, N)
+            expected = scan_answer(inst)
+            assert decide_threshold(inst, Fraction(1)) == expected
+            attained += expected[0]
+        assert 10 <= attained <= 50  # both answers are exercised
+
+    def test_planted_n10_m14_within_budget(self):
+        planted, formula = planted_formula(Random(10), 10, 14)
+        art = encode_reduction(formula)
+        start = time.perf_counter()
+        attained, witness = decide_threshold(art.instance, Fraction(1))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 20, f"decide took {elapsed:.1f} s"
+        assert attained and evaluate_plan(art.instance, witness) == 1
+        assignment = decode_assignment(art, witness)
+        assert all(clause_satisfied(clause, assignment) for clause in formula.clauses)
