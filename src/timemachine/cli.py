@@ -171,17 +171,17 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_alpha(text: str, mode: str):
+def _parse_alpha(text: str) -> Fraction:
+    """The alpha as written; decide_threshold converts it for a float instance."""
     try:
-        alpha = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse alpha {text!r}") from exc
-    return alpha if mode == EXACT else float(alpha)
 
 
 def _cmd_decide(args) -> int:
     doc = read_instance(args.instance)
-    alpha = _parse_alpha(args.alpha, doc.instance.numeric_mode)
+    alpha = _parse_alpha(args.alpha)
     attained, witness = decide_threshold(doc.instance, alpha)
     if attained:
         print("ATTAINED")

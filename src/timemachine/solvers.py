@@ -20,33 +20,41 @@ value >= alpha?) with early exit on the first witness found.
 
 Every search runs on a numeric backend built once per call, and is written
 once against the interface the backends share: ``start``,
-``apply(weights, k)``, lookahead tables ``lookahead[r][k]`` and value levels
-``U[r]`` (both scaled by ``level_scale[r]``, one level ``base`` times the
-scale of the level below), the bitmasks ``certain[r][k]``, the total mass
-``full[r]`` at each level's scale, ``memoize``, ``commuting_below``,
-``divide`` and ``to_value``.  The two value backends hold the matrices as
-sparse ``(column, coefficient)`` rows, checked once to be stochastic, and
-build their tables from them with :func:`_tables`, in their own numbers.
+``apply(weights, k)``, ``caps(weights, r)``, value levels ``U[r]`` (scaled
+by ``level_scale[r]``, one level ``base`` times the scale of the level
+below), the total mass ``full[r]`` at each level's scale, ``memoize``,
+``commuting_below``, ``divide`` and ``to_value``.  ``caps`` returns the K
+child bounds of a node with ``r`` steps left, sum_i w_i Q[r][k][i] at level
+r's scale, where Q[r][k][i] is state i's value one step through matrix k;
+enum, bnb and decide read child bounds only through it.  The two value
+backends hold the matrices as sparse ``(column, coefficient)`` rows,
+checked once to be stochastic, and build their tables from them with
+:func:`_tables`, in their own numbers.
 
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
-  weights unscaled and has no certainty masks, so float arithmetic and its
-  summation order are those of the plain problem.  Float populations
-  practically never repeat exactly, so searches keep no memo over it.
+  weights unscaled and sums each child bound separately, so float
+  arithmetic and its summation order are those of the plain problem.
+  Float populations practically never repeat exactly, so searches keep no
+  memo over it.
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
+  It packs the K lookahead entries of each state into one integer, so one
+  big-integer dot product yields all K child bounds.
 * :class:`_SupportView` serves only the exact decision at alpha = 1, the
   regime of the 3-SAT reduction.  Its populations are support bitmasks; it
   builds no value table, only certainty masks that know the matrix order,
-  and it declares the pairs of matrices whose supports commute, so that
-  the walk skips plans with such a pair out of ascending order.  The value
-  backends declare none.
+  so its child bounds are 0 or 1.  It declares the pairs of matrices whose
+  supports commute, so that the walk skips plans with such a pair out of
+  ascending order.  The value backends declare none.
 
-A leaf is never materialized: its value is the sum of its parent's weights
-times ``lookahead[1][k]``, which at one step from the end is the leaf's
-target weight itself, scaled by ``base``.  In float mode the two sums have
-the same nonzero terms in the same order, so they agree bit for bit as long
-as ``sum()`` adds left to right (it does up to CPython 3.11).
+A leaf is never materialized: its value is its bound at r = 1, the sum of
+its parent's weights times Q[1][k], which at one step from the end is the
+leaf's target weight itself, scaled by ``base``.  In float mode the two
+sums have the same nonzero terms in the same order, so they agree bit for
+bit as long as ``sum()`` adds left to right (it does up to CPython 3.11).
+A child whose occupied states all have relaxed value exactly 1 gets
+exactly the full mass as its bound, with no special case.
 
 Branch and bound and the threshold decision are the two depth-first walks.
 The first chases strict improvements and, over exact populations, memoizes
@@ -62,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from operator import floordiv, itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -190,7 +198,7 @@ def mdp_value_table(inst: Instance) -> ValueTable:
     level.  The values are the search backend's levels, divided by their
     scale: Fractions for exact instances, floats for float ones.
     """
-    view = _view(inst)
+    view = _view(inst, columns=False)
     levels = zip(view.U, view.level_scale)
     return ValueTable(tuple(tuple(view.divide(u, s) for u in level) for level, s in levels))
 
@@ -198,11 +206,11 @@ def mdp_value_table(inst: Instance) -> ValueTable:
 class _FloatView:
     """Float backend: the instance's weights and entries as they are.
 
-    Every level scale and full mass is 1 and no level has certainty masks,
-    so each bound is the plain float sum over the states, in the same order
-    as in the unscaled problem.  Searches keep no memo over float
-    populations: on dense random instances they practically never repeat
-    exactly, so a memo costs a key per node and prunes nothing.
+    Every level scale and full mass is 1, so each child bound is the plain
+    float sum over the states, in the same order as in the unscaled
+    problem.  Searches keep no memo over float populations: on dense random
+    instances they practically never repeat exactly, so a memo costs a key
+    per node and prunes nothing.
     """
 
     base = 1
@@ -215,7 +223,6 @@ class _FloatView:
         _check_mass(self.rows, self.start, 1, ROW_SUM_TOL)
         self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
-        self.certain = [None] * (inst.N + 1)
 
     def apply(self, weights, k: int):
         rows = self.rows[k]
@@ -225,6 +232,9 @@ class _FloatView:
                 for j, c in rows[i]:
                     out[j] = out[j] + w * c
         return tuple(out)
+
+    def caps(self, weights, r: int) -> list:
+        return [sum(map(mul, weights, q)) for q in self.lookahead[r]]
 
     @staticmethod
     def divide(x, scale):
@@ -242,45 +252,70 @@ class _IntegerView:
     weights, each coefficient is an entry times L, so the tables come out
     scaled by L^r at level r: L^r U[r] = max_k sum_j (t L)(L^(r-1) U[r-1][j]).
     Populations are scaled by D = L^(N+1), and each of the N applications
-    divides by L, so every reachable weight stays an exact integer.
-    Certainty masks mark states whose scaled lookahead is L^r, i.e. whose
-    relaxed value is exactly 1; a level where no state is certain has None.
-    Exact populations repeat (the reduction's 0/1 matrices move whole
-    packets), so searches memoize over them, keyed on a population divided
-    by the gcd of its live weights.
+    divides by L, so every reachable weight stays an exact integer, and a
+    weight with r steps left is a multiple of L^r.
+
+    The K lookahead entries Q[r][k][i] of a state are packed into one
+    integer, field k holding Q[r][k][i], each field as many bytes wide as
+    full[r] = D L^r takes.  A reachable population
+    has mass D and every Q[r][k][i] lies in [0, L^r], so each child bound
+    lies in [0, full[r]] and fits its field: the weighted sum of the packed
+    columns never carries from one field into the next, and one big-integer
+    dot product yields all K child bounds.  Exact populations repeat (the
+    reduction's 0/1 matrices move whole packets), so searches memoize over
+    them, keyed on a population divided by the gcd of its live weights.
+    ``columns=False`` builds the value levels alone, for callers that read
+    no child bound.
     """
 
     memoize = True
     commuting_below = None
-    support = staticmethod(_mask)
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, columns: bool = True):
         entries = _sparse_rows(inst)
         denominators = {t.denominator for rows_k in entries for row in rows_k for _, t in row}
         self.base = L = lcm(*denominators, *(w.denominator for w in inst.start.weights))
-        self.rows = [
+        rows = [
             [tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in rows_k]
             for rows_k in entries
         ]
         start = [int(w * L) for w in inst.start.weights]
-        _check_mass(self.rows, start, L, 0)
+        _check_mass(rows, start, L, 0)
         self.start = tuple(w * L**inst.N for w in start)
-        self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
+        self.U, lookahead = _tables(rows, inst.d, inst.N, inst.target)
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
-        self.certain = [None]
-        for Q, s in zip(self.lookahead[1:], self.level_scale[1:]):
-            masks = tuple(_mask(q == s for q in qk) for qk in Q)
-            self.certain.append(masks if any(masks) else None)
+        # the rows each matrix moves: all but the unit rows e_i
+        self.moved = [
+            [(i, row) for i, row in enumerate(rows_k) if row != ((i, L),)] for rows_k in rows
+        ]
+        if columns:
+            width = [(full.bit_length() + 7) // 8 for full in self.full]
+            self.columns = [None] + [
+                tuple(
+                    int.from_bytes(b"".join(qk[i].to_bytes(w, "little") for qk in Q), "little")
+                    for i in range(inst.d)
+                )
+                for Q, w in zip(lookahead[1:], width[1:])
+            ]
+            self.fields = [[slice(o, o + w) for o in range(0, inst.K * w, w)] for w in width]
 
     def apply(self, weights, k: int):
-        rows, L = self.rows[k], self.base
-        out = [0] * len(weights)
-        for i, w in enumerate(weights):
+        L = self.base
+        out = list(weights)
+        for i, row in self.moved[k]:
+            w = weights[i]
             if w:
-                for j, c in rows[i]:
-                    out[j] += w * c // L
+                out[i] -= w
+                w //= L  # exact: a weight with a step left is a multiple of L
+                for j, c in row:
+                    out[j] += w * c
         return tuple(out)
+
+    def caps(self, weights, r: int) -> list:
+        fields = self.fields[r]
+        data = sum(map(mul, weights, self.columns[r])).to_bytes(fields[-1].stop, "little")
+        return list(map(int.from_bytes, map(data.__getitem__, fields), repeat("little")))
 
     @staticmethod
     def divide(x, scale):
@@ -291,9 +326,11 @@ class _IntegerView:
         return Fraction(scaled, self.full[steps_left])
 
 
-def _view(inst: Instance):
-    """The search backend of an instance."""
-    return _IntegerView(inst) if inst.numeric_mode == EXACT else _FloatView(inst)
+def _view(inst: Instance, columns: bool = True):
+    """The search backend of an instance; ``columns=False`` leaves out the
+    exact backend's packed lookahead columns, for callers that read no
+    child bound."""
+    return _IntegerView(inst, columns) if inst.numeric_mode == EXACT else _FloatView(inst)
 
 
 def _image(successors, s: int) -> int:
@@ -325,10 +362,8 @@ class _SupportView:
     certainty masks know the order: ``certain[r][k]`` holds the states whose
     k-successors all lie in C[r-1][k], where C[r][last] is the union of
     ``certain[r][k]`` over the k allowed after ``last`` and C[0] is
-    {target}.  So a child passes iff its parent's support lies in its mask.
-
-    Every level's cutoff is its full mass 1, so the masks decide every
-    child and no bound is read; ``lookahead`` is there for the interface.
+    {target}.  So a child's bound is 1 iff its parent's support lies in its
+    mask, and 0 otherwise; every level's full mass and cutoff is 1.
     """
 
     memoize = True
@@ -339,7 +374,6 @@ class _SupportView:
         K, N = inst.K, inst.N
         self.start = _mask(inst.start.weights)
         self.full = (1,) * (N + 1)
-        self.lookahead = (None,) * (N + 1)
         row_masks = {}  # id(row) -> its successor mask; entries keeps the rows alive
         self.rows, self.moved, moved_rows, maps = [], [], [], []
         for rows_k in entries:
@@ -382,7 +416,7 @@ class _SupportView:
         # children below last that do not commute with it.
         others_below = [(1 << last) - 1 & ~below[last] for last in range(K)]
         after = [1 << inst.target] * K  # C[r-1][k]
-        self.certain = [None]
+        self.uncertain = [None]  # per level and child, ~certain[r][k]
         for r in range(1, N + 1):
             level = []
             for k, c in enumerate(after):
@@ -391,7 +425,7 @@ class _SupportView:
                     if not successors[i] & ~c:
                         a |= 1 << i
                 level.append(a)
-            self.certain.append(level)
+            self.uncertain.append([~mask for mask in level])
             suffix = [0] * (K + 1)
             for k in range(K - 1, -1, -1):
                 suffix[k] = suffix[k + 1] | level[k]
@@ -404,9 +438,9 @@ class _SupportView:
         moved = self.moved[k]
         return s & ~moved | _image(self.rows[k], s & moved)
 
-    @staticmethod
-    def support(s: int) -> int:
-        return s
+    def caps(self, s: int, r: int) -> list:
+        # True (1) where s lies inside certain[r][k], False (0) elsewhere
+        return [not s & outside for outside in self.uncertain[r]]
 
 
 def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) -> SolveResult:
@@ -418,13 +452,15 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     K, N = inst.K, inst.N
     total = K**N
     if total > budget:
+        # K^N can run to more digits than int-to-str conversion allows
+        count = f"{K}^{N}" if total.bit_length() > 64 else f"{K}^{N} = {total}"
         raise BudgetExceededError(
-            f"enumeration would visit K^N = {total} plans, budget is {budget}", total
+            f"enumeration would visit K^N = {count} plans, budget is {budget}", total
         )
     view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
-    apply, last_step = view.apply, view.lookahead[1]
+    apply, caps = view.apply, view.caps
 
     best_value = None  # at level 1's scale
     best_plan: Plan = ()
@@ -434,8 +470,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
         nonlocal best_value, best_plan, explored
         if steps_left == 1:
             explored += K
-            for k, qk in enumerate(last_step):
-                value = sum(map(mul, weights, qk))  # the leaf's value
+            for k, value in enumerate(caps(weights, 1)):  # the leaves' values
                 if best_value is None or value > best_value:
                     best_value, best_plan = value, prefix + (k,)
             return
@@ -468,7 +503,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
-    apply, lookahead, certain, full = view.apply, view.lookahead, view.certain, view.full
+    apply, caps = view.apply, view.caps
     base, memoize, levels = view.base, view.memoize, view.U
     # level r's scale is level_scale[r - 1] times level 1's
     above_level_one = view.level_scale[:N]
@@ -498,16 +533,8 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
                     if incumbent is not None and ceiling <= incumbent:
                         pruned += 1
                         return ceiling
-        q_level = lookahead[steps_left]
-        masks = certain[steps_left]
-        support = _mask(weights) if masks else 0
         level_cap = 0  # best child cap, at this level's scale
-        for k in range(K):
-            if masks and not support & ~masks[k]:
-                # every occupied state has relaxed value exactly 1
-                cap = full[steps_left]
-            else:
-                cap = sum(map(mul, weights, q_level[k]))
+        for k, cap in enumerate(caps(weights, steps_left)):
             if incumbent is not None and cap <= incumbent:
                 pruned += 1
             else:
@@ -546,7 +573,7 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
         raise ValueError(f"beam width must be an integer >= 1, got {width!r}")
     K, N = inst.K, inst.N
     target = inst.target
-    view = _view(inst)
+    view = _view(inst, columns=False)
 
     beam = [(view.start, ())]
     explored = 0
@@ -605,23 +632,24 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
             raise ValueError("exact instance requires an exact (int/Fraction) alpha")
         threshold = alpha
     else:
-        alpha = float(alpha)
+        try:
+            alpha = float(alpha)
+        except OverflowError:
+            raise ValueError("alpha must lie in [0, 1], got one beyond the float range") from None
         threshold = alpha - EVAL_TOL
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
     K, N = inst.K, inst.N
     view = _SupportView(inst) if exact and alpha == 1 and N else _view(inst)
-    cutoffs = [threshold * full for full in view.full]
+    # exact bounds are integers, so the least integer at or above the cutoff
+    # passes the same children and compares faster than a Fraction
+    cutoffs = [ceil(threshold * full) if exact else threshold * full for full in view.full]
     if N == 0:
         attained = view.start[inst.target] >= cutoffs[0]
         return attained, (() if attained else None)
-    apply, lookahead, certain, memoize = view.apply, view.lookahead, view.certain, view.memoize
-    support_of = view.support if exact else None
+    apply, caps, memoize = view.apply, view.caps, view.memoize
     commuting_below = view.commuting_below or (0,) * (K + 1)
-    # Where the cutoff is the full mass, a child passes only if every
-    # occupied state is certain, so the mask alone decides.
-    mask_decides = [cutoff == full for cutoff, full in zip(cutoffs, view.full)]
     failed = set()
 
     def walk(weights, steps_left: int, prefix: Plan, last: int) -> Optional[Plan]:
@@ -634,20 +662,11 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         key = (steps_left, weights) if memoize and steps_left > 1 else None
         if key in failed:
             return None
-        q_level = lookahead[steps_left]
-        masks = certain[steps_left]
         cutoff = cutoffs[steps_left]
-        by_mask = mask_decides[steps_left]
-        support = support_of(weights) if masks else 0
         skip = commuting_below[last]
-        for k in range(K):
-            if skip >> k & 1:
-                continue  # k commutes with last and sorts before it
-            if not masks or support & ~masks[k]:
-                if by_mask:
-                    continue  # some occupied state cannot fully return
-                if sum(map(mul, weights, q_level[k])) < cutoff:
-                    continue
+        for k, cap in enumerate(caps(weights, steps_left)):
+            if cap < cutoff or skip >> k & 1:
+                continue  # below the cutoff, or k commutes with last and sorts before it
             if steps_left == 1:
                 return prefix + (k,)  # the leaf's value is its bound
             witness = walk(apply(weights, k), steps_left - 1, prefix + (k,), k)

@@ -213,6 +213,31 @@ class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 1
 
+    def test_alpha_beyond_float_range_is_one_line_error(self, tmp_path, capsys):
+        from timemachine import Instance, StochasticMatrix, write_instance
+
+        inst_path = tmp_path / "float.json"
+        identity = StochasticMatrix.identity(2, "float")
+        write_instance(Instance(matrices=(identity,), N=2, numeric_mode="float"), str(inst_path))
+        assert main(["decide", str(inst_path), "--alpha", "1e400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alpha" in err
+        assert len(err.splitlines()) == 1
+
+    def test_enum_budget_at_deep_horizon_exits_2(self, tmp_path, capsys):
+        from timemachine import Instance, StochasticMatrix, write_instance
+
+        inst_path = tmp_path / "deep.json"
+        identity = StochasticMatrix.identity(2)
+        write_instance(
+            Instance(matrices=(identity, identity), N=20000, numeric_mode="exact"),
+            str(inst_path),
+        )
+        assert main(["solve", str(inst_path), "--method", "enum"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2^20000" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "command", [["solve", "--method", "bnb"], ["decide", "--alpha", "1"]]
     )

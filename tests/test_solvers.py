@@ -34,6 +34,8 @@ from helpers import (
     all_patterns_formula,
     matrix_power,
     planted_formula,
+    random_exact_distribution,
+    random_exact_matrix,
     random_instance,
     single_clause_formula,
 )
@@ -69,6 +71,13 @@ class TestEnumerate:
             enumerate_solve(inst, budget=100)
         assert err.value.required == 3**5
         assert "243" in str(err.value)
+
+    def test_budget_error_at_deep_horizon(self):
+        # K^N = 2^20000 has more digits than int-to-str conversion allows
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_solve(identity_instance(d=2, K=2, N=20000))
+        assert err.value.required == 2**20000
+        assert "2^20000" in str(err.value) and len(str(err.value)) < 100
 
     def test_empty_horizon(self):
         result = enumerate_solve(identity_instance(N=0))
@@ -272,6 +281,16 @@ class TestDecideThreshold:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError, match="alpha"):
             decide_threshold(identity_instance(), Fraction(3, 2))
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [Fraction(10**400), -Fraction(10**400), 10**400],
+        ids=["fraction", "negative", "int"],
+    )
+    def test_alpha_beyond_float_range(self, alpha):
+        for mode in ("exact", "float"):
+            with pytest.raises(ValueError, match="alpha"):
+                decide_threshold(identity_instance(mode=mode), alpha)
 
 
 class TestBoundAdmissibility:
@@ -821,3 +840,122 @@ class TestSupportDecision:
         assert attained and evaluate_plan(art.instance, witness) == 1
         assignment = decode_assignment(art, witness)
         assert all(clause_satisfied(clause, assignment) for clause in formula.clauses)
+
+
+def caps_reference(inst):
+    """Q[r][k][i], the relaxed value of state i one step through matrix k
+    with r steps left, by plain Fraction arithmetic over nonzero entries."""
+    level = [Fraction(int(i == inst.target)) for i in range(inst.d)]
+    reference = [None]
+    for _ in range(inst.N):
+        Q = [
+            [sum(t * level[j] for j, t in enumerate(row) if t) for row in m.rows]
+            for m in inst.matrices
+        ]
+        reference.append(Q)
+        level = [max(column) for column in zip(*Q)]
+    return reference
+
+
+def apply_reference(inst, weights, k):
+    """A scaled population moved through matrix k by Fraction arithmetic."""
+    rows = inst.matrices[k].rows
+    out = [0] * inst.d
+    for w, row in zip(weights, rows):
+        for j, t in enumerate(row):
+            if t:
+                out[j] += w * t
+    return tuple(out)
+
+
+class TestChildCaps:
+    """The exact backend packs the K lookahead entries of a state into one
+    integer and reads all K child bounds off one big-integer dot product;
+    its apply touches only the rows a matrix moves."""
+
+    @staticmethod
+    def instances():
+        yield encode_reduction(all_patterns_formula()).instance
+        for n, m, seed in ((4, 4, 0), (4, 5, 1), (5, 4, 2), (5, 5, 3)):
+            yield encode_reduction(planted_formula(Random(seed), n, m)[1]).instance
+        rng = Random(77)
+        for _ in range(3):
+            yield random_instance(rng, rng.randint(3, 5), rng.randint(2, 4), 4, mode="exact")
+        for _ in range(2):  # denominators near 10^6, so L has dozens of digits
+            yield Instance(
+                matrices=tuple(random_exact_matrix(rng, 4, max_weight=10**6) for _ in range(3)),
+                N=3,
+                start=random_exact_distribution(rng, 4, max_weight=10**6),
+                numeric_mode="exact",
+            )
+        yield deterministic_instance(Random(78), 5, 3, 4)  # 0/1 entries: L = 1
+
+    def test_caps_and_apply_on_reachable_populations(self):
+        rng = Random(2024)
+        for inst in self.instances():
+            view = solvers._view(inst)
+            reference = caps_reference(inst)
+            D = view.full[0]  # the mass of every reachable population
+            for _ in range(12):
+                weights = view.start
+                for r in range(inst.N, 0, -1):
+                    live = [(i, w) for i, w in enumerate(weights) if w]
+                    expected = [
+                        sum(w * qk[i] for i, w in live) * view.full[r] / D for qk in reference[r]
+                    ]
+                    assert view.caps(weights, r) == expected
+                    k = rng.randrange(inst.K)
+                    child = view.apply(weights, k)
+                    assert child == apply_reference(inst, weights, k)
+                    assert sum(child) == D
+                    weights = child
+
+    def test_fully_certain_child_gets_the_full_mass(self):
+        rng = Random(2025)
+        seen = 0
+        for inst in self.instances():
+            view = solvers._view(inst)
+            reference = caps_reference(inst)
+            D = view.full[0]
+            for r in range(1, inst.N + 1):
+                for k, qk in enumerate(reference[r]):
+                    certain = [i for i, q in enumerate(qk) if q == 1]
+                    if not certain:
+                        continue
+                    seen += 1
+                    # the whole mass on certain states, split at random
+                    cuts = sorted(rng.randint(0, D) for _ in certain[1:])
+                    shares = [b - a for a, b in zip([0] + cuts, cuts + [D])]
+                    weights = [0] * inst.d
+                    for i, share in zip(certain, shares):
+                        weights[i] = share
+                    assert view.caps(tuple(weights), r)[k] == view.full[r]
+        assert seen > 100
+
+    def test_apply_on_unit_self_loop_and_shared_rows(self):
+        F = Fraction
+        unit = (F(1), F(0), F(0))
+        shared = (F(0), F(1, 3), F(2, 3))  # one row object in two matrices
+        loop = (F(0), F(1, 3), F(2, 3))  # c_22 = 2/3 of L
+        matrices = (
+            StochasticMatrix((unit, shared, (F(0), F(0), F(1)))),
+            StochasticMatrix((shared, (F(1, 2), F(1, 2), F(0)), loop)),
+            StochasticMatrix.identity(3),
+        )
+        assert matrices[0].rows[1] is matrices[1].rows[0]
+        inst = Instance(
+            matrices=matrices, N=3, start=Distribution((F(1, 2), F(1, 3), F(1, 6))),
+            numeric_mode="exact",
+        )
+        view = solvers._view(inst)
+        assert view.base == 6
+        # only moved rows are walked: matrix 0 moves row 1, the identity none
+        assert [[i for i, _ in moved] for moved in view.moved] == [[1], [0, 1, 2], []]
+        rng = Random(5)
+        for _ in range(20):
+            weights = view.start
+            for _ in range(inst.N):
+                for k in range(inst.K):
+                    assert view.apply(weights, k) == apply_reference(inst, weights, k)
+                assert view.apply(weights, 2) == weights
+                weights = view.apply(weights, rng.randrange(inst.K))
