@@ -29,7 +29,10 @@ r's scale, where Q[r][k][i] is state i's value one step through matrix k;
 enum, bnb and decide read child bounds only through it.  The two value
 backends hold the matrices as sparse ``(column, coefficient)`` rows,
 checked once to be stochastic, and build their tables from them with
-:func:`_tables`, in their own numbers.
+:func:`_tables`, in their own numbers.  Matrices share row objects (the
+all-patterns reduction's 1,160 rows are 18 objects), so each distinct row
+object is converted and checked once and summed once per level, and
+every matrix's lookahead entries are read off those sums.
 
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
   weights unscaled and sums each child bound separately, so float
@@ -58,8 +61,11 @@ exactly the full mass as its bound, with no special case.
 
 Branch and bound and the threshold decision are the two depth-first walks.
 The first chases strict improvements and, over exact populations, memoizes
-certified subtree bounds; the second stops at the first witness and, over
-exact populations, memoizes dead states.
+certified subtree bounds, one per class of proportional populations; a
+population seen before finds its class by its live weights as they are,
+and only a new one pays the gcd and division that name its class.
+The second stops at the first witness and, over exact populations,
+memoizes dead states.
 All searches are deterministic, node counts included, and raise ValueError
 on an instance with a bad mode tag, K, N, shape, target, row or start, or
 with a start weight or nonzero entry that is not a number of its mode.
@@ -69,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import ceil, gcd, lcm
 from operator import floordiv, itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -104,9 +110,15 @@ class ValueTable:
 
     def bound(self, weights: Sequence[Scalar], steps_left: int) -> Scalar:
         """Upper bound on any plan's value from population ``weights`` with
-        ``steps_left`` applications remaining."""
+        ``steps_left`` applications remaining.  Raises ValueError unless
+        ``steps_left`` lies in [0, N] and ``weights`` has one entry per state."""
+        N = len(self.values) - 1
+        if not 0 <= steps_left <= N:
+            raise ValueError(f"steps_left must lie in [0, {N}], got {steps_left}")
         level = self.values[steps_left]
-        return sum(w * level[i] for i, w in enumerate(weights) if w)
+        if len(weights) != len(level):
+            raise ValueError(f"weights must have {len(level)} entries, got {len(weights)}")
+        return sum(map(mul, weights, level))
 
 
 @dataclass(frozen=True)
@@ -124,10 +136,12 @@ def _mask(flags) -> int:
 
 
 def _sparse_rows(inst: Instance):
-    """Nonzero ``(column, entry)`` pairs per row per matrix, each distinct row
-    object converted once.  Raises ValueError on a bad mode tag, K, N, target
-    or shape, and on a start weight or nonzero entry that is not a number of
-    the instance's mode."""
+    """The matrices as shared sparse rows: ``(rows, index)``.  ``rows`` holds
+    the nonzero ``(column, entry)`` pairs of each distinct row object, in
+    order of first appearance, each converted once; ``index[k][i]`` is the
+    position in ``rows`` of row i of matrix k.  Raises ValueError on a bad
+    mode tag, K, N, target or shape, and on a start weight or nonzero entry
+    that is not a number of the instance's mode."""
     mode, d = inst.numeric_mode, inst.d
     if mode not in (EXACT, FLOAT):
         raise ValueError(f"numeric_mode must be '{EXACT}' or '{FLOAT}', got {mode!r}")
@@ -141,53 +155,73 @@ def _sparse_rows(inst: Instance):
         err = scalar_mode_error(w, mode)
         if err is not None:
             raise ValueError(f"start entry {i}: {err}")
-    sparse = {}  # id(row) -> its pairs; the instance keeps every row alive
-    rows = []
+    position = {}  # id(row) -> its place in rows; the instance keeps every row alive
+    rows, index = [], []
     for k, matrix in enumerate(inst.matrices):
-        if matrix.dim != d or any(len(row) != d for row in matrix.rows):
+        if matrix.dim != d or any(map(d.__ne__, map(len, matrix.rows))):
             raise ValueError(f"matrix {k}: not a {d}x{d} matrix")
-        rows_k = []
+        places = []
         for i, row in enumerate(matrix.rows):
-            pairs = sparse.get(id(row))
-            if pairs is None:
-                pairs = sparse[id(row)] = tuple((j, t) for j, t in enumerate(row) if t)
+            p = position.get(id(row))
+            if p is None:
+                p = position[id(row)] = len(rows)
+                pairs = tuple((j, t) for j, t in enumerate(row) if t)
                 for j, t in pairs:
                     err = scalar_mode_error(t, mode)
                     if err is not None:
                         raise ValueError(f"matrix {k} row {i} entry {j}: {err}")
-            rows_k.append(pairs)
-        rows.append(rows_k)
-    return rows
+                rows.append(pairs)
+            places.append(p)
+        index.append(tuple(places))
+    return rows, index
 
 
-def _check_mass(rows, start, one, tol) -> None:
-    """Raise ValueError unless rows and start are distributions of mass ``one`` within ``tol``.
-    Each distinct row object is checked once."""
-    checked = set()
-    for k, rows_k in enumerate(rows):
-        for i, row in enumerate(rows_k):
-            if id(row) in checked:
-                continue
-            checked.add(id(row))
-            if not all(0 <= c <= one for _, c in row) or abs(sum(c for _, c in row) - one) > tol:
-                raise ValueError(f"matrix {k} row {i}: entries must lie in [0, 1] and sum to 1")
+def _picker(indices: List[int]):
+    """A C-level function taking a tuple to the tuple of its entries at the
+    ascending ``indices``: a slice where they run contiguously (a tuple
+    sliced whole is the tuple itself), else an itemgetter."""
+    start = indices[0] if indices else 0
+    if indices == list(range(start, start + len(indices))):
+        return itemgetter(slice(start, start + len(indices)))
+    return itemgetter(*indices)
+
+
+def _check_mass(rows, index, start, one, tol) -> None:
+    """Raise ValueError unless the distinct rows and the start are
+    distributions of mass ``one`` within ``tol``.  A bad row is named by its
+    first (matrix, row) place, which belongs to the first bad distinct row,
+    as ``rows`` is in order of first appearance."""
+    for p, row in enumerate(rows):
+        if not all(0 <= c <= one for _, c in row) or abs(sum(c for _, c in row) - one) > tol:
+            k = next(k for k, places in enumerate(index) if p in places)
+            raise ValueError(
+                f"matrix {k} row {index[k].index(p)}: entries must lie in [0, 1] and sum to 1"
+            )
     if not all(w >= 0 for w in start) or abs(sum(start) - one) > tol:
         raise ValueError("start weights must be nonnegative and sum to 1")
 
 
-def _tables(rows, d: int, N: int, target: int):
+def _tables(rows, index, d: int, N: int, target: int):
     """Value levels U[0..N] and one-step lookahead tables Q[r][k][i] =
-    sum_j c * U[r-1][j] over the ``(j, c)`` pairs of ``rows[k][i]``, in the
+    sum_j c * U[r-1][j] over the ``(j, c)`` pairs of row (k, i), in the
     coefficients' own numbers, so that the bound of a child node can be read
-    off before materializing it.  U[0] is the 0/1 indicator of the target."""
+    off before materializing it.  U[0] is the 0/1 indicator of the target.
+
+    ``rows`` and ``index`` are shared rows as :func:`_sparse_rows` gives
+    them, so each distinct row is summed once per level, into ``sums[r]``,
+    and Q[r][k] reads its entries off those sums.  Returns ``(U, Q, sums)``,
+    with Q[0] and sums[0] None.
+    """
     levels = [tuple(int(i == target) for i in range(d))]
-    lookahead = [None]
+    lookahead, sums = [None], [None]
     for _ in range(N):
         prev = levels[-1]
-        q_level = [tuple(sum(c * prev[j] for j, c in row) for row in rows_k) for rows_k in rows]
+        level_sums = [sum(c * prev[j] for j, c in row) for row in rows]
+        q_level = [tuple(map(level_sums.__getitem__, places)) for places in index]
+        sums.append(level_sums)
         lookahead.append(q_level)
-        levels.append(tuple(max(qk[i] for qk in q_level) for i in range(d)))
-    return levels, lookahead
+        levels.append(tuple(map(max, zip(*q_level))))
+    return levels, lookahead, sums
 
 
 def mdp_value_table(inst: Instance) -> ValueTable:
@@ -218,10 +252,11 @@ class _FloatView:
     commuting_below = None
 
     def __init__(self, inst: Instance):
-        self.rows = _sparse_rows(inst)
+        rows, index = _sparse_rows(inst)
         self.start = inst.start.weights
-        _check_mass(self.rows, self.start, 1, ROW_SUM_TOL)
-        self.U, self.lookahead = _tables(self.rows, inst.d, inst.N, inst.target)
+        _check_mass(rows, index, self.start, 1, ROW_SUM_TOL)
+        self.rows = [tuple(map(rows.__getitem__, places)) for places in index]
+        self.U, self.lookahead, _ = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
 
     def apply(self, weights, k: int):
@@ -261,9 +296,10 @@ class _IntegerView:
     has mass D and every Q[r][k][i] lies in [0, L^r], so each child bound
     lies in [0, full[r]] and fits its field: the weighted sum of the packed
     columns never carries from one field into the next, and one big-integer
-    dot product yields all K child bounds.  Exact populations repeat (the
-    reduction's 0/1 matrices move whole packets), so searches memoize over
-    them, keyed on a population divided by the gcd of its live weights.
+    dot product yields all K child bounds; the packed columns are built
+    from one byte string per distinct row sum per level.  Exact populations
+    repeat (the reduction's 0/1 matrices move whole packets), so searches
+    memoize over them.
     ``columns=False`` builds the value levels alone, for callers that read
     no child bound.
     """
@@ -272,32 +308,32 @@ class _IntegerView:
     commuting_below = None
 
     def __init__(self, inst: Instance, columns: bool = True):
-        entries = _sparse_rows(inst)
-        denominators = {t.denominator for rows_k in entries for row in rows_k for _, t in row}
+        entries, index = _sparse_rows(inst)
+        denominators = {t.denominator for row in entries for _, t in row}
         self.base = L = lcm(*denominators, *(w.denominator for w in inst.start.weights))
-        rows = [
-            [tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in rows_k]
-            for rows_k in entries
-        ]
+        rows = [tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in entries]
         start = [int(w * L) for w in inst.start.weights]
-        _check_mass(rows, start, L, 0)
+        _check_mass(rows, index, start, L, 0)
         self.start = tuple(w * L**inst.N for w in start)
-        self.U, lookahead = _tables(rows, inst.d, inst.N, inst.target)
+        self.U, _, sums = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
         # the rows each matrix moves: all but the unit rows e_i
         self.moved = [
-            [(i, row) for i, row in enumerate(rows_k) if row != ((i, L),)] for rows_k in rows
+            [(i, rows[p]) for i, p in enumerate(places) if rows[p] != ((i, L),)] for places in index
         ]
         if columns:
             width = [(full.bit_length() + 7) // 8 for full in self.full]
-            self.columns = [None] + [
-                tuple(
-                    int.from_bytes(b"".join(qk[i].to_bytes(w, "little") for qk in Q), "little")
-                    for i in range(inst.d)
+            by_state = list(zip(*index))  # per state, its row's place in each matrix
+            self.columns = [None]
+            for level_sums, w in zip(sums[1:], width[1:]):
+                packed = [q.to_bytes(w, "little") for q in level_sums]
+                self.columns.append(
+                    tuple(
+                        int.from_bytes(b"".join(map(packed.__getitem__, places)), "little")
+                        for places in by_state
+                    )
                 )
-                for Q, w in zip(lookahead[1:], width[1:])
-            ]
             self.fields = [[slice(o, o + w) for o in range(0, inst.K * w, w)] for w in width]
 
     def apply(self, weights, k: int):
@@ -369,27 +405,24 @@ class _SupportView:
     memoize = True
 
     def __init__(self, inst: Instance):
-        entries = _sparse_rows(inst)
-        _check_mass(entries, inst.start.weights, 1, 0)
+        entries, index = _sparse_rows(inst)
+        _check_mass(entries, index, inst.start.weights, 1, 0)
         K, N = inst.K, inst.N
         self.start = _mask(inst.start.weights)
         self.full = (1,) * (N + 1)
-        row_masks = {}  # id(row) -> its successor mask; entries keeps the rows alive
+        row_masks = [sum(1 << j for j, _ in row) for row in entries]
+        # the one successor of a row that has one, else None
+        row_maps = [row[0][0] if len(row) == 1 else None for row in entries]
         self.rows, self.moved, moved_rows, maps = [], [], [], []
-        for rows_k in entries:
-            successors = []
-            for row in rows_k:
-                m = row_masks.get(id(row))
-                if m is None:
-                    m = row_masks[id(row)] = sum(1 << j for j, _ in row)
-                successors.append(m)
+        for places in index:
+            successors = list(map(row_masks.__getitem__, places))
             moved = [i for i, m in enumerate(successors) if m != 1 << i]
             self.rows.append(successors)
             self.moved.append(sum(1 << i for i in moved))
             moved_rows.append(moved)
             # a matrix whose every row has one successor maps states to states
-            single = all(len(row) == 1 for row in rows_k)
-            maps.append(tuple(row[0][0] for row in rows_k) if single else None)
+            f = tuple(map(row_maps.__getitem__, places))
+            maps.append(None if None in f else f)
         getters = [None if f is None else itemgetter(*f) for f in maps]
 
         # Compare R_a R_b with R_b R_a.  Two maps are composed whole by one
@@ -492,8 +525,14 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     chased, so the returned plan is the first one attaining the final best
     value in this order (which may differ from enumerate_solve's tie-break;
     the values always agree).  On exact instances, subtree value
-    certificates are memoized per rescaled population so that revisited
-    states prune immediately.
+    certificates are memoized so that revisited states prune immediately:
+    one certificate per unit of a normalized population (its live weights
+    divided by their gcd), shared by every population proportional to it.
+    Each population seen is also keyed on its live weights as they are,
+    mapped to its class and its gcd, so a population seen before reaches
+    its certificate in two dict lookups; only a new one pays the gcd and the
+    division that name its class.  That map is a pure cache: every prune
+    decision is the one the normalized key alone gives.
 
     ``nodes_explored`` counts one per child state visited: an apply for an
     inner node; a leaf is read off its parent's bound, which is its value.
@@ -513,26 +552,37 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     incumbent_by_level: List = [None] * (N + 1)  # best_value at each level's scale
     explored = 0
     pruned = 0
-    certificates: Dict[tuple, int] = {}  # per unit of a normalized population
+    # Per level: the certificate of each class of proportional populations,
+    # keyed on its live weights divided by their gcd, and for each population
+    # seen, keyed on its live weights, its class and its gcd.
+    classes: List[Dict[tuple, Optional[int]]] = [{} for _ in range(N + 1)]
+    populations: List[Dict[tuple, tuple]] = [{} for _ in range(N + 1)]
+    live_weights = [_picker([i for i, u in enumerate(level) if u]) for level in levels]
 
     def walk(weights, steps_left: int, prefix: Plan):
         """Explore a subtree; return a certified upper bound on its best
         value, at its own level's scale."""
         nonlocal best_value, best_plan, incumbent_by_level, explored, pruned
         incumbent = incumbent_by_level[steps_left]
-        key = None
+        key = cached = None
         if memoize:
-            # the weights of the live states (U > 0), divided by their gcd
-            live = list(compress(weights, levels[steps_left]))
-            scale = gcd(*live)
-            if scale:
-                key = (steps_left, *map(floordiv, live, repeat(scale)))
-                cached = certificates.get(key)
-                if cached is not None:
-                    ceiling = cached * scale
-                    if incumbent is not None and ceiling <= incumbent:
-                        pruned += 1
-                        return ceiling
+            certificates, seen = classes[steps_left], populations[steps_left]
+            live = live_weights[steps_left](weights)
+            entry = seen.get(live)
+            if entry is not None:
+                key, scale = entry
+                cached = certificates[key]
+            else:
+                scale = gcd(*live)
+                if scale:  # 0 when no live state is occupied
+                    key = tuple(map(floordiv, live, repeat(scale)))
+                    cached = certificates.setdefault(key, None)
+                    seen[live] = key, scale
+            if cached is not None:
+                ceiling = cached * scale
+                if incumbent is not None and ceiling <= incumbent:
+                    pruned += 1
+                    return ceiling
         level_cap = 0  # best child cap, at this level's scale
         for k, cap in enumerate(caps(weights, steps_left)):
             if incumbent is not None and cap <= incumbent:
@@ -585,7 +635,7 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
             for k in range(K):
                 explored += 1
                 child = view.apply(weights, k)
-                score = sum(w * level[i] for i, w in enumerate(child) if w)
+                score = sum(map(mul, child, level))
                 candidates.append((score, prefix + (k,), child))
         candidates.sort(key=lambda c: c[1])
         candidates.sort(key=lambda c: c[0], reverse=True)

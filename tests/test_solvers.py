@@ -23,10 +23,12 @@ from timemachine import (
     validate_instance,
 )
 from timemachine import solvers
+from timemachine.instance_io import parse_dimacs
 from timemachine.reduction import (
     clause_satisfied,
     decode_assignment,
     encode_reduction,
+    normalize_cnf,
     sat_bruteforce,
 )
 
@@ -36,6 +38,8 @@ from helpers import (
     planted_formula,
     random_exact_distribution,
     random_exact_matrix,
+    random_float_distribution,
+    random_float_matrix,
     random_instance,
     single_clause_formula,
 )
@@ -119,6 +123,20 @@ class TestValueTable:
         weights = inst.start.weights
         direct = sum(w * table.values[3][i] for i, w in enumerate(weights))
         assert table.bound(weights, 3) == pytest.approx(direct, abs=1e-15)
+
+    def test_bound_rejects_out_of_range_steps_and_wrong_length_weights(self):
+        inst = random_instance(Random(12), d=4, K=2, N=3, mode="exact")
+        table = mdp_value_table(inst)
+        weights = inst.start.weights
+        for r in range(4):
+            expected = sum(w * u for w, u in zip(weights, table.values[r]))
+            assert table.bound(weights, r) == expected
+        for steps_left in (-1, 4, 10):
+            with pytest.raises(ValueError, match=r"steps_left must lie in \[0, 3\]"):
+                table.bound(weights, steps_left)
+        for bad in (weights[:3], weights + (Fraction(0),), ()):
+            with pytest.raises(ValueError, match="weights must have 4 entries"):
+                table.bound(bad, 2)
 
 
 class TestBranchAndBound:
@@ -374,6 +392,30 @@ class TestPinnedAnswers:
         result = branch_and_bound_solve(encode_reduction(single_clause_formula()).instance)
         assert (result.value, result.plan) == (1, (0, 2, 1))
         assert (result.nodes_explored, result.nodes_pruned) == (5, 31)
+
+    def test_bnb_memo_shares_certificates_across_proportional_populations(self):
+        # planted_formula(Random("probe/0"), 4, 6) of perfbench/corpus.py.  A
+        # memo keyed on raw live weights alone gives 2895 / 40024: these
+        # counts hold only if proportional populations share one certificate.
+        raw_clauses = (
+            (3, -4, -2), (1, -2, 3), (2, -1, 4), (2, -4, -3), (-4, 3, -2), (3, 4, 1),
+        )
+        text = "p cnf 4 6\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in raw_clauses)
+        num_vars, clauses = parse_dimacs(text)
+        inst = encode_reduction(normalize_cnf(clauses, num_vars).formula).instance
+        result = branch_and_bound_solve(inst)
+        assert (result.value, result.plan) == (1, (0, 3, 14, 21, 26, 31, 37, 1))
+        assert (result.nodes_explored, result.nodes_pruned) == (2888, 37874)
+
+    def test_bnb_walks_a_population_with_no_live_weight(self):
+        # matrix 0 sends all mass to state 1, which never reaches the target:
+        # its child has no live weight, so no memo class
+        F = Fraction
+        kill = StochasticMatrix(((F(0), F(1)), (F(0), F(1))))
+        inst = Instance(matrices=(kill, StochasticMatrix.identity(2)), N=3, numeric_mode="exact")
+        result = branch_and_bound_solve(inst)
+        assert (result.value, result.plan) == (1, (1, 1, 1))
+        assert (result.nodes_explored, result.nodes_pruned) == (6, 4)
 
     def test_decide_witness_at_alpha_one(self):
         art = encode_reduction(single_clause_formula())
@@ -959,3 +1001,97 @@ class TestChildCaps:
                     assert view.apply(weights, k) == apply_reference(inst, weights, k)
                 assert view.apply(weights, 2) == weights
                 weights = view.apply(weights, rng.randrange(inst.K))
+
+
+def tables_reference(inst):
+    """U and Q computed row by row for every (k, i) of the instance's own
+    matrices: the reference for _tables."""
+    rows = [[[(j, t) for j, t in enumerate(row) if t] for row in m.rows] for m in inst.matrices]
+    levels = [tuple(int(i == inst.target) for i in range(inst.d))]
+    lookahead = [None]
+    for _ in range(inst.N):
+        prev = levels[-1]
+        Q = [tuple(sum(c * prev[j] for j, c in row) for row in rows_k) for rows_k in rows]
+        lookahead.append(Q)
+        levels.append(tuple(max(qk[i] for qk in Q) for i in range(inst.d)))
+    return levels, lookahead
+
+
+def typed(x):
+    """A number with its type; floats by their exact bits."""
+    return (type(x).__name__, x.hex() if isinstance(x, float) else x)
+
+
+def typed_table(table):
+    """Nested rows of numbers, each entry through :func:`typed`."""
+    if isinstance(table, (list, tuple)):
+        return [typed_table(part) for part in table]
+    return None if table is None else typed(table)
+
+
+class TestDistinctRowTables:
+    """Each distinct row object is converted once and summed once per level,
+    and every (k, i) entry is read off those sums; the results are those of
+    the row-by-row loop, types and float bits included."""
+
+    @staticmethod
+    def instances():
+        yield encode_reduction(all_patterns_formula()).instance
+        yield encode_reduction(planted_formula(Random(3), 5, 5)[1]).instance
+        rng = Random(90)
+        first = random_float_matrix(rng, 4)
+        other = random_float_matrix(rng, 4).rows
+        # one row tuple in two matrices, and twice in the second
+        reused = StochasticMatrix((other[0], first.rows[2], other[2], first.rows[2]))
+        yield Instance(
+            matrices=(first, reused, random_float_matrix(rng, 4)), N=5,
+            start=random_float_distribution(rng, 4), target=1, numeric_mode="float",
+        )
+        for mode in ("float", "exact"):  # K = 1
+            yield random_instance(rng, 4, 1, 5, mode=mode)
+
+    def test_tables_match_the_row_by_row_loop(self):
+        for inst in self.instances():
+            rows, index = solvers._sparse_rows(inst)
+            levels, lookahead, sums = solvers._tables(rows, index, inst.d, inst.N, inst.target)
+            ref_levels, ref_lookahead = tables_reference(inst)
+            assert typed_table(levels) == typed_table(ref_levels)
+            assert typed_table(lookahead) == typed_table(ref_lookahead)
+            distinct = {id(row) for m in inst.matrices for row in m.rows}
+            assert sums[0] is None
+            assert [len(level_sums) for level_sums in sums[1:]] == [len(distinct)] * inst.N
+            assert [len(places) for places in index] == [inst.d] * inst.K
+
+    def test_reduction_rows_are_converted_and_summed_once(self):
+        inst = encode_reduction(all_patterns_formula()).instance
+        rows, index = solvers._sparse_rows(inst)
+        _, _, sums = solvers._tables(rows, index, inst.d, inst.N, inst.target)
+        assert (inst.K * inst.d, len(rows), len(sums[1])) == (1160, 18, 18)
+
+    def test_value_table_matches_the_reference(self):
+        for inst in self.instances():
+            ref_levels, _ = tables_reference(inst)
+            as_value = Fraction if inst.numeric_mode == "exact" else float
+            expected = [[as_value(u) for u in level] for level in ref_levels]
+            assert typed_table(mdp_value_table(inst).values) == typed_table(expected)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_bad_row_shared_by_two_matrices_reported_at_its_first_place(self, solver, mode):
+        cast = Fraction if mode == "exact" else float
+        half, zero, one = cast(1) / 2, cast(0), cast(1)
+        good = (zero, zero, one)
+        bad = (half, half, half)
+        inst = Instance(
+            matrices=(
+                StochasticMatrix.identity(3, mode),
+                StochasticMatrix((good, good, bad)),
+                StochasticMatrix((bad, good, good)),
+            ),
+            N=2, start=Distribution((one, zero, zero)), numeric_mode=mode,
+        )
+        assert inst.matrices[1].rows[2] is inst.matrices[2].rows[0]
+        message = "matrix 1 row 2: entries must lie in [0, 1] and sum to 1"
+        with pytest.raises(ValueError) as err:
+            SOLVERS[solver](inst)
+        assert str(err.value) == message
