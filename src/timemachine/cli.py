@@ -157,8 +157,6 @@ def _run_method(inst, method: str, beam_width: int, budget: int):
 
 def _cmd_solve(args) -> int:
     doc = read_instance(args.instance)
-    if args.beam_width < 1:
-        raise ValueError(f"--beam-width must be >= 1, got {args.beam_width}")
     result = _run_method(doc.instance, args.method, args.beam_width, args.budget)
     mode = doc.instance.numeric_mode
     print(f"method {result.method}")

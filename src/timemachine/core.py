@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
@@ -148,12 +148,16 @@ class ValidationReport:
 
 
 def _check_mass(weights: Sequence[Scalar], mode: str, what: str, out: List[str]) -> None:
-    # A float sum starts at 0.0, so that skipping zero entries leaves it unchanged.
-    total = sum(weights, 0 if mode == EXACT else 0.0)
     if mode == EXACT:
-        if total != 1:
-            out.append(f"{what}: mass {total} != 1")
-    elif abs(total - 1) > ROW_SUM_TOL:
+        # in integers over the common denominator; a Fraction only to name the mass
+        scale = lcm(*(x.denominator for x in weights))
+        total = sum(x.numerator * (scale // x.denominator) for x in weights)
+        if total != scale:
+            out.append(f"{what}: mass {Fraction(total, scale)} != 1")
+        return
+    # A float sum starts at 0.0, so that skipping zero entries leaves it unchanged.
+    total = sum(weights, 0.0)
+    if abs(total - 1) > ROW_SUM_TOL:
         out.append(f"{what}: mass {total!r} not within {ROW_SUM_TOL} of 1")
 
 
@@ -161,44 +165,50 @@ def _check_mass(weights: Sequence[Scalar], mode: str, what: str, out: List[str])
 _MODE_TYPES = {EXACT: (int, Fraction), FLOAT: (float,)}
 
 
-def _row_violations(row: Sequence[Scalar], mode: str, d: int) -> List[str]:
-    """Violations of one matrix row, each to follow the row's name.
+def _row_violations(row: Sequence[Scalar], mode: str, d: int) -> Tuple[List[str], tuple]:
+    """Violations of one matrix row, each to follow the row's name, and the
+    row's nonzero ``(column, entry)`` pairs.
 
     Zero entries of the mode's own types are skipped: they cannot leave
-    [0, 1] and add nothing to the mass.
+    [0, 1] and add nothing to the mass.  An exact entry lies in [0, 1] iff
+    0 <= numerator <= denominator, as its denominator is positive.
     """
     if len(row) != d:
-        return [f": has {len(row)} entries, expected {d}"]
+        return [f": has {len(row)} entries, expected {d}"], ()
     out: List[str] = []
     zero_types = _MODE_TYPES[mode]
-    nonzero = []
+    exact = mode == EXACT
+    pairs = []
     for j, x in enumerate(row):
         if type(x) in zero_types and not x:
             continue
         err = scalar_mode_error(x, mode)
         if err is not None:
             out.append(f" entry {j}: {err}")
-        elif not 0 <= x <= 1:
+        elif not (0 <= x.numerator <= x.denominator if exact else 0 <= x <= 1):
             out.append(f" entry {j}: {x!r} outside [0, 1]")
-        nonzero.append(x)
+        elif x:  # a zero of a subclass of the mode's types is valid but no pair
+            pairs.append((j, x))
     if not out:
-        _check_mass(nonzero, mode, "", out)
-    return out
+        _check_mass([x for _, x in pairs], mode, "", out)
+    return out, tuple(pairs)
 
 
-def validate_instance(inst: Instance) -> ValidationReport:
-    """Check every instance invariant and name each violation found.
+def _checked_rows(inst: Instance) -> Tuple[List[str], list, list]:
+    """One scan of every instance invariant: ``(violations, rows, index)``.
 
-    Covers: mode tag sanity, K >= 1, N >= 0, target range, start simplex
-    membership, matrix shapes, entry ranges, per-row mass, and numeric-mode
-    uniformity (no floats in an exact instance and vice versa).  Each
-    distinct row object is checked once per call, and its violations are
-    reported at every place it occurs.
+    ``violations`` are those :func:`validate_instance` reports, in its
+    order.  ``rows`` holds the nonzero ``(column, entry)`` pairs of each
+    distinct row object, in order of first appearance; ``index[k][i]`` is
+    the position in ``rows`` of row i of matrix k.  Each distinct row
+    object is checked once, and its violations are reported at every place
+    it occurs.  ``rows`` and ``index`` describe the instance only when
+    there is no violation.
     """
-    out: List[str] = []
     mode = inst.numeric_mode
     if mode not in (EXACT, FLOAT):
-        return ValidationReport((f"numeric_mode must be '{EXACT}' or '{FLOAT}', got {mode!r}",))
+        return [f"numeric_mode must be '{EXACT}' or '{FLOAT}', got {mode!r}"], [], []
+    out: List[str] = []
     if inst.K < 1:
         out.append("instance must contain at least one matrix")
     if inst.N < 0:
@@ -221,19 +231,38 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if not bad_start:
         _check_mass(inst.start.weights, mode, "start", out)
 
-    checked = {}  # id(row) -> its violations; the instance keeps every row alive
+    position = {}  # id(row) -> its place in rows; the instance keeps every row alive
+    rows, found, index = [], [], []
     for k, matrix in enumerate(inst.matrices):
         name = f"matrix {k}" if matrix.label is None else f"matrix {k} ({matrix.label!r})"
         if matrix.dim != d:
             out.append(f"{name}: has {matrix.dim} rows, expected {d}")
             continue
+        places = []
         for i, row in enumerate(matrix.rows):
-            found = checked.get(id(row))
-            if found is None:
-                found = checked[id(row)] = _row_violations(row, mode, d)
-            if found:
-                out.extend(f"{name} row {i}{v}" for v in found)
-    return ValidationReport(tuple(out))
+            p = position.get(id(row))
+            if p is None:
+                p = position[id(row)] = len(rows)
+                violations, pairs = _row_violations(row, mode, d)
+                found.append(violations)
+                rows.append(pairs)
+            if found[p]:
+                out.extend(f"{name} row {i}{v}" for v in found[p])
+            places.append(p)
+        index.append(tuple(places))
+    return out, rows, index
+
+
+def validate_instance(inst: Instance) -> ValidationReport:
+    """Check every instance invariant and name each violation found.
+
+    Covers: mode tag sanity, K >= 1, N >= 0, target range, start simplex
+    membership, matrix shapes, entry ranges, per-row mass, and numeric-mode
+    uniformity (no floats in an exact instance and vice versa).  Each
+    distinct row object is checked once per call, and its violations are
+    reported at every place it occurs.
+    """
+    return ValidationReport(tuple(_checked_rows(inst)[0]))
 
 
 def apply(v: Distribution, matrix: StochasticMatrix) -> Distribution:

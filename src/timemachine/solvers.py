@@ -28,10 +28,10 @@ child bounds of a node with ``r`` steps left, sum_i w_i Q[r][k][i] at level
 r's scale, where Q[r][k][i] is state i's value one step through matrix k;
 enum, bnb and decide read child bounds only through it.  The two value
 backends hold the matrices as sparse ``(column, coefficient)`` rows,
-checked once to be stochastic, and build their tables from them with
-:func:`_tables`, in their own numbers.  Matrices share row objects (the
-all-patterns reduction's 1,160 rows are 18 objects), so each distinct row
-object is converted and checked once and summed once per level, and
+read off the instance check's own scan, and build their tables from them
+with :func:`_tables`, in their own numbers.  Matrices share row objects
+(the all-patterns reduction's 1,160 rows are 18 objects), so each distinct
+row object is checked and converted once and summed once per level, and
 every matrix's lookahead entries are read off those sums.
 
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
@@ -66,21 +66,22 @@ population seen before finds its class by its live weights as they are,
 and only a new one pays the gcd and division that name its class.
 The second stops at the first witness and, over exact populations,
 memoizes dead states.
-All searches are deterministic, node counts included, and raise ValueError
-on an instance with a bad mode tag, K, N, shape, target, row or start, or
-with a start weight or nonzero entry that is not a number of its mode.
+All searches are deterministic, node counts included.  Every solver, and
+:func:`mdp_value_table`, raises ValueError with the first violation that
+:func:`~timemachine.core.validate_instance` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from math import ceil, gcd, lcm
 from operator import floordiv, itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import EXACT, EVAL_TOL, FLOAT, ROW_SUM_TOL, Instance, Plan, Scalar, scalar_mode_error
+from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _checked_rows
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -138,41 +139,12 @@ def _mask(flags) -> int:
 def _sparse_rows(inst: Instance):
     """The matrices as shared sparse rows: ``(rows, index)``.  ``rows`` holds
     the nonzero ``(column, entry)`` pairs of each distinct row object, in
-    order of first appearance, each converted once; ``index[k][i]`` is the
-    position in ``rows`` of row i of matrix k.  Raises ValueError on a bad
-    mode tag, K, N, target or shape, and on a start weight or nonzero entry
-    that is not a number of the instance's mode."""
-    mode, d = inst.numeric_mode, inst.d
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"numeric_mode must be '{EXACT}' or '{FLOAT}', got {mode!r}")
-    if inst.K < 1:
-        raise ValueError("instance must contain at least one matrix")
-    if inst.N < 0:
-        raise ValueError(f"horizon N must be >= 0, got {inst.N}")
-    if not 0 <= inst.target < d:
-        raise ValueError(f"target index {inst.target} out of range for d={d}")
-    for i, w in enumerate(inst.start.weights):
-        err = scalar_mode_error(w, mode)
-        if err is not None:
-            raise ValueError(f"start entry {i}: {err}")
-    position = {}  # id(row) -> its place in rows; the instance keeps every row alive
-    rows, index = [], []
-    for k, matrix in enumerate(inst.matrices):
-        if matrix.dim != d or any(map(d.__ne__, map(len, matrix.rows))):
-            raise ValueError(f"matrix {k}: not a {d}x{d} matrix")
-        places = []
-        for i, row in enumerate(matrix.rows):
-            p = position.get(id(row))
-            if p is None:
-                p = position[id(row)] = len(rows)
-                pairs = tuple((j, t) for j, t in enumerate(row) if t)
-                for j, t in pairs:
-                    err = scalar_mode_error(t, mode)
-                    if err is not None:
-                        raise ValueError(f"matrix {k} row {i} entry {j}: {err}")
-                rows.append(pairs)
-            places.append(p)
-        index.append(tuple(places))
+    order of first appearance; ``index[k][i]`` is the position in ``rows``
+    of row i of matrix k.  Raises ValueError with the first violation that
+    :func:`~timemachine.core.validate_instance` reports."""
+    violations, rows, index = _checked_rows(inst)
+    if violations:
+        raise ValueError(violations[0])
     return rows, index
 
 
@@ -184,21 +156,6 @@ def _picker(indices: List[int]):
     if indices == list(range(start, start + len(indices))):
         return itemgetter(slice(start, start + len(indices)))
     return itemgetter(*indices)
-
-
-def _check_mass(rows, index, start, one, tol) -> None:
-    """Raise ValueError unless the distinct rows and the start are
-    distributions of mass ``one`` within ``tol``.  A bad row is named by its
-    first (matrix, row) place, which belongs to the first bad distinct row,
-    as ``rows`` is in order of first appearance."""
-    for p, row in enumerate(rows):
-        if not all(0 <= c <= one for _, c in row) or abs(sum(c for _, c in row) - one) > tol:
-            k = next(k for k, places in enumerate(index) if p in places)
-            raise ValueError(
-                f"matrix {k} row {index[k].index(p)}: entries must lie in [0, 1] and sum to 1"
-            )
-    if not all(w >= 0 for w in start) or abs(sum(start) - one) > tol:
-        raise ValueError("start weights must be nonnegative and sum to 1")
 
 
 def _tables(rows, index, d: int, N: int, target: int):
@@ -232,7 +189,7 @@ def mdp_value_table(inst: Instance) -> ValueTable:
     level.  The values are the search backend's levels, divided by their
     scale: Fractions for exact instances, floats for float ones.
     """
-    view = _view(inst, columns=False)
+    view = _view(inst, *_sparse_rows(inst))
     levels = zip(view.U, view.level_scale)
     return ValueTable(tuple(tuple(view.divide(u, s) for u in level) for level, s in levels))
 
@@ -251,10 +208,8 @@ class _FloatView:
     memoize = False
     commuting_below = None
 
-    def __init__(self, inst: Instance):
-        rows, index = _sparse_rows(inst)
+    def __init__(self, inst: Instance, rows, index):
         self.start = inst.start.weights
-        _check_mass(rows, index, self.start, 1, ROW_SUM_TOL)
         self.rows = [tuple(map(rows.__getitem__, places)) for places in index]
         self.U, self.lookahead, _ = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
@@ -299,42 +254,50 @@ class _IntegerView:
     dot product yields all K child bounds; the packed columns are built
     from one byte string per distinct row sum per level.  Exact populations
     repeat (the reduction's 0/1 matrices move whole packets), so searches
-    memoize over them.
-    ``columns=False`` builds the value levels alone, for callers that read
-    no child bound.
+    memoize over them.  The packed columns are built the first time
+    ``caps`` runs, so callers that read no child bound never pay for them.
     """
 
     memoize = True
     commuting_below = None
 
-    def __init__(self, inst: Instance, columns: bool = True):
-        entries, index = _sparse_rows(inst)
+    def __init__(self, inst: Instance, entries, index):
         denominators = {t.denominator for row in entries for _, t in row}
         self.base = L = lcm(*denominators, *(w.denominator for w in inst.start.weights))
         rows = [tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in entries]
-        start = [int(w * L) for w in inst.start.weights]
-        _check_mass(rows, index, start, L, 0)
-        self.start = tuple(w * L**inst.N for w in start)
-        self.U, _, sums = _tables(rows, index, inst.d, inst.N, inst.target)
+        self.start = tuple(int(w * L) * L**inst.N for w in inst.start.weights)
+        self.U, _, self._sums = _tables(rows, index, inst.d, inst.N, inst.target)
+        self._index = index
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
         # the rows each matrix moves: all but the unit rows e_i
         self.moved = [
             [(i, rows[p]) for i, p in enumerate(places) if rows[p] != ((i, L),)] for places in index
         ]
-        if columns:
-            width = [(full.bit_length() + 7) // 8 for full in self.full]
-            by_state = list(zip(*index))  # per state, its row's place in each matrix
-            self.columns = [None]
-            for level_sums, w in zip(sums[1:], width[1:]):
-                packed = [q.to_bytes(w, "little") for q in level_sums]
-                self.columns.append(
-                    tuple(
-                        int.from_bytes(b"".join(map(packed.__getitem__, places)), "little")
-                        for places in by_state
-                    )
+
+    @cached_property
+    def fields(self):
+        """Per level r, the byte slice of each matrix's field in a packed
+        sum, each as many bytes wide as full[r] takes."""
+        K = len(self._index)
+        widths = [(full.bit_length() + 7) // 8 for full in self.full]
+        return [[slice(o, o + w) for o in range(0, K * w, w)] for w in widths]
+
+    @cached_property
+    def columns(self):
+        """Per level r >= 1, the packed lookahead entries of each state."""
+        by_state = list(zip(*self._index))  # per state, its row's place in each matrix
+        columns = [None]
+        for level_sums, fields in zip(self._sums[1:], self.fields[1:]):
+            width = fields[0].stop  # field 0 spans bytes [0, width)
+            packed = [q.to_bytes(width, "little") for q in level_sums]
+            columns.append(
+                tuple(
+                    int.from_bytes(b"".join(map(packed.__getitem__, places)), "little")
+                    for places in by_state
                 )
-            self.fields = [[slice(o, o + w) for o in range(0, inst.K * w, w)] for w in width]
+            )
+        return columns
 
     def apply(self, weights, k: int):
         L = self.base
@@ -362,11 +325,10 @@ class _IntegerView:
         return Fraction(scaled, self.full[steps_left])
 
 
-def _view(inst: Instance, columns: bool = True):
-    """The search backend of an instance; ``columns=False`` leaves out the
-    exact backend's packed lookahead columns, for callers that read no
-    child bound."""
-    return _IntegerView(inst, columns) if inst.numeric_mode == EXACT else _FloatView(inst)
+def _view(inst: Instance, rows, index):
+    """The value backend of an instance, built from its sparse rows as
+    :func:`_sparse_rows` gives them."""
+    return (_IntegerView if inst.numeric_mode == EXACT else _FloatView)(inst, rows, index)
 
 
 def _image(successors, s: int) -> int:
@@ -404,9 +366,7 @@ class _SupportView:
 
     memoize = True
 
-    def __init__(self, inst: Instance):
-        entries, index = _sparse_rows(inst)
-        _check_mass(entries, index, inst.start.weights, 1, 0)
+    def __init__(self, inst: Instance, entries, index):
         K, N = inst.K, inst.N
         self.start = _mask(inst.start.weights)
         self.full = (1,) * (N + 1)
@@ -482,6 +442,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
     Refuses to start if K^N exceeds ``budget`` (default 10^8).
     """
+    rows, index = _sparse_rows(inst)  # first: K**N fails at K = 0, N < 0
     K, N = inst.K, inst.N
     total = K**N
     if total > budget:
@@ -490,7 +451,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
         raise BudgetExceededError(
             f"enumeration would visit K^N = {count} plans, budget is {budget}", total
         )
-    view = _view(inst)
+    view = _view(inst, rows, index)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
     apply, caps = view.apply, view.caps
@@ -539,7 +500,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     ``nodes_pruned`` counts skipped subtrees.
     """
     K, N = inst.K, inst.N
-    view = _view(inst)
+    view = _view(inst, *_sparse_rows(inst))
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
     apply, caps = view.apply, view.caps
@@ -623,7 +584,7 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
         raise ValueError(f"beam width must be an integer >= 1, got {width!r}")
     K, N = inst.K, inst.N
     target = inst.target
-    view = _view(inst, columns=False)
+    view = _view(inst, *_sparse_rows(inst))
 
     beam = [(view.start, ())]
     explored = 0
@@ -691,7 +652,7 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
     K, N = inst.K, inst.N
-    view = _SupportView(inst) if exact and alpha == 1 and N else _view(inst)
+    view = (_SupportView if exact and alpha == 1 and N else _view)(inst, *_sparse_rows(inst))
     # exact bounds are integers, so the least integer at or above the cutoff
     # passes the same children and compares faster than a Fraction
     cutoffs = [ceil(threshold * full) if exact else threshold * full for full in view.full]

@@ -81,6 +81,10 @@ class TestDecide:
 
 
 class TestSolve:
+    def test_bad_beam_width_is_usage_error(self, sat_instance, capsys):
+        assert main(["solve", str(sat_instance), "--method", "beam", "--beam-width", "0"]) == 1
+        assert "beam width must be an integer >= 1, got 0" in capsys.readouterr().err
+
     def test_enum_budget_exceeded_exit_2(self, sat_instance, capsys):
         code = main(["solve", str(sat_instance), "--method", "enum", "--budget", "10"])
         assert code == 2

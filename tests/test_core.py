@@ -170,6 +170,12 @@ class TestPinnedViolations:
                 ),
                 ("start: mass 2/3 != 1",),
             ),
+            (
+                Instance(
+                    matrices=(StochasticMatrix(((2, -1), (0, 1))),), N=1, numeric_mode="exact"
+                ),
+                ("matrix 0 row 0 entry 0: 2 outside [0, 1]", "matrix 0 row 0 entry 1: -1 outside [0, 1]"),
+            ),
         ],
     )
     def test_instance_level_violations(self, inst, violations):

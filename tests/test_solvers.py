@@ -1,5 +1,6 @@
 import gc
 import time
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 from math import nextafter
@@ -652,15 +653,24 @@ def two_state_instance(mode, bad_row=None, start=(1, 0), target=0, N=2):
     )
 
 
+def rejection(solver, inst):
+    """The message of the ValueError ``solver`` raises on ``inst``, which
+    must be the first violation that validate_instance reports."""
+    violations = validate_instance(inst).violations
+    assert violations
+    with pytest.raises(ValueError) as err:
+        SOLVERS[solver](inst)
+    assert str(err.value) == violations[0]
+    return str(err.value)
+
+
 class TestInvalidInstances:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize("bad_row", [(Fraction(3, 2), Fraction(-1, 2)), (1, 1)])
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_bad_row_rejected(self, solver, bad_row, mode):
         inst = two_state_instance(mode, bad_row)
-        assert not validate_instance(inst).ok
-        with pytest.raises(ValueError, match="matrix 1 row 0"):
-            SOLVERS[solver](inst)
+        assert rejection(solver, inst).startswith("matrix 1 row 0")
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     @pytest.mark.parametrize(
@@ -669,9 +679,7 @@ class TestInvalidInstances:
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_bad_start_rejected(self, solver, start, mode):
         inst = two_state_instance(mode, start=start)
-        assert not validate_instance(inst).ok
-        with pytest.raises(ValueError, match="start"):
-            SOLVERS[solver](inst)
+        assert rejection(solver, inst).startswith("start")
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_bad_shape_and_target_rejected(self, solver):
@@ -679,48 +687,49 @@ class TestInvalidInstances:
         ragged = Instance(
             matrices=(StochasticMatrix.identity(2), narrow), N=1, numeric_mode="exact"
         )
-        with pytest.raises(ValueError, match="matrix 1"):
-            SOLVERS[solver](ragged)
-        with pytest.raises(ValueError, match="target"):
-            SOLVERS[solver](two_state_instance("exact", target=2))
+        assert rejection(solver, ragged).startswith("matrix 1")
+        assert rejection(solver, two_state_instance("exact", target=2)).startswith("target")
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_entry_of_the_wrong_type_rejected(self, solver):
         exact = two_state_instance("exact")
         float_entry = StochasticMatrix(((Fraction(1, 2), 0.5), (Fraction(0), Fraction(1))))
+        float_zero = StochasticMatrix(((Fraction(1), 0.0), (Fraction(0), Fraction(1))))
         int_entry = StochasticMatrix(((0.0, 1.0), (0.0, 1)))
+        int_zero = StochasticMatrix(((1.0, 0), (0.0, 1.0)))
+        float_identity = StochasticMatrix.identity(2, "float")
         wrong = [
-            Instance(matrices=(exact.matrices[0], float_entry), N=2, numeric_mode="exact"),
-            Instance(
-                matrices=(StochasticMatrix.identity(2, "float"), int_entry), N=2, numeric_mode="float"
-            ),
+            (Instance(matrices=(exact.matrices[0], float_entry), N=2, numeric_mode="exact"),
+             "matrix 1 row 0 entry 1: 0.5 is not an exact rational"),
+            (Instance(matrices=(exact.matrices[0], float_zero), N=2, numeric_mode="exact"),
+             "matrix 1 row 0 entry 1: 0.0 is not an exact rational"),
+            (Instance(matrices=(float_identity, int_entry), N=2, numeric_mode="float"),
+             "matrix 1 row 1 entry 1: 1 is not a float"),
+            (Instance(matrices=(float_identity, int_zero), N=2, numeric_mode="float"),
+             "matrix 1 row 0 entry 1: 0 is not a float"),
         ]
-        for inst, where in zip(wrong, ("matrix 1 row 0 entry 1", "matrix 1 row 1 entry 1")):
-            assert not validate_instance(inst).ok
-            with pytest.raises(ValueError, match=where):
-                SOLVERS[solver](inst)
+        for inst, message in wrong:
+            assert rejection(solver, inst) == message
 
     @pytest.mark.parametrize("start", [(Fraction(1), 0.0), (0.5, Fraction(1, 2)), (1.0, 0.0)])
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_float_start_in_exact_instance_rejected(self, solver, start):
         inst = two_state_instance("exact")
         inst = Instance(matrices=inst.matrices, N=2, start=Distribution(start), numeric_mode="exact")
-        assert not validate_instance(inst).ok
-        with pytest.raises(ValueError, match="start entry"):
-            SOLVERS[solver](inst)
+        assert rejection(solver, inst).startswith("start entry")
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_bad_count_horizon_and_mode_rejected(self, solver):
         inst = two_state_instance("exact")
         cases = [
             (Instance(matrices=(), N=2, start=inst.start, numeric_mode="exact"), "at least one matrix"),
+            # enum must check the instance before it computes K^N = 0^-1
+            (Instance(matrices=(), N=-1, start=inst.start, numeric_mode="exact"), "at least one matrix"),
             (Instance(matrices=inst.matrices, N=-1, numeric_mode="exact"), "horizon N"),
             (Instance(matrices=inst.matrices, N=2, numeric_mode="fuzzy"), "numeric_mode"),
         ]
         for bad, message in cases:
-            assert not validate_instance(bad).ok
-            with pytest.raises(ValueError, match=message):
-                SOLVERS[solver](bad)
+            assert message in rejection(solver, bad)
 
     def test_float_tolerance_matches_validation(self):
         # Row sums and start mass may drift by ROW_SUM_TOL, entries may not
@@ -734,12 +743,11 @@ class TestInvalidInstances:
         ]
         for case in cases:
             inst = two_state_instance("float", **case)
-            try:
-                branch_and_bound_solve(inst)
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == validate_instance(inst).ok, case
+            for solver in SOLVERS:
+                if validate_instance(inst).ok:
+                    SOLVERS[solver](inst)
+                else:
+                    rejection(solver, inst)
 
 
 def first_plan_of_value_one(inst):
@@ -762,7 +770,7 @@ def exact_matrix(*rows):
 
 def commuting_pairs(inst):
     """The pairs ``(a, b)``, a < b, that the support backend skips as ``b, a``."""
-    below = solvers._SupportView(inst).commuting_below
+    below = solvers._SupportView(inst, *solvers._sparse_rows(inst)).commuting_below
     return {(a, b) for b in range(inst.K) for a in range(b) if below[b] >> a & 1}
 
 
@@ -828,6 +836,16 @@ class TestSupportDecision:
         # from state 0 the swaps and the cycle never reach 2 in one step
         inst = Instance(matrices=matrices, N=1, target=2, numeric_mode="exact")
         assert decide_threshold(inst, Fraction(1)) == (False, None)
+
+    def test_zero_of_an_int_subclass_is_no_successor(self):
+        # a valid zero entry whose type is a subclass of int adds no support
+        zero = IntEnum("Zero", [("ZERO", 0)]).ZERO
+        shift = StochasticMatrix(((zero, Fraction(1)), (Fraction(0), Fraction(1))))
+        inst = Instance(
+            matrices=(StochasticMatrix.identity(2), shift), N=1, target=1, numeric_mode="exact"
+        )
+        assert validate_instance(inst).ok
+        assert decide_threshold(inst, Fraction(1)) == scan_answer(inst) == (True, (1,))
 
     def test_supports_commute_but_entries_do_not(self):
         # a and b both send state 0 to {1, 2}, with different weights; c sends 2 to 1
@@ -935,7 +953,7 @@ class TestChildCaps:
     def test_caps_and_apply_on_reachable_populations(self):
         rng = Random(2024)
         for inst in self.instances():
-            view = solvers._view(inst)
+            view = solvers._view(inst, *solvers._sparse_rows(inst))
             reference = caps_reference(inst)
             D = view.full[0]  # the mass of every reachable population
             for _ in range(12):
@@ -956,7 +974,7 @@ class TestChildCaps:
         rng = Random(2025)
         seen = 0
         for inst in self.instances():
-            view = solvers._view(inst)
+            view = solvers._view(inst, *solvers._sparse_rows(inst))
             reference = caps_reference(inst)
             D = view.full[0]
             for r in range(1, inst.N + 1):
@@ -989,7 +1007,7 @@ class TestChildCaps:
             matrices=matrices, N=3, start=Distribution((F(1, 2), F(1, 3), F(1, 6))),
             numeric_mode="exact",
         )
-        view = solvers._view(inst)
+        view = solvers._view(inst, *solvers._sparse_rows(inst))
         assert view.base == 6
         # only moved rows are walked: matrix 0 moves row 1, the identity none
         assert [[i for i, _ in moved] for moved in view.moved] == [[1], [0, 1, 2], []]
@@ -1091,7 +1109,10 @@ class TestDistinctRowTables:
             N=2, start=Distribution((one, zero, zero)), numeric_mode=mode,
         )
         assert inst.matrices[1].rows[2] is inst.matrices[2].rows[0]
-        message = "matrix 1 row 2: entries must lie in [0, 1] and sum to 1"
+        if mode == "exact":
+            message = "matrix 1 row 2: mass 3/2 != 1"
+        else:
+            message = "matrix 1 row 2: mass 1.5 not within 1e-09 of 1"
         with pytest.raises(ValueError) as err:
             SOLVERS[solver](inst)
         assert str(err.value) == message
