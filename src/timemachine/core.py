@@ -287,8 +287,12 @@ def apply(v: Distribution, matrix: StochasticMatrix) -> Distribution:
 
 
 def _check_plan_indices(inst: Instance, plan: Sequence[int]) -> Plan:
+    """The plan as a tuple; raises ValueError naming the first step that is
+    not an int (bools excluded) in [0, K)."""
     plan = tuple(plan)
     for step, k in enumerate(plan):
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError(f"plan step {step}: matrix index must be an int, got {k!r}")
         if not 0 <= k < inst.K:
             raise ValueError(f"plan step {step}: matrix index {k} out of range for K={inst.K}")
     return plan

@@ -34,7 +34,16 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import EXACT, Distribution, Instance, Plan, StochasticMatrix, evaluate_plan, trajectory
+from .core import (
+    EXACT,
+    Distribution,
+    Instance,
+    Plan,
+    StochasticMatrix,
+    _check_plan_indices,
+    evaluate_plan,
+    trajectory,
+)
 from .solvers import BudgetExceededError, decide_threshold
 
 Sign = int  # +1 or -1
@@ -391,8 +400,10 @@ def sat_bruteforce(
 
 def is_canonical_plan(artifact: ReductionArtifact, plan: Sequence[int]) -> bool:
     """Structural shape every value-1 plan must have: starts with S, ends
-    with F, and uses exactly one matrix from each clause's block in between."""
-    plan = tuple(plan)
+    with F, and uses exactly one matrix from each clause's block in between.
+    Raises ValueError, as :func:`~timemachine.core.evaluate_plan` does, if
+    a step is not a matrix index of the instance."""
+    plan = _check_plan_indices(artifact.instance, plan)
     m = artifact.num_clauses
     if len(plan) != m + 2:
         return False

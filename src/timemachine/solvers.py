@@ -79,6 +79,7 @@ from functools import cached_property
 from itertools import repeat
 from math import ceil, gcd, lcm
 from operator import floordiv, itemgetter, mul
+from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _checked_rows
@@ -247,15 +248,23 @@ class _IntegerView:
 
     The K lookahead entries Q[r][k][i] of a state are packed into one
     integer, field k holding Q[r][k][i], each field as many bytes wide as
-    full[r] = D L^r takes.  A reachable population
-    has mass D and every Q[r][k][i] lies in [0, L^r], so each child bound
-    lies in [0, full[r]] and fits its field: the weighted sum of the packed
-    columns never carries from one field into the next, and one big-integer
-    dot product yields all K child bounds; the packed columns are built
-    from one byte string per distinct row sum per level.  Exact populations
-    repeat (the reduction's 0/1 matrices move whole packets), so searches
-    memoize over them.  The packed columns are built the first time
-    ``caps`` runs, so callers that read no child bound never pay for them.
+    full[r] = D L^r takes, and at least one 64-bit word.  A reachable
+    population has mass D and every Q[r][k][i] lies in [0, L^r], so each
+    child bound lies in [0, full[r]] and fits its field: the weighted sum
+    of the packed columns never carries from one field into the next, and
+    one big-integer dot product yields all K child bounds.  Where full[r]
+    fits one word, one precompiled ``struct`` unpack reads all K fields;
+    wider fields are read by K byte slices, and are not padded to whole
+    words, which would only lengthen the dot product.  The packed columns
+    are built from one byte string per distinct row sum per level.  Exact
+    populations repeat (the reduction's 0/1 matrices move whole packets),
+    so searches memoize over them.  The packed columns are built the first
+    time ``caps`` runs, so callers that read no child bound never pay for
+    them.
+
+    ``moved[k]`` is ``(whole, split)``, the rows matrix k moves (all but
+    the unit rows e_i): ``(i, j)`` for a row sending all of state i to j,
+    ``(i, row)`` for a row with several coefficients.
     """
 
     memoize = True
@@ -268,19 +277,22 @@ class _IntegerView:
         self.start = tuple(int(w * L) * L**inst.N for w in inst.start.weights)
         self.U, _, self._sums = _tables(rows, index, inst.d, inst.N, inst.target)
         self._index = index
+        self._unpack_words = Struct(f"<{len(index)}Q").unpack
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
-        # the rows each matrix moves: all but the unit rows e_i
-        self.moved = [
-            [(i, rows[p]) for i, p in enumerate(places) if rows[p] != ((i, L),)] for places in index
-        ]
+        self.moved = []
+        for places in index:
+            moved = [(i, rows[p]) for i, p in enumerate(places) if rows[p] != ((i, L),)]
+            whole = [(i, row[0][0]) for i, row in moved if len(row) == 1]
+            self.moved.append((whole, [(i, row) for i, row in moved if len(row) > 1]))
 
     @cached_property
     def fields(self):
         """Per level r, the byte slice of each matrix's field in a packed
-        sum, each as many bytes wide as full[r] takes."""
+        sum, each as many bytes wide as full[r] takes, and at least one
+        64-bit word."""
         K = len(self._index)
-        widths = [(full.bit_length() + 7) // 8 for full in self.full]
+        widths = [max(8, (full.bit_length() + 7) // 8) for full in self.full]
         return [[slice(o, o + w) for o in range(0, K * w, w)] for w in widths]
 
     @cached_property
@@ -302,7 +314,13 @@ class _IntegerView:
     def apply(self, weights, k: int):
         L = self.base
         out = list(weights)
-        for i, row in self.moved[k]:
+        whole, split = self.moved[k]
+        for i, j in whole:  # the coefficient is L, so w moves as it is
+            w = weights[i]
+            if w:
+                out[i] -= w
+                out[j] += w
+        for i, row in split:
             w = weights[i]
             if w:
                 out[i] -= w
@@ -314,6 +332,8 @@ class _IntegerView:
     def caps(self, weights, r: int) -> list:
         fields = self.fields[r]
         data = sum(map(mul, weights, self.columns[r])).to_bytes(fields[-1].stop, "little")
+        if fields[0].stop == 8:  # one word per field
+            return list(self._unpack_words(data))
         return list(map(int.from_bytes, map(data.__getitem__, fields), repeat("little")))
 
     @staticmethod
@@ -493,7 +513,9 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     mapped to its class and its gcd, so a population seen before reaches
     its certificate in two dict lookups; only a new one pays the gcd and the
     division that name its class.  That map is a pure cache: every prune
-    decision is the one the normalized key alone gives.
+    decision is the one the normalized key alone gives.  A node looks up
+    each child it applies and settles a memo prune itself, so only a child
+    that survives the memo is walked; the root, alone at its level, has none.
 
     ``nodes_explored`` counts one per child state visited: an apply for an
     inner node; a leaf is read off its parent's bound, which is its value.
@@ -516,34 +538,20 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     # Per level: the certificate of each class of proportional populations,
     # keyed on its live weights divided by their gcd, and for each population
     # seen, keyed on its live weights, its class and its gcd.
-    classes: List[Dict[tuple, Optional[int]]] = [{} for _ in range(N + 1)]
+    classes: List[Dict[Optional[tuple], Optional[int]]] = [{} for _ in range(N + 1)]
     populations: List[Dict[tuple, tuple]] = [{} for _ in range(N + 1)]
     live_weights = [_picker([i for i, u in enumerate(level) if u]) for level in levels]
 
-    def walk(weights, steps_left: int, prefix: Plan):
+    def walk(weights, steps_left: int, prefix: Plan, key, scale, cached):
         """Explore a subtree; return a certified upper bound on its best
-        value, at its own level's scale."""
+        value, at its own level's scale.  ``key``, ``scale`` and ``cached``
+        are its memo class, gcd and certificate, as its parent looked them
+        up (``key`` None: no memo)."""
         nonlocal best_value, best_plan, incumbent_by_level, explored, pruned
         incumbent = incumbent_by_level[steps_left]
-        key = cached = None
-        if memoize:
-            certificates, seen = classes[steps_left], populations[steps_left]
-            live = live_weights[steps_left](weights)
-            entry = seen.get(live)
-            if entry is not None:
-                key, scale = entry
-                cached = certificates[key]
-            else:
-                scale = gcd(*live)
-                if scale:  # 0 when no live state is occupied
-                    key = tuple(map(floordiv, live, repeat(scale)))
-                    cached = certificates.setdefault(key, None)
-                    seen[live] = key, scale
-            if cached is not None:
-                ceiling = cached * scale
-                if incumbent is not None and ceiling <= incumbent:
-                    pruned += 1
-                    return ceiling
+        r = steps_left - 1  # the children's level
+        child_classes, seen, live_of = classes[r], populations[r], live_weights[r]
+        child_key = child_scale = child_cached = None
         level_cap = 0  # best child cap, at this level's scale
         for k, cap in enumerate(caps(weights, steps_left)):
             if incumbent is not None and cap <= incumbent:
@@ -555,7 +563,25 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
                     best_value, best_plan = cap, prefix + (k,)
                     incumbent_by_level = [None, *(cap * s for s in above_level_one)]
                 else:
-                    cap = walk(apply(weights, k), steps_left - 1, prefix + (k,)) * base
+                    child = apply(weights, k)
+                    if memoize:
+                        live = live_of(child)
+                        entry = seen.get(live)
+                        if entry is not None:
+                            child_key, child_scale = entry
+                            child_cached = child_classes[child_key]
+                        else:
+                            g = child_scale = gcd(*live)  # 0 when no live state is occupied
+                            child_key = tuple(map(floordiv, live, repeat(g))) if g else None
+                            seen[live] = child_key, g
+                            child_cached = child_classes.setdefault(child_key, None)
+                    # a certificate exists only once a leaf has set the incumbent
+                    if child_cached is None or child_cached * child_scale > incumbent_by_level[r]:
+                        cap = walk(child, r, prefix + (k,), child_key, child_scale, child_cached)
+                    else:
+                        pruned += 1  # a memo prune, settled without walking the child
+                        cap = child_cached * child_scale
+                    cap *= base
                 incumbent = incumbent_by_level[steps_left]
             if cap > level_cap:
                 level_cap = cap
@@ -564,10 +590,10 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
             # their gcd divides it.
             per_unit = level_cap // scale
             if cached is None or per_unit < cached:
-                certificates[key] = per_unit
+                classes[steps_left][key] = per_unit
         return level_cap
 
-    walk(view.start, N, ())
+    walk(view.start, N, (), None, None, None)  # the root is the only population at level N
     del walk  # free the memo now, not at the next cycle collection
     return SolveResult(view.to_value(best_value, 1), best_plan, explored, pruned, "bnb")
 

@@ -246,6 +246,14 @@ class TestEvaluatePlan:
         with pytest.raises(ValueError, match="out of range"):
             evaluate_plan(inst, (2,))
 
+    @pytest.mark.parametrize("step", [0.0, 0.5, "0", True, None])
+    def test_non_integer_step_rejected(self, step):
+        inst = identity_instance(K=1, N=2)
+        for check in (evaluate_plan, trajectory):
+            message = rf"plan step 1: matrix index must be an int, got {step!r}"
+            with pytest.raises(ValueError, match=message):
+                check(inst, (0, step))
+
     def test_value_in_unit_interval_and_consistent_with_trajectory(self):
         rng = Random(555)
         for _ in range(40):

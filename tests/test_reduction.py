@@ -299,6 +299,15 @@ class TestPlans:
         assert not is_canonical_plan(art, (0, 0, 1))
         assert not is_canonical_plan(art, (1, 2, 0))
 
+    @pytest.mark.parametrize("step", [2.0, "2", True, 9])
+    def test_plan_step_that_is_no_matrix_index_rejected(self, step):
+        art = encode_reduction(single_clause_formula())
+        plan = satisfying_plan(art, (1, 1, 1))
+        bad = (plan[0], step, plan[2])
+        for check in (is_canonical_plan, decode_assignment):
+            with pytest.raises(ValueError, match="plan step 1: matrix index"):
+                check(art, bad)
+
 
 class TestSatBruteforce:
     def test_single_clause_lex_first_witness(self):

@@ -372,9 +372,44 @@ PINNED_DECISIONS = [
 ]
 
 
+# Exact bnb answers where memo prunes fire: 0/1 maps from
+# deterministic_instance(Random(seed), d, K, N) with the start spread evenly
+# over all d states (the N = 2, 3, 4 ones prune off the memo at every depth
+# below the root, N = 1 never checks it), and planted reductions, which
+# prune off it two and three steps from the leaves.
+PINNED_MEMO_SOLVES = [
+    # (kind, (seed, d, K, N) or (n, m, seed), value, plan, nodes_explored, nodes_pruned)
+    ("spread", (3, 6, 3, 1), Fraction(1, 6), (1,), 2, 1),
+    ("spread", (61, 4, 3, 2), Fraction(1, 4), (0, 1), 5, 5),
+    ("spread", (82, 4, 3, 2), Fraction(1, 2), (0, 1), 4, 3),
+    ("spread", (173, 6, 3, 3), Fraction(1, 3), (0, 2, 2), 10, 10),
+    ("spread", (742, 6, 3, 3), Fraction(1, 2), (2, 1, 0), 8, 9),
+    ("spread", (377, 6, 4, 4), Fraction(5, 6), (2, 1, 2, 0), 55, 135),
+    ("spread", (484, 6, 4, 4), Fraction(2, 3), (1, 0, 3, 2), 28, 52),
+    ("spread", (38, 10, 4, 7), Fraction(9, 10), (0, 3, 1, 3, 2, 2, 3), 996, 2678),
+    ("spread", (331, 12, 3, 8), Fraction(11, 12), (0, 2, 1, 2, 1, 2, 0, 1), 226, 411),
+    ("planted", (4, 4, 2), Fraction(1), (0, 2, 9, 20, 26, 1), 34, 748),
+    ("planted", (4, 5, 0), Fraction(1), (0, 2, 9, 16, 23, 30, 1), 188, 4169),
+    ("planted", (5, 4, 3), Fraction(1), (0, 2, 10, 17, 23, 1), 37, 805),
+    ("planted", (5, 5, 2), Fraction(1), (0, 2, 10, 19, 26, 35, 1), 203, 4633),
+]
+
+
 def pinned_instance(seed):
     d, K, N, mode = PINNED_INSTANCES[seed]
     return random_instance(Random(seed), d, K, N, mode=mode)
+
+
+def memo_instance(kind, args):
+    if kind == "planted":
+        n, m, seed = args
+        return encode_reduction(planted_formula(Random(seed), n, m)[1]).instance
+    seed, d, K, N = args
+    maps = deterministic_instance(Random(seed), d, K, N)
+    spread = Distribution(tuple(Fraction(1, d) for _ in range(d)))
+    return Instance(
+        matrices=maps.matrices, N=N, start=spread, target=maps.target, numeric_mode="exact"
+    )
 
 
 class TestPinnedAnswers:
@@ -386,6 +421,13 @@ class TestPinnedAnswers:
         else:
             result = beam_search(inst, width=int(method[len("beam"):]))
         assert type(result.value) is type(value)
+        assert (result.value, result.plan) == (value, plan)
+        assert (result.nodes_explored, result.nodes_pruned) == (explored, pruned)
+
+    @pytest.mark.parametrize("kind,args,value,plan,explored,pruned", PINNED_MEMO_SOLVES)
+    def test_exact_bnb_with_memo_prunes(self, kind, args, value, plan, explored, pruned):
+        result = branch_and_bound_solve(memo_instance(kind, args))
+        assert type(result.value) is Fraction
         assert (result.value, result.plan) == (value, plan)
         assert (result.nodes_explored, result.nodes_pruned) == (explored, pruned)
 
@@ -928,10 +970,37 @@ def apply_reference(inst, weights, k):
     return tuple(out)
 
 
+def halves_instance(rng, d, K, N):
+    """Exact entries and start weights in {0, 1/2, 1}, so L = 2, with an
+    absorbing target: the target is certain at every level."""
+    half = Fraction(1, 2)
+    matrices = []
+    for _ in range(K):
+        rows = []
+        for i in range(d):
+            row = [Fraction(0)] * d
+            for j in (i, i) if i == d - 1 else (rng.randrange(d), rng.randrange(d)):
+                row[j] += half
+            rows.append(tuple(row))
+        matrices.append(StochasticMatrix(tuple(rows)))
+    start = Distribution((half, half) + (Fraction(0),) * (d - 2))
+    return Instance(
+        matrices=tuple(matrices), N=N, start=start, target=d - 1, numeric_mode="exact"
+    )
+
+
 class TestChildCaps:
     """The exact backend packs the K lookahead entries of a state into one
     integer and reads all K child bounds off one big-integer dot product;
     its apply touches only the rows a matrix moves."""
+
+    @staticmethod
+    def word_boundary_instances():
+        # L = 2 and N = 32: full[r] = 2^(N + 1 + r) takes one 64-bit word
+        # at r = 30 and one bit more at r = 31
+        rng = Random(79)
+        yield halves_instance(rng, 4, 3, 32)
+        yield halves_instance(rng, 5, 2, 32)
 
     @staticmethod
     def instances():
@@ -949,6 +1018,7 @@ class TestChildCaps:
                 numeric_mode="exact",
             )
         yield deterministic_instance(Random(78), 5, 3, 4)  # 0/1 entries: L = 1
+        yield from TestChildCaps.word_boundary_instances()
 
     def test_caps_and_apply_on_reachable_populations(self):
         rng = Random(2024)
@@ -969,6 +1039,29 @@ class TestChildCaps:
                     assert child == apply_reference(inst, weights, k)
                     assert sum(child) == D
                     weights = child
+
+    def test_fields_one_word_wide_then_two_at_the_word_boundary(self):
+        rng = Random(2026)
+        for inst in self.word_boundary_instances():
+            view = solvers._view(inst, *solvers._sparse_rows(inst))
+            assert view.base == 2
+            assert [view.full[r].bit_length() for r in (30, 31)] == [64, 65]
+            assert [view.fields[r][0].stop for r in (30, 31)] == [8, 9]
+            reference = caps_reference(inst)
+            D = view.full[0]
+            for r in (30, 31):
+                # the whole mass on the target fills the top bit at r = 30
+                on_target = tuple(D * (i == inst.target) for i in range(inst.d))
+                assert view.caps(on_target, r) == [view.full[r]] * inst.K
+                for _ in range(20):
+                    weights = view.start
+                    for _ in range(inst.N - r):
+                        weights = view.apply(weights, rng.randrange(inst.K))
+                    expected = [
+                        sum(w * qk[i] for i, w in enumerate(weights) if w) * view.full[r] / D
+                        for qk in reference[r]
+                    ]
+                    assert view.caps(weights, r) == expected
 
     def test_fully_certain_child_gets_the_full_mass(self):
         rng = Random(2025)
@@ -1001,6 +1094,7 @@ class TestChildCaps:
             StochasticMatrix((unit, shared, (F(0), F(0), F(1)))),
             StochasticMatrix((shared, (F(1, 2), F(1, 2), F(0)), loop)),
             StochasticMatrix.identity(3),
+            StochasticMatrix(((F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(0), F(0), F(1)))),
         )
         assert matrices[0].rows[1] is matrices[1].rows[0]
         inst = Instance(
@@ -1009,8 +1103,11 @@ class TestChildCaps:
         )
         view = solvers._view(inst, *solvers._sparse_rows(inst))
         assert view.base == 6
-        # only moved rows are walked: matrix 0 moves row 1, the identity none
-        assert [[i for i, _ in moved] for moved in view.moved] == [[1], [0, 1, 2], []]
+        # only moved rows are walked: matrix 0 moves row 1, the identity
+        # none; matrix 3 moves rows 0 and 1 whole, to states 1 and 2
+        assert [
+            (whole, [i for i, _ in split]) for whole, split in view.moved
+        ] == [([], [1]), ([], [0, 1, 2]), ([], []), ([(0, 1), (1, 2)], [])]
         rng = Random(5)
         for _ in range(20):
             weights = view.start
