@@ -38,7 +38,12 @@ every matrix's lookahead entries are read off those sums.
   weights unscaled and sums each child bound separately, so float
   arithmetic and its summation order are those of the plain problem.
   Float populations practically never repeat exactly, so searches keep no
-  memo over it.
+  memo over it.  It applies each matrix through a kernel generated for it,
+  straight-line code over the matrix's nonzero entries that adds the same
+  products in the same order as a loop over the rows would, so its results
+  are bit-identical to that loop's.  The kernels are compiled the first
+  time a search applies a matrix, once per call, in time linear in the
+  nonzeros.
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
@@ -182,6 +187,47 @@ def _tables(rows, index, d: int, N: int, target: int):
     return levels, lookahead, sums
 
 
+# Terms per generated statement.  CPython compiles a chain of additions by
+# recursing once per term, which overflows at a few thousand terms, so a
+# kernel sums a long column in statements of at most this many terms.
+_KERNEL_TERMS = 200
+
+
+def _float_kernel(rows):
+    """A function taking a float population to its image under one matrix,
+    given the matrix's sparse ``(column, entry)`` rows in row order.
+
+    Its straight-line source computes each output o_j = 0.0 + w_i1*c_1 +
+    w_i2*c_2 + ... over column j's nonzero entries, in ascending row order:
+    the products and the order of a loop that adds each weight's products
+    into ``[0.0] * d``, so the results are the same bit for bit.  The loop
+    skips zero weights; here a zero weight only adds a product of +-0.0 to
+    a sum that starts at +0.0 and stays nonnegative, which changes no bit.
+    A column is summed in statements of at most ``_KERNEL_TERMS`` terms,
+    each starting from the last one's total, so the additions keep their
+    order and no expression grows with the column.  The source holds only
+    integers and the ``repr`` of the entries, which the instance check has
+    found finite, and runs without builtins; compiling it takes time linear
+    in the nonzeros.
+    """
+    d = len(rows)
+    columns: List[List[str]] = [[] for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            # the float's own repr, whatever a subclass of float overrides
+            columns[j].append(f"w{i}*{float.__repr__(c)}")
+    lines = ["def kernel(w):", f" {''.join(f'w{i},' for i in range(d))} = w"]
+    for j, terms in enumerate(columns):
+        total = "0.0"
+        for s in range(0, len(terms) or 1, _KERNEL_TERMS):
+            lines.append(f" o{j} = {' + '.join([total, *terms[s : s + _KERNEL_TERMS]])}")
+            total = f"o{j}"
+    lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace.pop("kernel")  # the kernel's globals must not hold it
+
+
 def mdp_value_table(inst: Instance) -> ValueTable:
     """Solve the relaxed per-individual problem by backward induction.
 
@@ -203,6 +249,14 @@ class _FloatView:
     problem.  Searches keep no memo over float populations: on dense random
     instances they practically never repeat exactly, so a memo costs a key
     per node and prunes nothing.
+
+    ``apply`` runs one generated kernel per matrix (:func:`_float_kernel`),
+    a function with one straight-line sum per output state, which replaces
+    a Python double loop over the nonzero entries.  The kernels are built
+    the first time ``apply`` runs, so callers that never apply a matrix
+    compile nothing: :func:`mdp_value_table`, and enum, bnb and decide at
+    N <= 1, which read every child off ``caps``.  A kernel references no
+    view, so dropping the view frees it without a cycle collection.
     """
 
     base = 1
@@ -211,18 +265,17 @@ class _FloatView:
 
     def __init__(self, inst: Instance, rows, index):
         self.start = inst.start.weights
-        self.rows = [tuple(map(rows.__getitem__, places)) for places in index]
+        self._rows, self._index = rows, index
         self.U, self.lookahead, _ = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
 
+    @cached_property
+    def kernels(self):
+        """Per matrix, the kernel that applies it."""
+        return [_float_kernel(list(map(self._rows.__getitem__, places))) for places in self._index]
+
     def apply(self, weights, k: int):
-        rows = self.rows[k]
-        out = [0.0] * len(weights)
-        for i, w in enumerate(weights):
-            if w:
-                for j, c in rows[i]:
-                    out[j] = out[j] + w * c
-        return tuple(out)
+        return self.kernels[k](weights)
 
     def caps(self, weights, r: int) -> list:
         return [sum(map(mul, weights, q)) for q in self.lookahead[r]]

@@ -484,6 +484,8 @@ class TestSearchStateLifetime:
             assert gc.collect() == 0
             decide_threshold(inst, 1)
             assert gc.collect() == 0
+            beam_search(inst, 4)  # applies matrices on float instances too
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -1213,3 +1215,107 @@ class TestDistinctRowTables:
         with pytest.raises(ValueError) as err:
             SOLVERS[solver](inst)
         assert str(err.value) == message
+
+
+def float_apply_reference(rows, weights):
+    """A float population moved through a matrix's sparse ``(column,
+    entry)`` rows by a plain loop, the reference the generated kernels
+    match bit for bit: each nonzero weight adds its products, in row
+    order, into ``[0.0] * d``."""
+    out = [0.0] * len(weights)
+    for i, w in enumerate(weights):
+        if w:
+            for j, c in rows[i]:
+                out[j] = out[j] + w * c
+    return tuple(out)
+
+
+def sparse_float_matrix(rng, d):
+    """Rows with between one and d nonzero entries, at random columns."""
+    rows = []
+    for _ in range(d):
+        columns = rng.sample(range(d), rng.randint(1, d))
+        raw = [rng.random() + 1e-3 for _ in columns]
+        row = [0.0] * d
+        for j, x in zip(columns, raw):
+            row[j] = x / sum(raw)
+        rows.append(tuple(row))
+    return StochasticMatrix(tuple(rows))
+
+
+def population_with_zeros(rng, d):
+    """Random weights, about a third of them replaced by 0.0 or -0.0."""
+    return tuple(
+        rng.choice((0.0, -0.0)) if rng.random() < 1 / 3 else rng.random() for _ in range(d)
+    )
+
+
+class TestFloatKernels:
+    """The float backend applies each matrix through a generated kernel;
+    its results are those of the loop it replaced, bit for bit."""
+
+    @staticmethod
+    def instances():
+        rng = Random(7100)
+        for d in (1, 2, 3, 5, 8, 13):
+            for sparse in (False, True):
+                make = sparse_float_matrix if sparse else random_float_matrix
+                matrices = tuple(make(rng, d) for _ in range(3))
+                yield rng, Instance(
+                    matrices=matrices, N=3, start=random_float_distribution(rng, d),
+                    target=rng.randrange(d), numeric_mode="float",
+                )
+
+    def test_apply_is_bit_identical_to_the_loop(self):
+        for rng, inst in self.instances():
+            rows, index = solvers._sparse_rows(inst)
+            view = solvers._view(inst, rows, index)
+            for k, places in enumerate(index):
+                matrix_rows = [rows[p] for p in places]
+                populations = [inst.start.weights, (0.0,) * inst.d, (-0.0,) * inst.d]
+                populations += [population_with_zeros(rng, inst.d) for _ in range(20)]
+                for weights in populations:
+                    for _ in range(3):  # and the populations those reach
+                        got = view.apply(weights, k)
+                        expected = float_apply_reference(matrix_rows, weights)
+                        assert list(map(repr, got)) == list(map(repr, expected))
+                        weights = got
+
+    def test_long_column_is_summed_in_order(self):
+        # every row sends half its mass to state 0: a column of 3,001
+        # nonzeros, which a single chain of additions could not compile
+        d = 3001
+        rows = [((0, 1.0),)] + [((0, 0.5), (i, 0.5)) for i in range(1, d)]
+        kernel = solvers._float_kernel(rows)
+        rng = Random(7101)
+        for _ in range(3):
+            weights = population_with_zeros(rng, d)
+            expected = float_apply_reference(rows, weights)
+            assert list(map(repr, kernel(weights))) == list(map(repr, expected))
+
+    def test_empty_column_is_zero(self):
+        rows = [((0, 1.0),), ((0, 0.25), (2, 0.75)), ((0, 1.0),)]
+        got = solvers._float_kernel(rows)((0.5, -0.0, 0.5))
+        assert list(map(repr, got)) == ["1.0", "0.0", "0.0"]
+
+    def test_kernel_runs_without_builtins(self):
+        kernel = solvers._float_kernel([((1, 1.0),), ((0, 1.0),)])
+        assert kernel.__globals__ == {"__builtins__": {}}
+
+    def test_built_only_when_a_search_applies_a_matrix(self, monkeypatch):
+        built = []
+        make = solvers._float_kernel
+
+        def counting(rows):
+            built.append(len(rows))
+            return make(rows)
+
+        monkeypatch.setattr(solvers, "_float_kernel", counting)
+        inst = random_instance(Random(7102), 4, 3, 1, mode="float")
+        mdp_value_table(inst)
+        enumerate_solve(inst)
+        branch_and_bound_solve(inst)
+        decide_threshold(inst, 0.0)
+        assert built == []
+        enumerate_solve(random_instance(Random(7103), 4, 3, 2, mode="float"))
+        assert built == [4, 4, 4]  # once per matrix, for the whole search
