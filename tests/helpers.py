@@ -10,6 +10,7 @@ import io
 import json
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from random import Random
 
 from timemachine import (
@@ -18,6 +19,8 @@ from timemachine import (
     Distribution,
     Instance,
     StochasticMatrix,
+    apply,
+    mdp_value_table,
     write_instance,
 )
 from timemachine.instance_io import format_scalar
@@ -52,6 +55,46 @@ def chain_value_oracle(inst, plan):
         product_matrix = matmul(product_matrix, [list(r) for r in inst.matrices[k].rows])
     start = inst.start.weights
     return sum(start[i] * product_matrix[i][inst.target] for i in range(d))
+
+
+def beam_reference(inst, width):
+    """Beam search that applies every child before scoring it.
+
+    Each level applies all K children of every kept prefix, scores a child
+    by the dot product of its population with the relaxed value level
+    below it, keeps the ``width`` best (ties to the lexicographically
+    smaller prefix) and counts the rest as dropped; the answer is the best
+    leaf kept.  Populations move through ``core.apply``, which adds the
+    same products in the same order as the float search backend, so float
+    results are comparable bit for bit.  Returns ``(value, plan,
+    nodes_explored, nodes_pruned)``.
+    """
+    N = inst.N
+    values = mdp_value_table(inst).values
+    beam = [(inst.start, ())]
+    explored = dropped = 0
+    for t in range(N):
+        level = values[N - t - 1]
+        candidates = []
+        for population, prefix in beam:
+            for k, matrix in enumerate(inst.matrices):
+                explored += 1
+                child = apply(population, matrix)
+                score = sum(map(mul, child.weights, level))
+                candidates.append((score, prefix + (k,), child))
+        candidates.sort(key=lambda c: c[1])
+        candidates.sort(key=lambda c: c[0], reverse=True)
+        if len(candidates) > width:
+            dropped += len(candidates) - width
+            candidates = candidates[:width]
+        beam = [(child, prefix) for _, prefix, child in candidates]
+
+    best_value = best_plan = None
+    for population, prefix in beam:
+        value = population.weights[inst.target]
+        if best_value is None or value > best_value or (value == best_value and prefix < best_plan):
+            best_value, best_plan = value, prefix
+    return best_value, best_plan, explored, dropped
 
 
 def raw_clause_satisfied(raw_clause, assignment):

@@ -35,6 +35,7 @@ from timemachine.reduction import (
 
 from helpers import (
     all_patterns_formula,
+    beam_reference,
     matrix_power,
     planted_formula,
     random_exact_distribution,
@@ -246,6 +247,36 @@ class TestBeamSearch:
     def test_width_must_be_an_integer(self, width):
         with pytest.raises(ValueError, match="width"):
             beam_search(identity_instance(), width=width)
+
+    @staticmethod
+    def answers(inst):
+        """Per width 1, 2, K and K^N: the search's answer and the one of
+        ``helpers.beam_reference``."""
+        for width in sorted({1, 2, inst.K, inst.K**inst.N}):
+            result = beam_search(inst, width)
+            got = (result.value, result.plan, result.nodes_explored, result.nodes_pruned)
+            yield got, beam_reference(inst, width)
+
+    def test_exact_answers_match_the_reference(self):
+        rng = Random(4040)
+        for N in range(6):
+            for _ in range(12):
+                d, K = rng.randint(1, 4), rng.randint(1, 3)
+                for inst in (
+                    random_instance(rng, d, K, N, mode="exact"),
+                    deterministic_instance(rng, d, K, N),
+                ):
+                    for got, expected in self.answers(inst):
+                        assert got == expected
+
+    def test_float_answers_match_the_reference_bit_for_bit(self):
+        rng = Random(4041)
+        for N in range(6):
+            for _ in range(12):
+                d, K = rng.randint(1, 5), rng.randint(1, 3)
+                inst = random_instance(rng, d, K, N, mode="float")
+                for (value, *rest), (ref_value, *ref_rest) in self.answers(inst):
+                    assert (repr(value), rest) == (repr(ref_value), ref_rest)
 
 
 class TestDecideThreshold:
