@@ -304,13 +304,7 @@ def evaluate_plan(inst: Instance, plan: Sequence[int]) -> Scalar:
 
     The empty plan (N = 0) is legal and evaluates to ``start[target]``.
     """
-    plan = _check_plan_indices(inst, plan)
-    if len(plan) != inst.N:
-        raise ValueError(f"plan has {len(plan)} steps, instance horizon is {inst.N}")
-    v = inst.start
-    for k in plan:
-        v = apply(v, inst.matrices[k])
-    return v.weights[inst.target]
+    return _plan_states(inst, plan, full=True)[-1].weights[inst.target]
 
 
 def trajectory(inst: Instance, plan: Sequence[int]) -> List[Distribution]:
@@ -320,7 +314,15 @@ def trajectory(inst: Instance, plan: Sequence[int]) -> List[Distribution]:
     matrix chosen at step ``t``.  For a full-length plan the last element's
     target coordinate equals :func:`evaluate_plan`.
     """
+    return _plan_states(inst, plan, full=False)
+
+
+def _plan_states(inst: Instance, plan: Sequence[int], full: bool) -> List[Distribution]:
+    """The states a plan visits, start state first, after checking that the
+    plan has exactly N steps if ``full``, else at most N."""
     plan = _check_plan_indices(inst, plan)
+    if full and len(plan) != inst.N:
+        raise ValueError(f"plan has {len(plan)} steps, instance horizon is {inst.N}")
     if len(plan) > inst.N:
         raise ValueError(f"plan has {len(plan)} steps, longer than horizon {inst.N}")
     points = [inst.start]

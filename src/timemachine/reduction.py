@@ -41,8 +41,8 @@ from .core import (
     Plan,
     StochasticMatrix,
     _check_plan_indices,
+    _plan_states,
     evaluate_plan,
-    trajectory,
 )
 from .solvers import BudgetExceededError, decide_threshold
 
@@ -365,10 +365,11 @@ def decode_assignment(artifact: ReductionArtifact, plan: Sequence[int]) -> Assig
     missing or ambiguous (impossible for a well-formed artifact).
     """
     inst = artifact.instance
-    value = evaluate_plan(inst, plan)
+    states = _plan_states(inst, plan, full=True)
+    value = states[-1].weights[inst.target]
     if value != 1:
         raise ValueError(f"plan value is {value}, not 1; nothing to decode")
-    penultimate = trajectory(inst, tuple(plan)[:-1])[-1].weights
+    penultimate = states[-2:][0].weights  # the start state for an empty plan
     signs: List[Sign] = []
     for i in range(artifact.num_vars):
         on_plus = penultimate[artifact.state_table[f"x{i}+"]] > 0

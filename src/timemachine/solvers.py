@@ -26,7 +26,7 @@ below), the total mass ``full[r]`` at each level's scale, ``memoize``,
 ``commuting_below``, ``divide`` and ``to_value``.  ``caps`` returns the K
 child bounds of a node with ``r`` steps left, sum_i w_i Q[r][k][i] at level
 r's scale, where Q[r][k][i] is state i's value one step through matrix k;
-enum, bnb and decide read child bounds only through it.  The two value
+all four searches read child bounds only through it.  The two value
 backends hold the matrices as sparse ``(column, coefficient)`` rows,
 read off the instance check's own scan, and build their tables from them
 with :func:`_tables`, in their own numbers.  Matrices share row objects
@@ -254,8 +254,8 @@ class _FloatView:
     a function with one straight-line sum per output state, which replaces
     a Python double loop over the nonzero entries.  The kernels are built
     the first time ``apply`` runs, so callers that never apply a matrix
-    compile nothing: :func:`mdp_value_table`, and enum, bnb and decide at
-    N <= 1, which read every child off ``caps``.  A kernel references no
+    compile nothing: :func:`mdp_value_table`, and every search at N <= 1,
+    which reads every child off ``caps``.  A kernel references no
     view, so dropping the view frees it without a cycle collection.
     """
 
@@ -579,7 +579,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
     apply, caps = view.apply, view.caps
-    base, memoize, levels = view.base, view.memoize, view.U
+    base, memoize = view.base, view.memoize
     # level r's scale is level_scale[r - 1] times level 1's
     above_level_one = view.level_scale[:N]
 
@@ -593,7 +593,9 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     # seen, keyed on its live weights, its class and its gcd.
     classes: List[Dict[Optional[tuple], Optional[int]]] = [{} for _ in range(N + 1)]
     populations: List[Dict[tuple, tuple]] = [{} for _ in range(N + 1)]
-    live_weights = [_picker([i for i, u in enumerate(level) if u]) for level in levels]
+    live_weights = [None] * (N + 1)  # per level, what the memo keys on
+    if memoize:
+        live_weights = [_picker([i for i, u in enumerate(level) if u]) for level in view.U]
 
     def walk(weights, steps_left: int, prefix: Plan, key, scale, cached):
         """Explore a subtree; return a certified upper bound on its best
@@ -655,42 +657,34 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
     """Keep the ``width`` most promising plan prefixes per level, scored by
     the relaxation bound; ties go to the lexicographically smaller prefix.
 
-    Returns the best full plan kept.  Its value never exceeds the true
-    optimum, and a width of at least K^N makes the search exhaustive.
-    ``nodes_pruned`` counts prefixes dropped at beam truncation.
+    A level scores the K children of every kept prefix with one ``caps``
+    call and applies only those it keeps; a last-level bound is the leaf's
+    value, so the first leaf kept is the answer.  Its value never exceeds
+    the optimum, and a width of at least K^N makes the search exhaustive.
+    ``nodes_pruned`` counts prefixes dropped at beam truncation.  In float
+    mode a bound adds its products in another order than the applied child
+    would, so children tied to within rounding may be kept in another order.
     """
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"beam width must be an integer >= 1, got {width!r}")
-    K, N = inst.K, inst.N
-    target = inst.target
+    N = inst.N
     view = _view(inst, *_sparse_rows(inst))
+    if N == 0:
+        return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "beam")
+    apply, caps = view.apply, view.caps
 
     beam = [(view.start, ())]
-    explored = 0
-    dropped = 0
-    for t in range(N):
-        level = view.U[N - t - 1]
-        candidates = []
-        for weights, prefix in beam:
-            for k in range(K):
-                explored += 1
-                child = view.apply(weights, k)
-                score = sum(map(mul, child, level))
-                candidates.append((score, prefix + (k,), child))
-        candidates.sort(key=lambda c: c[1])
-        candidates.sort(key=lambda c: c[0], reverse=True)
-        if len(candidates) > width:
-            dropped += len(candidates) - width
-            candidates = candidates[:width]
-        beam = [(child, prefix) for _, prefix, child in candidates]
-
-    best_value = None
-    best_plan: Plan = ()
-    for weights, prefix in beam:
-        value = weights[target]
-        if best_value is None or value > best_value or (value == best_value and prefix < best_plan):
-            best_value, best_plan = value, prefix
-    return SolveResult(view.to_value(best_value), best_plan, explored, dropped, "beam")
+    explored = dropped = 0
+    for r in range(N, 0, -1):
+        children = [(cap, p + (k,), w) for w, p in beam for k, cap in enumerate(caps(w, r))]
+        children.sort(key=lambda c: (-c[0], c[1]))
+        explored += len(children)
+        dropped += max(len(children) - width, 0)
+        del children[width:]
+        if r > 1:
+            beam = [(apply(w, plan[-1]), plan) for _, plan, w in children]
+    value, plan, _ = children[0]
+    return SolveResult(view.to_value(value, 1), plan, explored, dropped, "beam")
 
 
 def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan]]:

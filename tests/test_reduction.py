@@ -22,6 +22,7 @@ from timemachine import (
     validate_instance,
     verify_roundtrip,
 )
+from timemachine import core
 from timemachine.solvers import BudgetExceededError
 
 from helpers import (
@@ -264,6 +265,22 @@ class TestPlans:
         assert evaluate_plan(art.instance, bad) < 1
         with pytest.raises(ValueError, match="not 1"):
             decode_assignment(art, bad)
+
+    @pytest.mark.parametrize("plan", [(0, 2), (0, 2, 1, 1)])
+    def test_decode_rejects_plans_of_another_length(self, plan):
+        art = encode_reduction(single_clause_formula())
+        message = rf"plan has {len(plan)} steps, instance horizon is 3"
+        with pytest.raises(ValueError, match=message):
+            decode_assignment(art, plan)
+
+    def test_decode_walks_the_plan_once(self, monkeypatch):
+        art = encode_reduction(single_clause_formula())
+        plan = satisfying_plan(art, (1, 1, 1))
+        applied = []
+        apply = core.apply
+        monkeypatch.setattr(core, "apply", lambda v, m: applied.append(m) or apply(v, m))
+        assert decode_assignment(art, plan) == (1, 1, 1)
+        assert len(applied) == len(plan)
 
     def test_decode_flags_corrupted_artifact(self):
         real = encode_reduction(single_clause_formula())

@@ -278,6 +278,53 @@ class TestBeamSearch:
                 for (value, *rest), (ref_value, *ref_rest) in self.answers(inst):
                     assert (repr(value), rest) == (repr(ref_value), ref_rest)
 
+    @pytest.mark.parametrize("view", [solvers._FloatView, solvers._IntegerView])
+    def test_applies_only_the_children_it_keeps(self, monkeypatch, view):
+        applies = {}  # per level (steps left), the applies after its caps calls
+        level = None
+        caps, apply = view.caps, view.apply
+
+        def counting_caps(self, weights, r):
+            nonlocal level
+            level = r
+            applies.setdefault(r, 0)
+            return caps(self, weights, r)
+
+        def counting_apply(self, weights, k):
+            applies[level] += 1
+            return apply(self, weights, k)
+
+        monkeypatch.setattr(view, "caps", counting_caps)
+        monkeypatch.setattr(view, "apply", counting_apply)
+        mode = "float" if view is solvers._FloatView else "exact"
+        rng = Random(4042)
+        K = 3
+        for N in range(6):
+            inst = random_instance(rng, 3, K, N, mode=mode)
+            for width in (1, 2, 4, K**N):
+                applies.clear()
+                beam_search(inst, width)
+                kept, expected = 1, {}
+                for r in range(N, 0, -1):
+                    kept = min(width, K * kept)
+                    expected[r] = kept if r > 1 else 0  # no leaf is applied
+                assert applies == expected
+
+    def test_float_searches_read_no_value_level(self, monkeypatch):
+        # every search reads child bounds off caps, and bnb builds its memo
+        # pickers off U only where it memoizes, which it never does on floats
+        init = solvers._FloatView.__init__
+
+        def without_levels(self, *args):
+            init(self, *args)
+            del self.U
+
+        monkeypatch.setattr(solvers._FloatView, "__init__", without_levels)
+        inst = pinned_instance(7)
+        assert enumerate_solve(inst).value == branch_and_bound_solve(inst).value
+        assert beam_search(inst, 4).plan == (0, 1, 0, 0, 1)
+        assert decide_threshold(inst, 0.21) == (True, (0, 0, 1, 1, 1))
+
 
 class TestDecideThreshold:
     def test_alpha_zero_first_plan_wins(self):
@@ -1347,6 +1394,7 @@ class TestFloatKernels:
         enumerate_solve(inst)
         branch_and_bound_solve(inst)
         decide_threshold(inst, 0.0)
+        beam_search(inst, 4)
         assert built == []
         enumerate_solve(random_instance(Random(7103), 4, 3, 2, mode="float"))
         assert built == [4, 4, 4]  # once per matrix, for the whole search
