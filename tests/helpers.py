@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's evaluation path: plan
 values are recomputed via full matrix-matrix chain products, satisfaction
 of raw literal clauses via a tiny truth-table evaluator, and matrix powers
-by naive multiplication.
+by naive multiplication.  The one exception is ``beam_reference``, which
+keeps the apply-then-score beam search through the public ``apply`` and
+``mdp_value_table``, so that float answers compare bit for bit.
 """
 
 import io
