@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import EXACT, evaluate_plan, trajectory
+from .core import EXACT, _plan_states
 from .instance_io import (
     InstanceFormatError,
     artifact_from_document,
@@ -195,12 +195,12 @@ def _cmd_simulate(args) -> int:
     doc = read_instance(args.instance)
     inst = doc.instance
     plan = read_plan(args.plan)
-    value = evaluate_plan(inst, plan)
+    points = _plan_states(inst, plan, full=True)  # one walk for the value and the trace
     if args.trace:
-        for t, point in enumerate(trajectory(inst, plan)):
+        for t, point in enumerate(points):
             row = " ".join(format_scalar(w, inst.numeric_mode) for w in point.weights)
             print(f"{t}: {row}")
-    print(format_scalar(value, inst.numeric_mode))
+    print(format_scalar(points[-1].weights[inst.target], inst.numeric_mode))
     return EXIT_OK
 
 

@@ -43,7 +43,8 @@ every matrix's lookahead entries are read off those sums.
   products in the same order as a loop over the rows would, so its results
   are bit-identical to that loop's.  The kernels are compiled the first
   time a search applies a matrix, once per call, in time linear in the
-  nonzeros.
+  nonzeros.  Its child bounds come from one dot-product kernel per
+  ``(d, K)`` shape, compiled once per process.
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
@@ -59,8 +60,10 @@ every matrix's lookahead entries are read off those sums.
 A leaf is never materialized: its value is its bound at r = 1, the sum of
 its parent's weights times Q[1][k], which at one step from the end is the
 leaf's target weight itself, scaled by ``base``.  In float mode the two
-sums have the same nonzero terms in the same order, so they agree bit for
-bit as long as ``sum()`` adds left to right (it does up to CPython 3.11).
+sums have the same nonzero terms in the same order, and the dot kernel fixes
+that order, so leaf values match :func:`~timemachine.core.evaluate_plan` bit
+for bit; above the kernel's size limit, they do as long as ``sum()`` adds
+left to right (it does up to CPython 3.11).
 A child whose occupied states all have relaxed value exactly 1 gets
 exactly the full mass as its bound, with no special case.
 
@@ -80,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import ceil, gcd, lcm
 from operator import floordiv, itemgetter, mul
@@ -191,6 +194,19 @@ def _tables(rows, index, d: int, N: int, target: int):
 # recursing once per term, which overflows at a few thousand terms, so a
 # kernel sums a long column in statements of at most this many terms.
 _KERNEL_TERMS = 200
+# d*K up to which float bounds use a kernel; it lost to sum() from 1,600 terms.
+_DOT_TERMS = 512
+
+
+def _sum_lines(name: str, zero: str, terms: List[str]) -> List[str]:
+    """Generated statements setting ``name`` to zero + terms[0] + terms[1] +
+    ..., left to right, at most ``_KERNEL_TERMS`` terms per statement, each
+    starting from the last one's total."""
+    lines, total = [], zero
+    for s in range(0, len(terms) or 1, _KERNEL_TERMS):
+        lines.append(f" {name} = {' + '.join([total, *terms[s : s + _KERNEL_TERMS]])}")
+        total = name
+    return lines
 
 
 def _float_kernel(rows):
@@ -218,14 +234,29 @@ def _float_kernel(rows):
             columns[j].append(f"w{i}*{float.__repr__(c)}")
     lines = ["def kernel(w):", f" {''.join(f'w{i},' for i in range(d))} = w"]
     for j, terms in enumerate(columns):
-        total = "0.0"
-        for s in range(0, len(terms) or 1, _KERNEL_TERMS):
-            lines.append(f" o{j} = {' + '.join([total, *terms[s : s + _KERNEL_TERMS]])}")
-            total = f"o{j}"
+        lines += _sum_lines(f"o{j}", "0.0", terms)
     lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
     namespace = {"__builtins__": {}}
     exec("\n".join(lines), namespace)
     return namespace.pop("kernel")  # the kernel's globals must not hold it
+
+
+@lru_cache(maxsize=128)
+def _dot_kernel(n: int, m: int):
+    """``kernel(w, Q)`` = ``[sum(map(mul, w, q)) for q in Q]`` for n weights
+    and m vectors of n entries, as straight-line code over locals: each sum
+    is 0 + w0*q_0 + w1*q_1 + ..., the int start, products and left-to-right
+    order of ``sum()`` up to CPython 3.11, in statements of at most
+    ``_KERNEL_TERMS`` terms.  It holds no constant but 0 and runs without
+    builtins, so one kernel per shape serves every caller."""
+    vectors = "".join("(" + "".join(f"q{k}_{i}," for i in range(n)) + ")," for k in range(m))
+    lines = ["def kernel(w, Q):", f" {''.join(f'w{i},' for i in range(n))} = w", f" {vectors} = Q"]
+    for k in range(m):
+        lines += _sum_lines(f"s{k}", "0", [f"w{i}*q{k}_{i}" for i in range(n)])
+    lines.append(f" return [{', '.join(f's{k}' for k in range(m))}]")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace.pop("kernel")
 
 
 def mdp_value_table(inst: Instance) -> ValueTable:
@@ -257,6 +288,10 @@ class _FloatView:
     compile nothing: :func:`mdp_value_table`, and every search at N <= 1,
     which reads every child off ``caps``.  A kernel references no
     view, so dropping the view frees it without a cycle collection.
+
+    ``caps`` calls the :func:`_dot_kernel` of the instance's shape, which
+    fixes the addition order, so leaf values match ``evaluate_plan`` bit for
+    bit; above ``_DOT_TERMS`` terms it sums with ``sum()``.
     """
 
     base = 1
@@ -268,6 +303,7 @@ class _FloatView:
         self._rows, self._index = rows, index
         self.U, self.lookahead, _ = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
+        self._dot = _dot_kernel(inst.d, inst.K) if inst.d * inst.K <= _DOT_TERMS else None
 
     @cached_property
     def kernels(self):
@@ -278,7 +314,9 @@ class _FloatView:
         return self.kernels[k](weights)
 
     def caps(self, weights, r: int) -> list:
-        return [sum(map(mul, weights, q)) for q in self.lookahead[r]]
+        if self._dot is None:
+            return [sum(map(mul, weights, q)) for q in self.lookahead[r]]
+        return self._dot(weights, self.lookahead[r])
 
     @staticmethod
     def divide(x, scale):

@@ -130,6 +130,20 @@ class TestSimulateAndDecode:
         assert len(lines) == 5  # N+1 trace lines plus the value
         assert lines[0].startswith("0:")
 
+    def test_simulate_trace_walks_the_plan_once(self, sat_instance, tmp_path, capsys, monkeypatch):
+        from timemachine import core
+
+        plan_path = tmp_path / "w.plan"
+        main(["decide", str(sat_instance), "--alpha", "1", "--out", str(plan_path)])
+        capsys.readouterr()
+        applied = []
+        apply = core.apply
+        monkeypatch.setattr(core, "apply", lambda v, m: applied.append(m) or apply(v, m))
+        assert main(["simulate", str(sat_instance), str(plan_path), "--trace"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(applied) == len(read_plan(str(plan_path))) == len(lines) - 2
+        assert lines[-1] == "1/1"
+
     def test_decode_prints_assignment(self, sat_instance, tmp_path, capsys):
         plan_path = tmp_path / "w.plan"
         main(["decide", str(sat_instance), "--alpha", "1", "--out", str(plan_path)])

@@ -4,6 +4,7 @@ from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 from math import nextafter
+from operator import mul
 from random import Random
 
 import pytest
@@ -599,8 +600,9 @@ class TestLastStepOffLookahead:
     # The searches read a leaf's value off its parent's lookahead sum instead
     # of applying the last matrix.  In float mode both are sums of the same
     # nonzero products in the same order, plus +0.0 terms, so they agree bit
-    # for bit only while sum() adds left to right: CPython 3.12 made float
-    # sum() compensated, and CI runs these tests on 3.10 and 3.11 alone.
+    # for bit: these shapes read their bounds through a dot kernel, which
+    # adds left to right whatever sum() does (CPython 3.12 made float sum()
+    # compensated, which only the fallback above _DOT_TERMS would feel).
     @pytest.mark.parametrize("N", [0, 1, 2, 5])
     def test_float_values_and_witnesses_equal_evaluate_plan(self, N):
         rng = Random(5150 + N)
@@ -1398,3 +1400,62 @@ class TestFloatKernels:
         assert built == []
         enumerate_solve(random_instance(Random(7103), 4, 3, 2, mode="float"))
         assert built == [4, 4, 4]  # once per matrix, for the whole search
+
+
+def dot_reference(weights, vectors):
+    """The child bounds as ``sum()`` adds them, one sum of products per
+    vector: the reference the dot kernels match bit for bit."""
+    return [sum(map(mul, weights, q)) for q in vectors]
+
+
+def wide_float(rng):
+    """0.0, -0.0, the smallest subnormal, 1.0, or a float of random
+    magnitude, so that a sum added in another order rounds differently."""
+    return rng.choice((0.0, -0.0, 5e-324, 1.0, rng.random(), rng.random() * 10 ** rng.randint(-9, 9)))
+
+
+class TestDotKernels:
+    """Float child bounds come from one generated dot-product kernel per
+    ``(d, K)`` shape, whose sums are those of ``sum()``, bit for bit."""
+
+    def test_sums_are_bit_identical_to_sum(self):
+        rng = Random(7200)
+        # one weight and one vector; a sum longer than one statement
+        for n, m in ((1, 1), (1, 4), (3, 1), (12, 4), (200, 2), (201, 3), (450, 1)):
+            kernel = solvers._dot_kernel(n, m)
+            populations = [(0.0,) * n, (-0.0,) * n, (5e-324,) * n, (1.0,) * n]
+            populations += [tuple(wide_float(rng) for _ in range(n)) for _ in range(30)]
+            for weights in populations:
+                vectors = [tuple(wide_float(rng) for _ in range(n)) for _ in range(m)]
+                got = kernel(weights, vectors)
+                assert list(map(float.hex, got)) == list(map(float.hex, dot_reference(weights, vectors)))
+
+    def test_kernel_holds_no_constant_and_runs_without_builtins(self):
+        kernel = solvers._dot_kernel(4, 3)
+        assert kernel.__globals__ == {"__builtins__": {}}
+        assert [c for c in kernel.__code__.co_consts if c is not None] == [0]
+        assert kernel((0.5, 0.5, 0, 0), [(1, 0, 0, 0), (0, 1, 1, 1), (0, 0, 0, 0)]) == [0.5, 0.5, 0]
+
+    @pytest.mark.parametrize("d, K, through_kernel", [(128, 4, True), (129, 4, False), (13, 40, False)])
+    def test_caps_either_side_of_the_size_limit(self, d, K, through_kernel):
+        rng = Random(7201)
+        inst = Instance(
+            matrices=tuple(sparse_float_matrix(rng, d) for _ in range(K)), N=2,
+            start=random_float_distribution(rng, d), target=rng.randrange(d),
+            numeric_mode="float",
+        )
+        view = solvers._view(inst, *solvers._sparse_rows(inst))
+        assert (view._dot is not None) == through_kernel == (d * K <= solvers._DOT_TERMS)
+        for weights in [inst.start.weights] + [population_with_zeros(rng, d) for _ in range(5)]:
+            for r in (1, 2):
+                got = view.caps(weights, r)
+                assert list(map(float.hex, got)) == list(map(float.hex, dot_reference(weights, view.lookahead[r])))
+
+    def test_compiled_once_per_shape(self):
+        solvers._dot_kernel.cache_clear()
+        for seed in (7202, 7203):
+            inst = random_instance(Random(seed), 5, 3, 3, mode="float")
+            branch_and_bound_solve(inst)
+            assert solvers._dot_kernel.cache_info().misses == 1
+        enumerate_solve(random_instance(Random(7204), 6, 3, 3, mode="float"))
+        assert solvers._dot_kernel.cache_info().misses == 2
