@@ -62,8 +62,7 @@ its parent's weights times Q[1][k], which at one step from the end is the
 leaf's target weight itself, scaled by ``base``.  In float mode the two
 sums have the same nonzero terms in the same order, and the dot kernel fixes
 that order, so leaf values match :func:`~timemachine.core.evaluate_plan` bit
-for bit; above the kernel's size limit, they do as long as ``sum()`` adds
-left to right (it does up to CPython 3.11).
+for bit on any CPython.
 A child whose occupied states all have relaxed value exactly 1 gets
 exactly the full mass as its bound, with no special case.
 
@@ -194,8 +193,6 @@ def _tables(rows, index, d: int, N: int, target: int):
 # recursing once per term, which overflows at a few thousand terms, so a
 # kernel sums a long column in statements of at most this many terms.
 _KERNEL_TERMS = 200
-# d*K up to which float bounds use a kernel; it lost to sum() from 1,600 terms.
-_DOT_TERMS = 512
 
 
 def _sum_lines(name: str, zero: str, terms: List[str]) -> List[str]:
@@ -289,9 +286,9 @@ class _FloatView:
     which reads every child off ``caps``.  A kernel references no
     view, so dropping the view frees it without a cycle collection.
 
-    ``caps`` calls the :func:`_dot_kernel` of the instance's shape, which
-    fixes the addition order, so leaf values match ``evaluate_plan`` bit for
-    bit; above ``_DOT_TERMS`` terms it sums with ``sum()``.
+    ``caps`` calls the :func:`_dot_kernel` of the instance's shape, taken
+    the first time it runs and shared by every view of that shape.  It fixes
+    the addition order, so leaf values match ``evaluate_plan`` bit for bit.
     """
 
     base = 1
@@ -303,7 +300,6 @@ class _FloatView:
         self._rows, self._index = rows, index
         self.U, self.lookahead, _ = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
-        self._dot = _dot_kernel(inst.d, inst.K) if inst.d * inst.K <= _DOT_TERMS else None
 
     @cached_property
     def kernels(self):
@@ -313,9 +309,11 @@ class _FloatView:
     def apply(self, weights, k: int):
         return self.kernels[k](weights)
 
+    @cached_property
+    def _dot(self):
+        return _dot_kernel(len(self.start), len(self._index))
+
     def caps(self, weights, r: int) -> list:
-        if self._dot is None:
-            return [sum(map(mul, weights, q)) for q in self.lookahead[r]]
         return self._dot(weights, self.lookahead[r])
 
     @staticmethod

@@ -600,9 +600,8 @@ class TestLastStepOffLookahead:
     # The searches read a leaf's value off its parent's lookahead sum instead
     # of applying the last matrix.  In float mode both are sums of the same
     # nonzero products in the same order, plus +0.0 terms, so they agree bit
-    # for bit: these shapes read their bounds through a dot kernel, which
-    # adds left to right whatever sum() does (CPython 3.12 made float sum()
-    # compensated, which only the fallback above _DOT_TERMS would feel).
+    # for bit: the bounds come from a dot kernel, which adds left to right
+    # whatever sum() does (CPython 3.12 made float sum() compensated).
     @pytest.mark.parametrize("N", [0, 1, 2, 5])
     def test_float_values_and_witnesses_equal_evaluate_plan(self, N):
         rng = Random(5150 + N)
@@ -1436,8 +1435,8 @@ class TestDotKernels:
         assert [c for c in kernel.__code__.co_consts if c is not None] == [0]
         assert kernel((0.5, 0.5, 0, 0), [(1, 0, 0, 0), (0, 1, 1, 1), (0, 0, 0, 0)]) == [0.5, 0.5, 0]
 
-    @pytest.mark.parametrize("d, K, through_kernel", [(128, 4, True), (129, 4, False), (13, 40, False)])
-    def test_caps_either_side_of_the_size_limit(self, d, K, through_kernel):
+    @pytest.mark.parametrize("d, K", [(5, 3), (128, 4), (129, 4), (13, 40)])
+    def test_caps_equal_sum_at_every_size(self, d, K):
         rng = Random(7201)
         inst = Instance(
             matrices=tuple(sparse_float_matrix(rng, d) for _ in range(K)), N=2,
@@ -1445,7 +1444,6 @@ class TestDotKernels:
             numeric_mode="float",
         )
         view = solvers._view(inst, *solvers._sparse_rows(inst))
-        assert (view._dot is not None) == through_kernel == (d * K <= solvers._DOT_TERMS)
         for weights in [inst.start.weights] + [population_with_zeros(rng, d) for _ in range(5)]:
             for r in (1, 2):
                 got = view.caps(weights, r)
@@ -1459,3 +1457,14 @@ class TestDotKernels:
             assert solvers._dot_kernel.cache_info().misses == 1
         enumerate_solve(random_instance(Random(7204), 6, 3, 3, mode="float"))
         assert solvers._dot_kernel.cache_info().misses == 2
+
+    def test_callers_that_read_no_bound_compile_none(self):
+        solvers._dot_kernel.cache_clear()
+        inst = random_instance(Random(7205), 7, 3, 3, mode="float")
+        mdp_value_table(inst)
+        branch_and_bound_solve(Instance(
+            matrices=inst.matrices, N=0, start=inst.start, target=inst.target, numeric_mode="float",
+        ))
+        assert solvers._dot_kernel.cache_info().misses == 0
+        branch_and_bound_solve(inst)
+        assert solvers._dot_kernel.cache_info().misses == 1
