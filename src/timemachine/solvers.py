@@ -18,12 +18,12 @@ Four entry points, all pure functions of an :class:`~timemachine.core.Instance`:
 :func:`decide_threshold` answers the decision variant (is there a plan with
 value >= alpha?) with early exit on the first witness found.
 
-Every search runs on a numeric backend built once per call, and is written
-once against the interface the backends share: ``start``,
-``apply(weights, k)``, ``caps(weights, r)``, value levels ``U[r]`` (scaled
-by ``level_scale[r]``, one level ``base`` times the scale of the level
-below), the total mass ``full[r]`` at each level's scale, ``memoize``,
-``commuting_below``, ``divide`` and ``to_value``.  ``caps`` returns the K
+Every search runs on a numeric backend, and is written once against the
+interface the backends share: ``start``, ``apply(weights, k)``,
+``caps(weights, r)``, value levels ``U[r]`` (scaled by ``level_scale[r]``,
+one level ``base`` times the scale of the level below), the total mass
+``full[r]`` at each level's scale, ``memoize``, ``commuting_below``,
+``divide`` and ``to_value``.  ``caps`` returns the K
 child bounds of a node with ``r`` steps left, sum_i w_i Q[r][k][i] at level
 r's scale, where Q[r][k][i] is state i's value one step through matrix k;
 all four searches read child bounds only through it.  The two value
@@ -34,6 +34,15 @@ with :func:`_tables`, in their own numbers.  Matrices share row objects
 row object is checked and converted once and summed once per level, and
 every matrix's lookahead entries are read off those sums.
 
+The instance check and each backend are built once per instance object,
+not once per call: one module-level slot holds a weak reference to the
+last instance a solver prepared, with its check and the backends built
+for it so far, and the calls that follow on the same object reuse them.
+Backends are read-only once built and their lazy parts deterministic, so
+answers and node counts do not depend on what the slot held before.  The
+slot keeps nothing alive: a backend, however big, lives until its
+instance dies or another instance is prepared.
+
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
   weights unscaled and sums each child bound separately, so float
   arithmetic and its summation order are those of the plain problem.
@@ -42,8 +51,8 @@ every matrix's lookahead entries are read off those sums.
   straight-line code over the matrix's nonzero entries that adds the same
   products in the same order as a loop over the rows would, so its results
   are bit-identical to that loop's.  The kernels are compiled the first
-  time a search applies a matrix, once per call, in time linear in the
-  nonzeros.  Its child bounds come from one dot-product kernel per
+  time a search applies a matrix, once per instance, in time linear in
+  the nonzeros.  Its child bounds come from one dot-product kernel per
   ``(d, K)`` shape, compiled once per process.
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
@@ -80,6 +89,7 @@ All searches are deterministic, node counts included.  Every solver, and
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -144,16 +154,44 @@ def _mask(flags) -> int:
     return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
+# The last instance a solver prepared, one tuple replaced whole: a weak
+# reference to it, its check's violations, rows and index, and its backends
+# built so far, by class.  Compared by identity, since an equal instance may
+# differ in type (an int 1 for a float 1.0) and be invalid; a view stored on
+# the instance would make it unpicklable.  One slot, not a map of every live
+# instance: each caller's calls on one instance run back to back.  Threads
+# need no lock: a reader keeps the tuple it read, so a race between two
+# threads only makes one of them build again what the other built.
+_slot: tuple = (None,)
+
+
+def _forget(ref) -> None:
+    """Empty the slot once its instance dies, freeing its backends."""
+    global _slot
+    if _slot[0] is ref:
+        _slot = (None,)
+
+
+def _prepared(inst: Instance) -> tuple:
+    """The slot for ``inst``, refilled by one instance check when it holds
+    another object.  Raises ValueError with the first violation that
+    :func:`~timemachine.core.validate_instance` reports."""
+    global _slot
+    slot = _slot
+    if slot[0] is None or slot[0]() is not inst:
+        slot = _slot = (weakref.ref(inst, _forget), *_checked_rows(inst), {})
+    if slot[1]:
+        raise ValueError(slot[1][0])
+    return slot
+
+
 def _sparse_rows(inst: Instance):
     """The matrices as shared sparse rows: ``(rows, index)``.  ``rows`` holds
     the nonzero ``(column, entry)`` pairs of each distinct row object, in
     order of first appearance; ``index[k][i]`` is the position in ``rows``
     of row i of matrix k.  Raises ValueError with the first violation that
     :func:`~timemachine.core.validate_instance` reports."""
-    violations, rows, index = _checked_rows(inst)
-    if violations:
-        raise ValueError(violations[0])
-    return rows, index
+    return _prepared(inst)[2:4]
 
 
 def _picker(indices: List[int]):
@@ -264,7 +302,7 @@ def mdp_value_table(inst: Instance) -> ValueTable:
     level.  The values are the search backend's levels, divided by their
     scale: Fractions for exact instances, floats for float ones.
     """
-    view = _view(inst, *_sparse_rows(inst))
+    view = _view(inst)
     levels = zip(view.U, view.level_scale)
     return ValueTable(tuple(tuple(view.divide(u, s) for u in level) for level, s in levels))
 
@@ -281,10 +319,11 @@ class _FloatView:
     ``apply`` runs one generated kernel per matrix (:func:`_float_kernel`),
     a function with one straight-line sum per output state, which replaces
     a Python double loop over the nonzero entries.  The kernels are built
-    the first time ``apply`` runs, so callers that never apply a matrix
-    compile nothing: :func:`mdp_value_table`, and every search at N <= 1,
-    which reads every child off ``caps``.  A kernel references no
-    view, so dropping the view frees it without a cycle collection.
+    the first time ``apply`` runs, once per instance, since later calls on
+    the instance reuse the view; callers that never apply a matrix compile
+    nothing: :func:`mdp_value_table`, and every search at N <= 1, which
+    reads every child off ``caps``.  A kernel references no view, so
+    dropping the view frees it without a cycle collection.
 
     ``caps`` calls the :func:`_dot_kernel` of the instance's shape, taken
     the first time it runs and shared by every view of that shape.  It fixes
@@ -434,10 +473,16 @@ class _IntegerView:
         return Fraction(scaled, self.full[steps_left])
 
 
-def _view(inst: Instance, rows, index):
-    """The value backend of an instance, built from its sparse rows as
-    :func:`_sparse_rows` gives them."""
-    return (_IntegerView if inst.numeric_mode == EXACT else _FloatView)(inst, rows, index)
+def _view(inst: Instance, backend=None):
+    """The ``backend`` of an instance, by default its value backend, built
+    from its sparse rows the first time and kept in the slot with them."""
+    if backend is None:
+        backend = _IntegerView if inst.numeric_mode == EXACT else _FloatView
+    _, _, rows, index, views = _prepared(inst)
+    view = views.get(backend)
+    if view is None:
+        view = views[backend] = backend(inst, rows, index)
+    return view
 
 
 def _image(successors, s: int) -> int:
@@ -551,7 +596,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
     Refuses to start if K^N exceeds ``budget`` (default 10^8).
     """
-    rows, index = _sparse_rows(inst)  # first: K**N fails at K = 0, N < 0
+    _prepared(inst)  # the check first: K**N fails at K = 0, N < 0
     K, N = inst.K, inst.N
     total = K**N
     if total > budget:
@@ -560,7 +605,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
         raise BudgetExceededError(
             f"enumeration would visit K^N = {count} plans, budget is {budget}", total
         )
-    view = _view(inst, rows, index)
+    view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
     apply, caps = view.apply, view.caps
@@ -611,7 +656,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     ``nodes_pruned`` counts skipped subtrees.
     """
     K, N = inst.K, inst.N
-    view = _view(inst, *_sparse_rows(inst))
+    view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
     apply, caps = view.apply, view.caps
@@ -704,7 +749,7 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise ValueError(f"beam width must be an integer >= 1, got {width!r}")
     N = inst.N
-    view = _view(inst, *_sparse_rows(inst))
+    view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "beam")
     apply, caps = view.apply, view.caps
@@ -761,7 +806,7 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
     K, N = inst.K, inst.N
-    view = (_SupportView if exact and alpha == 1 and N else _view)(inst, *_sparse_rows(inst))
+    view = _view(inst, _SupportView if exact and alpha == 1 and N else None)
     # exact bounds are integers, so the least integer at or above the cutoff
     # passes the same children and compares faster than a Fraction
     cutoffs = [ceil(threshold * full) if exact else threshold * full for full in view.full]

@@ -1,5 +1,9 @@
 import gc
+import pickle
+import sys
+import threading
 import time
+import weakref
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
@@ -1104,7 +1108,7 @@ class TestChildCaps:
     def test_caps_and_apply_on_reachable_populations(self):
         rng = Random(2024)
         for inst in self.instances():
-            view = solvers._view(inst, *solvers._sparse_rows(inst))
+            view = solvers._view(inst)
             reference = caps_reference(inst)
             D = view.full[0]  # the mass of every reachable population
             for _ in range(12):
@@ -1124,7 +1128,7 @@ class TestChildCaps:
     def test_fields_one_word_wide_then_two_at_the_word_boundary(self):
         rng = Random(2026)
         for inst in self.word_boundary_instances():
-            view = solvers._view(inst, *solvers._sparse_rows(inst))
+            view = solvers._view(inst)
             assert view.base == 2
             assert [view.full[r].bit_length() for r in (30, 31)] == [64, 65]
             assert [view.fields[r][0].stop for r in (30, 31)] == [8, 9]
@@ -1148,7 +1152,7 @@ class TestChildCaps:
         rng = Random(2025)
         seen = 0
         for inst in self.instances():
-            view = solvers._view(inst, *solvers._sparse_rows(inst))
+            view = solvers._view(inst)
             reference = caps_reference(inst)
             D = view.full[0]
             for r in range(1, inst.N + 1):
@@ -1182,7 +1186,7 @@ class TestChildCaps:
             matrices=matrices, N=3, start=Distribution((F(1, 2), F(1, 3), F(1, 6))),
             numeric_mode="exact",
         )
-        view = solvers._view(inst, *solvers._sparse_rows(inst))
+        view = solvers._view(inst)
         assert view.base == 6
         # only moved rows are walked: matrix 0 moves row 1, the identity
         # none; matrix 3 moves rows 0 and 1 whole, to states 1 and 2
@@ -1348,7 +1352,7 @@ class TestFloatKernels:
     def test_apply_is_bit_identical_to_the_loop(self):
         for rng, inst in self.instances():
             rows, index = solvers._sparse_rows(inst)
-            view = solvers._view(inst, rows, index)
+            view = solvers._view(inst)
             for k, places in enumerate(index):
                 matrix_rows = [rows[p] for p in places]
                 populations = [inst.start.weights, (0.0,) * inst.d, (-0.0,) * inst.d]
@@ -1443,7 +1447,7 @@ class TestDotKernels:
             start=random_float_distribution(rng, d), target=rng.randrange(d),
             numeric_mode="float",
         )
-        view = solvers._view(inst, *solvers._sparse_rows(inst))
+        view = solvers._view(inst)
         for weights in [inst.start.weights] + [population_with_zeros(rng, d) for _ in range(5)]:
             for r in (1, 2):
                 got = view.caps(weights, r)
@@ -1468,3 +1472,158 @@ class TestDotKernels:
         assert solvers._dot_kernel.cache_info().misses == 0
         branch_and_bound_solve(inst)
         assert solvers._dot_kernel.cache_info().misses == 1
+
+
+def clear_slot():
+    """Forget the prepared instance, as a fresh process starts."""
+    solvers._slot = (None,)
+
+
+def counting(monkeypatch, owner, name):
+    """Patch ``owner.name`` to count its calls; returns the list of calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def all_solver_answers(inst, fresh=False):
+    """The value table and every search on ``inst``, in the order a
+    benchmark job calls them, with decide just below and just above the
+    optimum; ``fresh`` clears the slot before each call."""
+    calls = [
+        lambda: mdp_value_table(inst).values,
+        lambda: enumerate_solve(inst),
+        lambda: branch_and_bound_solve(inst),
+        lambda: beam_search(inst, 2),
+        lambda: beam_search(inst, 16),
+    ]
+    answers = []
+    for call in calls:
+        if fresh:
+            clear_slot()
+        answers.append(call())
+    optimum = answers[1].value
+    exact = inst.numeric_mode == "exact"
+    margin = Fraction(1, 10**6) if exact else 1e-6
+    for alpha in (optimum * (1 - margin), min(optimum * (1 + margin), 1)):
+        if fresh:
+            clear_slot()
+        answers.append(decide_threshold(inst, alpha))
+    return repr(answers)  # floats compared bit for bit
+
+
+class TestPreparedInstance:
+    """Consecutive solver calls on one instance object share one check, one
+    set of tables, one float kernel per matrix and one packed-column build,
+    and answer as calls in a fresh process would."""
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_one_preparation_serves_every_call(self, monkeypatch, mode):
+        inst = random_instance(Random(7300), 5, 3, 4, mode=mode)
+        expected = all_solver_answers(inst, fresh=True)
+        clear_slot()
+        checks = counting(monkeypatch, solvers, "_checked_rows")
+        kernels = counting(monkeypatch, solvers, "_float_kernel")
+        integer_views = counting(monkeypatch, solvers._IntegerView, "__init__")
+        assert all_solver_answers(inst) == expected
+        assert len(checks) == 1
+        assert len(kernels) == (inst.K if mode == "float" else 0)
+        assert len(integer_views) == (1 if mode == "exact" else 0)
+
+    def test_alternating_objects_are_prepared_each_time(self, monkeypatch):
+        a = random_instance(Random(7301), 4, 3, 4, mode="float")
+        b = random_instance(Random(7302), 4, 2, 5, mode="exact")
+        expected = [all_solver_answers(inst, fresh=True) for inst in (a, b, a)]
+        clear_slot()
+        checks = counting(monkeypatch, solvers, "_checked_rows")
+        assert [all_solver_answers(inst) for inst in (a, b, a)] == expected
+        assert len(checks) == 3
+
+    def test_table_then_decision_below_one_builds_the_integer_view_once(self, monkeypatch):
+        inst = random_instance(Random(7303), 5, 3, 4, mode="exact")
+        clear_slot()
+        integer_views = counting(monkeypatch, solvers._IntegerView, "__init__")
+        mdp_value_table(inst)
+        decide_threshold(inst, Fraction(1, 2))
+        assert len(integer_views) == 1
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_invalid_instance_raises_its_first_violation_every_call(self, monkeypatch, solver):
+        inst = two_state_instance("float", bad_row=(0.5, 0.6))
+        clear_slot()
+        checks = counting(monkeypatch, solvers, "_checked_rows")
+        first = rejection(solver, inst)
+        assert [rejection(name, inst) for name in sorted(SOLVERS)] == [first] * len(SOLVERS)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_equal_twin_with_an_int_entry_is_still_rejected(self, solver):
+        valid = two_state_instance("float")
+        identity = valid.matrices[0]
+        twin = Instance(
+            matrices=(identity, StochasticMatrix(((0.0, 1), (0.0, 1.0)))), N=2, numeric_mode="float",
+        )
+        assert twin == valid and hash(twin) == hash(valid)
+        for name in sorted(SOLVERS):
+            SOLVERS[name](valid)
+            assert rejection(solver, twin) == "matrix 1 row 0 entry 1: 1 is not a float"
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_slot_keeps_nothing_alive(self, mode):
+        inst = random_instance(Random(7304), 5, 3, 4, mode=mode)
+        gc.disable()
+        try:
+            all_solver_answers(inst)
+            views = [solvers._view(inst)]
+            if mode == "exact":
+                views.append(solvers._view(inst, solvers._SupportView))
+            assert solvers._slot[0]() is inst
+            refs = [weakref.ref(view) for view in views] + [weakref.ref(inst)]
+            del views, inst
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert solvers._slot == (None,)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_solved_instance_still_pickles(self, mode):
+        inst = random_instance(Random(7305), 5, 3, 4, mode=mode)
+        answers = all_solver_answers(inst)
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst
+        assert all_solver_answers(copy) == answers
+
+    def test_threads_alternating_two_instances_get_sequential_answers(self):
+        instances = (
+            random_instance(Random(7306), 5, 3, 4, mode="float"),
+            random_instance(Random(7307), 5, 3, 4, mode="exact"),
+        )
+        expected = [all_solver_answers(inst, fresh=True) for inst in instances]
+        callers, rounds = 4, 4
+        start = threading.Barrier(callers)
+        got = [[] for _ in range(callers)]
+
+        def caller(t):
+            start.wait(timeout=60)
+            for i in range(rounds):
+                got[t].append(all_solver_answers(instances[(i + t) % 2]))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=caller, args=(t,)) for t in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        for t in range(callers):
+            assert got[t] == [expected[(i + t) % 2] for i in range(rounds)]
