@@ -17,10 +17,16 @@ Everything runs in one of two numeric modes, tagged per instance:
 Mixing modes inside one instance is a validation error.  All types here
 are immutable and all operations are pure functions, so instances can be
 shared freely across threads.
+
+The library reads an instance's rows only through :func:`_sparse_rows`,
+which keeps the check of the last instance object and its nonzero
+``(column, entry)`` pairs, so validating, solving, evaluating and writing
+one object scan it once, and plan states move through those pairs.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
@@ -253,16 +259,62 @@ def _checked_rows(inst: Instance) -> Tuple[List[str], list, list]:
     return out, rows, index
 
 
+# The last instance checked, one tuple replaced whole: a weak reference to
+# it, its check's violations, rows and index, and the solvers' backends
+# built for it so far, by class.  Compared by identity, since an equal
+# instance may differ in type (an int 1 for a float 1.0) and be invalid;
+# anything stored on the instance would make it unpicklable.  One slot, not
+# a map: each caller's calls on one instance run back to back.  Threads need
+# no lock: a race only makes one of them check again what the other did.
+_slot: tuple = (None,)
+
+
+def _forget(ref) -> None:
+    """Empty the slot once its instance dies, freeing what it holds."""
+    global _slot
+    if _slot[0] is ref:
+        _slot = (None,)
+
+
+def _prepared(inst: Instance) -> tuple:
+    """The slot for ``inst``, refilled by one check when it holds another."""
+    global _slot
+    slot = _slot
+    if slot[0] is None or slot[0]() is not inst:
+        slot = _slot = (weakref.ref(inst, _forget), *_checked_rows(inst), {})
+    return slot
+
+
+def _sparse_rows(inst: Instance):
+    """``(rows, index)`` as :func:`_checked_rows` gives them.  Raises
+    ValueError with the first violation :func:`validate_instance` reports."""
+    slot = _prepared(inst)
+    if slot[1]:
+        raise ValueError(slot[1][0])
+    return slot[2:4]
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every instance invariant and name each violation found.
 
     Covers: mode tag sanity, K >= 1, N >= 0, target range, start simplex
     membership, matrix shapes, entry ranges, per-row mass, and numeric-mode
     uniformity (no floats in an exact instance and vice versa).  Each
-    distinct row object is checked once per call, and its violations are
-    reported at every place it occurs.
+    distinct row object is checked once per instance object, and its
+    violations are reported at every place it occurs.
     """
-    return ValidationReport(tuple(_checked_rows(inst)[0]))
+    return ValidationReport(tuple(_prepared(inst)[1]))
+
+
+def _step(weights: Sequence[Scalar], rows) -> tuple:
+    """``weights`` times the matrix of sparse ``rows``: the products and order
+    of a dense loop over the rows, from the zero of the operand type."""
+    out = [weights[0] * 0] * len(weights)
+    for w, row in zip(weights, rows):
+        if w:
+            for j, t in row:
+                out[j] += w * t
+    return tuple(out)
 
 
 def apply(v: Distribution, matrix: StochasticMatrix) -> Distribution:
@@ -270,20 +322,12 @@ def apply(v: Distribution, matrix: StochasticMatrix) -> Distribution:
     weights = v.weights
     d = len(weights)
     rows = matrix.rows
-    if len(rows) != d or any(len(row) != d for row in rows):
+    if not d or len(rows) != d or any(len(row) != d for row in rows):
         raise ValueError(
             f"dimension mismatch: distribution has {d} entries, "
             f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}"
         )
-    out = [weights[0] * 0] * d  # zero of the operand type
-    for i, w in enumerate(weights):
-        if w:
-            row = rows[i]
-            for j in range(d):
-                t = row[j]
-                if t:
-                    out[j] = out[j] + w * t
-    return Distribution(tuple(out))
+    return Distribution(_step(weights, [[(j, t) for j, t in enumerate(row) if t] for row in rows]))
 
 
 def _check_plan_indices(inst: Instance, plan: Sequence[int]) -> Plan:
@@ -318,8 +362,9 @@ def trajectory(inst: Instance, plan: Sequence[int]) -> List[Distribution]:
 
 
 def _plan_states(inst: Instance, plan: Sequence[int], full: bool) -> List[Distribution]:
-    """The states a plan visits, start state first, after checking that the
-    plan has exactly N steps if ``full``, else at most N."""
+    """The states a plan visits, start state first, after checking the
+    instance and that the plan has N steps if ``full``, else at most N."""
+    rows, index = _sparse_rows(inst)
     plan = _check_plan_indices(inst, plan)
     if full and len(plan) != inst.N:
         raise ValueError(f"plan has {len(plan)} steps, instance horizon is {inst.N}")
@@ -327,5 +372,5 @@ def _plan_states(inst: Instance, plan: Sequence[int], full: bool) -> List[Distri
         raise ValueError(f"plan has {len(plan)} steps, longer than horizon {inst.N}")
     points = [inst.start]
     for k in plan:
-        points.append(apply(points[-1], inst.matrices[k]))
+        points.append(Distribution(_step(points[-1].weights, map(rows.__getitem__, index[k]))))
     return points

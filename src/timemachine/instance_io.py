@@ -10,9 +10,10 @@ implementations; float-mode numbers are plain decimal literals (Python's
 shortest round-trip repr).  Reading re-validates every instance invariant.
 
 Reduction instances share row objects between matrices (they have d + 1
-distinct rows), so the writer formats each distinct number and sparsifies
-each distinct row once, and the reader parses each distinct number text
-once and decodes identical rows to one shared tuple, which lets
+distinct rows), so the writer formats each distinct number and each
+distinct row once, from the nonzero pairs of the instance check that the
+rest of the library shares, and the reader parses each distinct number
+text once and decodes identical rows to one shared tuple, which lets
 :func:`~timemachine.core.validate_instance` check each of them once.  Both
 ways cost time in the number of nonzero entries, not in d * d * K.
 
@@ -31,6 +32,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -41,6 +43,7 @@ from .core import (
     Plan,
     Scalar,
     StochasticMatrix,
+    _sparse_rows,
     validate_instance,
 )
 from .reduction import RawLiteral, ReductionArtifact, formula_digest
@@ -172,27 +175,14 @@ def write_instance(
     reduction_meta: Optional[ReductionMeta] = None,
 ) -> None:
     """Serialize an instance as a version-2 document (losslessly, up to the
-    sign of a float zero: write-then-read round-trips)."""
+    sign of a float zero: write-then-read round-trips).  Raises ValueError
+    with an invalid instance's first violation, whose document
+    :func:`read_instance` would reject."""
+    rows, index = _sparse_rows(instance)
     mode = instance.numeric_mode
-    if mode == EXACT:
-        texts: Dict[Scalar, str] = {}
-
-        def scalar(x):
-            text = texts.get(x)
-            if text is None:
-                text = texts[x] = format_scalar(x, EXACT)
-            return text
-
-    else:
-        scalar = float
-    sparse: Dict[int, list] = {}  # id(row) -> its pairs; the instance keeps every row alive
-
-    def sparse_row(row):
-        pairs = sparse.get(id(row))
-        if pairs is None:
-            pairs = sparse[id(row)] = [[j, scalar(x)] for j, x in enumerate(row) if x]
-        return pairs
-
+    # each distinct exact number formatted once; 1 and Fraction(1) share a text
+    scalar = lru_cache(maxsize=None)(partial(format_scalar, mode=EXACT)) if mode == EXACT else float
+    pairs = [[[j, scalar(x)] for j, x in row] for row in rows]
     doc = {
         "format_version": FORMAT_VERSION,
         "numeric_mode": mode,
@@ -201,7 +191,7 @@ def write_instance(
         "N": instance.N,
         "target": instance.target,
         "start": [scalar(w) for w in instance.start.weights],
-        "matrices": [[sparse_row(row) for row in m.rows] for m in instance.matrices],
+        "matrices": [list(map(pairs.__getitem__, places)) for places in index],
     }
     if any(m.label is not None for m in instance.matrices):
         doc["labels"] = [m.label for m in instance.matrices]

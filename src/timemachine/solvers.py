@@ -35,13 +35,12 @@ row object is checked and converted once and summed once per level, and
 every matrix's lookahead entries are read off those sums.
 
 The instance check and each backend are built once per instance object,
-not once per call: one module-level slot holds a weak reference to the
-last instance a solver prepared, with its check and the backends built
-for it so far, and the calls that follow on the same object reuse them.
-Backends are read-only once built and their lazy parts deterministic, so
-answers and node counts do not depend on what the slot held before.  The
-slot keeps nothing alive: a backend, however big, lives until its
-instance dies or another instance is prepared.
+not once per call: the backends are kept in the slot of
+:mod:`timemachine.core` that holds the last instance checked, and the
+calls that follow on the same object reuse them.  Backends are read-only
+once built and their lazy parts deterministic, so answers and node counts
+do not depend on what the slot held before.  The slot keeps nothing alive:
+a backend lives until its instance dies or another instance is checked.
 
 * :class:`_FloatView` serves float instances.  It keeps the instance's own
   weights unscaled and sums each child bound separately, so float
@@ -89,7 +88,6 @@ All searches are deterministic, node counts included.  Every solver, and
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -99,7 +97,7 @@ from operator import floordiv, itemgetter, mul
 from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _checked_rows
+from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _prepared, _sparse_rows
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -154,46 +152,6 @@ def _mask(flags) -> int:
     return sum(1 << i for i, flag in enumerate(flags) if flag)
 
 
-# The last instance a solver prepared, one tuple replaced whole: a weak
-# reference to it, its check's violations, rows and index, and its backends
-# built so far, by class.  Compared by identity, since an equal instance may
-# differ in type (an int 1 for a float 1.0) and be invalid; a view stored on
-# the instance would make it unpicklable.  One slot, not a map of every live
-# instance: each caller's calls on one instance run back to back.  Threads
-# need no lock: a reader keeps the tuple it read, so a race between two
-# threads only makes one of them build again what the other built.
-_slot: tuple = (None,)
-
-
-def _forget(ref) -> None:
-    """Empty the slot once its instance dies, freeing its backends."""
-    global _slot
-    if _slot[0] is ref:
-        _slot = (None,)
-
-
-def _prepared(inst: Instance) -> tuple:
-    """The slot for ``inst``, refilled by one instance check when it holds
-    another object.  Raises ValueError with the first violation that
-    :func:`~timemachine.core.validate_instance` reports."""
-    global _slot
-    slot = _slot
-    if slot[0] is None or slot[0]() is not inst:
-        slot = _slot = (weakref.ref(inst, _forget), *_checked_rows(inst), {})
-    if slot[1]:
-        raise ValueError(slot[1][0])
-    return slot
-
-
-def _sparse_rows(inst: Instance):
-    """The matrices as shared sparse rows: ``(rows, index)``.  ``rows`` holds
-    the nonzero ``(column, entry)`` pairs of each distinct row object, in
-    order of first appearance; ``index[k][i]`` is the position in ``rows``
-    of row i of matrix k.  Raises ValueError with the first violation that
-    :func:`~timemachine.core.validate_instance` reports."""
-    return _prepared(inst)[2:4]
-
-
 def _picker(indices: List[int]):
     """A C-level function taking a tuple to the tuple of its entries at the
     ascending ``indices``: a slice where they run contiguously (a tuple
@@ -210,10 +168,11 @@ def _tables(rows, index, d: int, N: int, target: int):
     coefficients' own numbers, so that the bound of a child node can be read
     off before materializing it.  U[0] is the 0/1 indicator of the target.
 
-    ``rows`` and ``index`` are shared rows as :func:`_sparse_rows` gives
-    them, so each distinct row is summed once per level, into ``sums[r]``,
-    and Q[r][k] reads its entries off those sums.  Returns ``(U, Q, sums)``,
-    with Q[0] and sums[0] None.
+    ``rows`` and ``index`` are shared rows as
+    :func:`~timemachine.core._sparse_rows` gives them, so each distinct row
+    is summed once per level, into ``sums[r]``, and Q[r][k] reads its
+    entries off those sums.  Returns ``(U, Q, sums)``, with Q[0] and
+    sums[0] None.
     """
     levels = [tuple(int(i == target) for i in range(d))]
     lookahead, sums = [None], [None]
@@ -475,10 +434,11 @@ class _IntegerView:
 
 def _view(inst: Instance, backend=None):
     """The ``backend`` of an instance, by default its value backend, built
-    from its sparse rows the first time and kept in the slot with them."""
+    from its sparse rows the first time and kept in the instance's slot."""
     if backend is None:
         backend = _IntegerView if inst.numeric_mode == EXACT else _FloatView
-    _, _, rows, index, views = _prepared(inst)
+    rows, index = _sparse_rows(inst)
+    views = _prepared(inst)[4]
     view = views.get(backend)
     if view is None:
         view = views[backend] = backend(inst, rows, index)
@@ -596,7 +556,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
     Refuses to start if K^N exceeds ``budget`` (default 10^8).
     """
-    _prepared(inst)  # the check first: K**N fails at K = 0, N < 0
+    _sparse_rows(inst)  # the check first: K**N fails at K = 0, N < 0
     K, N = inst.K, inst.N
     total = K**N
     if total > budget:

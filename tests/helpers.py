@@ -6,6 +6,9 @@ of raw literal clauses via a tiny truth-table evaluator, and matrix powers
 by naive multiplication.  The one exception is ``beam_reference``, which
 keeps the apply-then-score beam search through the public ``apply`` and
 ``mdp_value_table``, so that float answers compare bit for bit.
+``dense_apply_reference`` is a frozen copy of the dense row-vector product
+the library ran before it moved populations through sparse rows, kept as
+the reference its results must match bit for bit.
 """
 
 import io
@@ -57,6 +60,32 @@ def chain_value_oracle(inst, plan):
         product_matrix = matmul(product_matrix, [list(r) for r in inst.matrices[k].rows])
     start = inst.start.weights
     return sum(start[i] * product_matrix[i][inst.target] for i in range(d))
+
+
+def dense_apply_reference(weights, rows):
+    """``weights @ rows`` by the dense loop over every entry of every row
+    with a nonzero weight, starting each output from ``weights[0] * 0``:
+    the products, order and zero (a -0.0 first weight gives -0.0 outputs
+    where nothing lands) of the library's former ``core.apply``."""
+    d = len(weights)
+    out = [weights[0] * 0] * d  # zero of the operand type
+    for i, w in enumerate(weights):
+        if w:
+            row = rows[i]
+            for j in range(d):
+                t = row[j]
+                if t:
+                    out[j] = out[j] + w * t
+    return tuple(out)
+
+
+def dense_trajectory_reference(inst, plan):
+    """The weights of each state a plan visits, start first, through
+    :func:`dense_apply_reference`."""
+    points = [inst.start.weights]
+    for k in plan:
+        points.append(dense_apply_reference(points[-1], inst.matrices[k].rows))
+    return points
 
 
 def beam_reference(inst, width):
@@ -159,6 +188,33 @@ def random_exact_distribution(rng: Random, d: int, max_weight: int = 6) -> Distr
         raw[0] = 1
     total = sum(raw)
     return Distribution(tuple(Fraction(x, total) for x in raw))
+
+
+def random_sparse_float_weights(rng: Random, d: int, signed_zeros: bool = False):
+    """A float probability vector with about half its entries zero, each
+    zero a 0.0 or, with ``signed_zeros``, a -0.0 at random."""
+    raw = [rng.random() + 1e-3 if rng.random() < 0.5 else 0.0 for _ in range(d)]
+    if not any(raw):
+        raw[rng.randrange(d)] = 1.0
+    total = sum(raw)
+    zeros = (0.0, -0.0) if signed_zeros else (0.0,)
+    return tuple(x / total if x else rng.choice(zeros) for x in raw)
+
+
+def random_sparse_float_instance(rng: Random, d: int, K: int, N: int) -> Instance:
+    """A float instance whose rows are about half zeros and whose start
+    holds 0.0 and -0.0 weights."""
+    matrices = tuple(
+        StochasticMatrix(tuple(random_sparse_float_weights(rng, d) for _ in range(d)))
+        for _ in range(K)
+    )
+    return Instance(
+        matrices=matrices,
+        N=N,
+        start=Distribution(random_sparse_float_weights(rng, d, signed_zeros=True)),
+        target=rng.randrange(d),
+        numeric_mode="float",
+    )
 
 
 def random_instance(rng: Random, d: int, K: int, N: int, mode: str = "float") -> Instance:

@@ -137,8 +137,8 @@ class TestSimulateAndDecode:
         main(["decide", str(sat_instance), "--alpha", "1", "--out", str(plan_path)])
         capsys.readouterr()
         applied = []
-        apply = core.apply
-        monkeypatch.setattr(core, "apply", lambda v, m: applied.append(m) or apply(v, m))
+        step = core._step
+        monkeypatch.setattr(core, "_step", lambda w, rows: applied.append(rows) or step(w, rows))
         assert main(["simulate", str(sat_instance), str(plan_path), "--trace"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(applied) == len(read_plan(str(plan_path))) == len(lines) - 2

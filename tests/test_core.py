@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 from random import Random
 
@@ -6,15 +7,24 @@ import pytest
 from timemachine import (
     Distribution,
     Instance,
+    ReductionArtifact,
     StochasticMatrix,
     apply,
     evaluate_plan,
     trajectory,
     validate_instance,
+    write_instance,
 )
-from timemachine.reduction import encode_reduction, satisfying_plan
+from timemachine.reduction import decode_assignment, encode_reduction, satisfying_plan
 
-from helpers import chain_value_oracle, random_instance, single_clause_formula
+from helpers import (
+    chain_value_oracle,
+    dense_apply_reference,
+    dense_trajectory_reference,
+    random_instance,
+    random_sparse_float_instance,
+    single_clause_formula,
+)
 
 
 def identity_instance(d=2, K=2, N=3, mode="exact"):
@@ -141,6 +151,26 @@ class TestPinnedViolations:
             "matrix 4 row 0: mass 0.30000000000000004 not within 1e-09 of 1",
         )
 
+    @pytest.mark.parametrize("make", [_bad_exact_instance, _bad_float_instance])
+    @pytest.mark.parametrize("plan", [(), (0, 0), (99,), ("x",)])
+    def test_evaluation_and_writer_raise_the_first_violation(self, make, plan):
+        # the instance is checked before the plan, whatever is wrong with it
+        inst = make()
+        first = validate_instance(inst).violations[0]
+        artifact = ReductionArtifact(inst, {}, {}, Fraction(1, 2))
+        buf = io.StringIO()
+        calls = [
+            lambda: evaluate_plan(inst, plan),
+            lambda: trajectory(inst, plan),
+            lambda: decode_assignment(artifact, plan),
+            lambda: write_instance(inst, buf),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == first
+        assert buf.getvalue() == ""
+
     @pytest.mark.parametrize(
         "inst, violations",
         [
@@ -203,6 +233,18 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             apply(Distribution.unit(3, 0), StochasticMatrix.identity(2))
+
+    def test_empty_distribution_is_a_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: distribution has 0 entries"):
+            apply(Distribution(()), StochasticMatrix(()))
+
+    def test_matches_the_dense_loop(self):
+        rng = Random(20241)
+        for _ in range(100):
+            inst = random_sparse_float_instance(rng, rng.randint(1, 6), 1, 1)
+            got = apply(inst.start, inst.matrices[0]).weights
+            expected = dense_apply_reference(inst.start.weights, inst.matrices[0].rows)
+            assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
     def test_simplex_preserved_on_seeded_cases(self):
         rng = Random(20240)
@@ -269,6 +311,21 @@ class TestEvaluatePlan:
             else:
                 assert abs(value - tail) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # both were evaluated without a check, to 1 and to 0.5
+            ((1, 1), "matrix 0 row 0: mass 2 != 1"),
+            ((0.5, Fraction(1, 2)), "matrix 0 row 0 entry 0: 0.5 is not an exact rational"),
+        ],
+    )
+    def test_invalid_exact_instance_is_rejected(self, row, message):
+        matrix = StochasticMatrix((row, (Fraction(0), Fraction(1))))
+        inst = Instance(matrices=(matrix,), N=1, numeric_mode="exact")
+        with pytest.raises(ValueError) as err:
+            evaluate_plan(inst, (0,))
+        assert str(err.value) == message
+
     def test_exact_mode_is_bit_deterministic(self):
         rng = Random(99)
         inst = random_instance(rng, 4, 2, 5, mode="exact")
@@ -319,3 +376,46 @@ class TestTrajectory:
         assert support(points[2]) == {st["x0+"], st["x1+"], st["x2+"], st["f"]}
         assert support(points[3]) == {st["s"]}
         assert points[3].weights[st["s"]] == 1
+
+
+def typed(weights):
+    return [(type(x), x) for x in weights]
+
+
+class TestDenseIdentity:
+    """Plan states move through the instance check's sparse rows and match
+    the dense loop the library ran before, floats bit for bit, exact values
+    by value and type."""
+
+    def test_float_states_match_bit_for_bit(self):
+        # a -0.0 first start weight makes -0.0 outputs where nothing lands
+        rng = Random(20242)
+        for _ in range(150):
+            d, K, N = rng.randint(1, 7), rng.randint(1, 3), rng.randint(0, 5)
+            inst = random_sparse_float_instance(rng, d, K, N)
+            plan = tuple(rng.randrange(K) for _ in range(N))
+            got = [list(map(float.hex, p.weights)) for p in trajectory(inst, plan)]
+            expected = [list(map(float.hex, w)) for w in dense_trajectory_reference(inst, plan)]
+            assert got == expected
+
+    @pytest.mark.parametrize("start_kind", ["fraction", "int", "mixed"])
+    def test_exact_states_match_by_value_and_type(self, start_kind):
+        rng = Random(20243)
+        for _ in range(60):
+            d, K, N = rng.randint(1, 6), rng.randint(1, 3), rng.randint(0, 5)
+            inst = random_instance(rng, d, K, N, mode="exact")
+            if start_kind != "fraction":
+                weights = [0] * d
+                weights[rng.randrange(d)] = 1
+                if start_kind == "mixed" and d > 1:
+                    weights = [Fraction(1, 2), Fraction(1, 2)] + [0] * (d - 2)
+                inst = Instance(
+                    matrices=inst.matrices,
+                    N=N,
+                    start=Distribution(tuple(weights)),
+                    target=inst.target,
+                    numeric_mode="exact",
+                )
+            plan = tuple(rng.randrange(K) for _ in range(N))
+            got = [typed(p.weights) for p in trajectory(inst, plan)]
+            assert got == [typed(w) for w in dense_trajectory_reference(inst, plan)]

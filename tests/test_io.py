@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -32,6 +33,7 @@ from helpers import (
     instance_v1_text,
     planted_formula,
     random_instance,
+    random_sparse_float_instance,
     single_clause_formula,
 )
 
@@ -199,6 +201,22 @@ class TestInstanceRoundtrip:
         assert [m.label for m in doc.instance.matrices] == [
             m.label for m in art.instance.matrices
         ]
+
+
+class TestWrittenBytes:
+    """Documents written from the instance check's sparse rows, pinned by
+    the sha256 of their text as the dense writer produced it."""
+
+    def test_all_patterns_artifact(self):
+        buf = io.StringIO()
+        write_artifact(encode_reduction(all_patterns_formula()), buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == "43ebaaabd84aadf521dde654383c6b6a858303bef2d49287b463686b4abfcdb1"
+
+    def test_float_instance_with_signed_zeros(self):
+        inst = random_sparse_float_instance(Random(7400), 6, 3, 4)
+        digest = hashlib.sha256(roundtrip_text(inst).encode()).hexdigest()
+        assert digest == "691c1f8795a9903a88154b8912aa41b1ceceec262ed0dc7c74a5d5d3e5021282"
 
 
 class TestSparseFormat:

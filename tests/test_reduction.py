@@ -277,8 +277,8 @@ class TestPlans:
         art = encode_reduction(single_clause_formula())
         plan = satisfying_plan(art, (1, 1, 1))
         applied = []
-        apply = core.apply
-        monkeypatch.setattr(core, "apply", lambda v, m: applied.append(m) or apply(v, m))
+        step = core._step
+        monkeypatch.setattr(core, "_step", lambda w, rows: applied.append(rows) or step(w, rows))
         assert decode_assignment(art, plan) == (1, 1, 1)
         assert len(applied) == len(plan)
 

@@ -1,4 +1,5 @@
 import gc
+import io
 import pickle
 import sys
 import threading
@@ -28,8 +29,14 @@ from timemachine import (
     mdp_value_table,
     validate_instance,
 )
-from timemachine import solvers
-from timemachine.instance_io import parse_dimacs
+from timemachine import core, solvers
+from timemachine.instance_io import (
+    artifact_from_document,
+    parse_dimacs,
+    read_instance,
+    write_artifact,
+    write_instance,
+)
 from timemachine.reduction import (
     clause_satisfied,
     decode_assignment,
@@ -897,7 +904,7 @@ def exact_matrix(*rows):
 
 def commuting_pairs(inst):
     """The pairs ``(a, b)``, a < b, that the support backend skips as ``b, a``."""
-    below = solvers._SupportView(inst, *solvers._sparse_rows(inst)).commuting_below
+    below = solvers._SupportView(inst, *core._sparse_rows(inst)).commuting_below
     return {(a, b) for b in range(inst.K) for a in range(b) if below[b] >> a & 1}
 
 
@@ -1252,7 +1259,7 @@ class TestDistinctRowTables:
 
     def test_tables_match_the_row_by_row_loop(self):
         for inst in self.instances():
-            rows, index = solvers._sparse_rows(inst)
+            rows, index = core._sparse_rows(inst)
             levels, lookahead, sums = solvers._tables(rows, index, inst.d, inst.N, inst.target)
             ref_levels, ref_lookahead = tables_reference(inst)
             assert typed_table(levels) == typed_table(ref_levels)
@@ -1264,7 +1271,7 @@ class TestDistinctRowTables:
 
     def test_reduction_rows_are_converted_and_summed_once(self):
         inst = encode_reduction(all_patterns_formula()).instance
-        rows, index = solvers._sparse_rows(inst)
+        rows, index = core._sparse_rows(inst)
         _, _, sums = solvers._tables(rows, index, inst.d, inst.N, inst.target)
         assert (inst.K * inst.d, len(rows), len(sums[1])) == (1160, 18, 18)
 
@@ -1351,7 +1358,7 @@ class TestFloatKernels:
 
     def test_apply_is_bit_identical_to_the_loop(self):
         for rng, inst in self.instances():
-            rows, index = solvers._sparse_rows(inst)
+            rows, index = core._sparse_rows(inst)
             view = solvers._view(inst)
             for k, places in enumerate(index):
                 matrix_rows = [rows[p] for p in places]
@@ -1476,7 +1483,7 @@ class TestDotKernels:
 
 def clear_slot():
     """Forget the prepared instance, as a fresh process starts."""
-    solvers._slot = (None,)
+    core._slot = (None,)
 
 
 def counting(monkeypatch, owner, name):
@@ -1528,7 +1535,7 @@ class TestPreparedInstance:
         inst = random_instance(Random(7300), 5, 3, 4, mode=mode)
         expected = all_solver_answers(inst, fresh=True)
         clear_slot()
-        checks = counting(monkeypatch, solvers, "_checked_rows")
+        checks = counting(monkeypatch, core, "_checked_rows")
         kernels = counting(monkeypatch, solvers, "_float_kernel")
         integer_views = counting(monkeypatch, solvers._IntegerView, "__init__")
         assert all_solver_answers(inst) == expected
@@ -1541,8 +1548,36 @@ class TestPreparedInstance:
         b = random_instance(Random(7302), 4, 2, 5, mode="exact")
         expected = [all_solver_answers(inst, fresh=True) for inst in (a, b, a)]
         clear_slot()
-        checks = counting(monkeypatch, solvers, "_checked_rows")
+        checks = counting(monkeypatch, core, "_checked_rows")
         assert [all_solver_answers(inst) for inst in (a, b, a)] == expected
+        assert len(checks) == 3
+
+    def test_one_check_serves_reading_solving_evaluating_and_writing(self, monkeypatch):
+        buf = io.StringIO()
+        write_artifact(encode_reduction(single_clause_formula()), buf)
+        buf.seek(0)
+        clear_slot()
+        checks = counting(monkeypatch, core, "_checked_rows")
+        doc = read_instance(buf)
+        inst = doc.instance
+        assert validate_instance(inst).ok
+        for name in sorted(SOLVERS):
+            SOLVERS[name](inst)
+        attained, plan = decide_threshold(inst, 1)
+        assert attained and evaluate_plan(inst, plan) == 1
+        decode_assignment(artifact_from_document(doc), plan)
+        write_instance(inst, io.StringIO())
+        assert len(checks) == 1
+
+    def test_alternating_objects_are_checked_each_time_by_every_caller(self, monkeypatch):
+        a = random_instance(Random(7308), 4, 3, 4, mode="float")
+        b = random_instance(Random(7309), 4, 2, 5, mode="exact")
+        clear_slot()
+        checks = counting(monkeypatch, core, "_checked_rows")
+        for inst in (a, b, a):
+            validate_instance(inst)
+            evaluate_plan(inst, (0,) * inst.N)
+            write_instance(inst, io.StringIO())
         assert len(checks) == 3
 
     def test_table_then_decision_below_one_builds_the_integer_view_once(self, monkeypatch):
@@ -1557,7 +1592,7 @@ class TestPreparedInstance:
     def test_invalid_instance_raises_its_first_violation_every_call(self, monkeypatch, solver):
         inst = two_state_instance("float", bad_row=(0.5, 0.6))
         clear_slot()
-        checks = counting(monkeypatch, solvers, "_checked_rows")
+        checks = counting(monkeypatch, core, "_checked_rows")
         first = rejection(solver, inst)
         assert [rejection(name, inst) for name in sorted(SOLVERS)] == [first] * len(SOLVERS)
         assert len(checks) == 1
@@ -1583,11 +1618,11 @@ class TestPreparedInstance:
             views = [solvers._view(inst)]
             if mode == "exact":
                 views.append(solvers._view(inst, solvers._SupportView))
-            assert solvers._slot[0]() is inst
+            assert core._slot[0]() is inst
             refs = [weakref.ref(view) for view in views] + [weakref.ref(inst)]
             del views, inst
             assert [ref() for ref in refs] == [None] * len(refs)
-            assert solvers._slot == (None,)
+            assert core._slot == (None,)
         finally:
             gc.enable()
 
