@@ -10,10 +10,11 @@ Four entry points, all pure functions of an :class:`~timemachine.core.Instance`:
   from state ``i`` with ``r`` steps left, which makes it an admissible
   pruning bound.
 * :func:`branch_and_bound_solve` -- depth-first search in ascending matrix
-  order, pruning subtrees whose relaxation bound cannot strictly beat the
-  incumbent.  Guaranteed to match enumerate_solve's value.
-* :func:`beam_search` -- width-limited heuristic scored by the same bound;
-  its value never exceeds the true optimum.
+  order, pruning subtrees whose bound cannot strictly beat the incumbent:
+  the best value of the child where suffix value vectors cover its level,
+  else the relaxation bound.  Guaranteed to match enumerate_solve's value.
+* :func:`beam_search` -- width-limited heuristic scored by the relaxation
+  bound; its value never exceeds the true optimum.
 
 :func:`decide_threshold` answers the decision variant (is there a plan with
 value >= alpha?) with early exit on the first witness found.
@@ -26,7 +27,14 @@ one level ``base`` times the scale of the level below), the total mass
 ``divide`` and ``to_value``.  ``caps`` returns the K
 child bounds of a node with ``r`` steps left, sum_i w_i Q[r][k][i] at level
 r's scale, where Q[r][k][i] is state i's value one step through matrix k;
-all four searches read child bounds only through it.  The two value
+enumeration and beam search read child bounds only through it, and so do
+the two walks at the leaves (r = 1).  Above the leaves the walks read
+``suffix_caps(weights, r)`` where the suffix groups ``G`` cover level r:
+the max of w . beta over the group G[r][k] of each child, which is the
+child's best value (:func:`_suffix_groups`).  An instance with K * K above
+``_GAMMA_VECTORS`` (every 3-SAT reduction) builds no group, and a level
+whose candidate vectors would exceed it ends the groups, so the levels
+above it read ``caps``.  The two value
 backends hold the matrices as sparse ``(column, coefficient)`` rows,
 read off the instance check's own scan, and build their tables from them
 with :func:`_tables`, in their own numbers.  Matrices share row objects
@@ -52,12 +60,17 @@ a backend lives until its instance dies or another instance is checked.
   are bit-identical to that loop's.  The kernels are compiled the first
   time a search applies a matrix, once per instance, in time linear in
   the nonzeros.  Its child bounds come from one dot-product kernel per
-  ``(d, K)`` shape, compiled once per process.
+  ``(d, K)`` shape, compiled once per process.  The walks compare its
+  bounds above the leaves with a rounding slack (``cutoffs``), so that no
+  bound, off ``caps`` or off ``G``, sits below the float value of a plan
+  under it (:func:`_rounding_slack` has the proof).
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
   It packs the K lookahead entries of each state into one integer, so one
-  big-integer dot product yields all K child bounds.
+  big-integer dot product yields all K child bounds.  Its groups ``G`` are
+  integers too, level r scaled by L^r, so the walks' bounds off them are
+  exact.
 * :class:`_SupportView` serves only the exact decision at alpha = 1, the
   regime of the 3-SAT reduction.  Its populations are support bitmasks; it
   builds no value table, only certainty masks that know the matrix order,
@@ -75,6 +88,10 @@ A child whose occupied states all have relaxed value exactly 1 gets
 exactly the full mass as its bound, with no special case.
 
 Branch and bound and the threshold decision are the two depth-first walks.
+Both visit children in ascending order, and a bound that is the child's
+best value (exact mode, covered levels) or above every plan under it
+prunes no subtree holding the first optimal or qualifying plan, so their
+plans are those of enumeration whichever bound they read.
 The first chases strict improvements and, over exact populations, memoizes
 certified subtree bounds, one per class of proportional populations; a
 population seen before finds its class by its live weights as they are,
@@ -92,8 +109,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import ceil, gcd, lcm
-from operator import floordiv, itemgetter, mul
+from math import ceil, fsum, gcd, inf, lcm, nextafter
+from operator import floordiv, ge, itemgetter, mul
 from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,6 +179,20 @@ def _picker(indices: List[int]):
     return itemgetter(*indices)
 
 
+def _row_sums(rows, values) -> list:
+    """Per row, ``0 + c_1 * values[j_1] + c_2 * values[j_2] + ...`` over its
+    ``(j, c)`` pairs, added left to right: for floats the order of ``sum()``
+    up to CPython 3.11 (3.12 made float ``sum()`` compensated), so that the
+    float bound slack of :func:`_rounding_slack` holds on every version."""
+    sums = []
+    for row in rows:
+        total = 0
+        for j, c in row:
+            total += c * values[j]
+        sums.append(total)
+    return sums
+
+
 def _tables(rows, index, d: int, N: int, target: int):
     """Value levels U[0..N] and one-step lookahead tables Q[r][k][i] =
     sum_j c * U[r-1][j] over the ``(j, c)`` pairs of row (k, i), in the
@@ -170,20 +201,120 @@ def _tables(rows, index, d: int, N: int, target: int):
 
     ``rows`` and ``index`` are shared rows as
     :func:`~timemachine.core._sparse_rows` gives them, so each distinct row
-    is summed once per level, into ``sums[r]``, and Q[r][k] reads its
-    entries off those sums.  Returns ``(U, Q, sums)``, with Q[0] and
-    sums[0] None.
+    is summed once per level (by :func:`_row_sums`), into ``sums[r]``, and
+    Q[r][k] reads its entries off those sums.  Returns ``(U, Q, sums)``,
+    with Q[0] and sums[0] None.
     """
     levels = [tuple(int(i == target) for i in range(d))]
     lookahead, sums = [None], [None]
     for _ in range(N):
-        prev = levels[-1]
-        level_sums = [sum(c * prev[j] for j, c in row) for row in rows]
+        level_sums = _row_sums(rows, levels[-1])
         q_level = [tuple(map(level_sums.__getitem__, places)) for places in index]
         sums.append(level_sums)
         lookahead.append(q_level)
         levels.append(tuple(map(max, zip(*q_level))))
     return levels, lookahead, sums
+
+
+# Suffix value vectors are built one level at a time while the level's
+# candidates, K times the vectors of the level below, number at most this
+# many; past it, the pointwise-dominance prune, quadratic in the candidates,
+# would cost more than the bounds save.  An instance with K * K above it
+# builds nothing, so the 3-SAT reductions (K >= 22) pay nothing.
+_GAMMA_VECTORS = 64
+
+
+def _maximal(vectors) -> list:
+    """The vectors that no other is at least as large as in every entry,
+    one of each set of equal ones.  In descending lexicographic order a
+    vector comes after every vector that dominates it, and after its equals
+    but the first, so one pass against the vectors kept so far finds them."""
+    kept: list = []
+    for b in sorted(vectors, reverse=True):
+        if not any(all(map(ge, a, b)) for a in kept):
+            kept.append(b)
+    return kept
+
+
+def _suffix_groups(rows, index, d: int, N: int, target: int) -> list:
+    """Per level r = 1, 2, ... and matrix k, the group G[r][k]: the maximal
+    vectors (:func:`_maximal`) of P_k alpha over alpha in Gamma_(r-1), in
+    the coefficients' own numbers, where Gamma_0 = {e_target} and Gamma_r
+    is the maximal vectors of the union of G[r].
+
+    Gamma_r holds the suffix value vectors of Smallwood & Sondik (1973),
+    with Cassandra, Littman & Zhang's (1997) LP-free prune: the value of an
+    r-step suffix plan from population w is w . alpha for its vector alpha
+    = P_(k_1) ... P_(k_r) e_target, and a vector that another is at least
+    as large as everywhere never gives the larger value.  So the best value
+    of the child that matrix k makes of w, with r - 1 steps left after it,
+    is the max of w . beta over G[r][k].  G[0] is None, and the list ends at
+    the first level whose candidates would exceed ``_GAMMA_VECTORS``; it
+    is empty past G[0] where N < 2, as no walk reads G[1].
+    """
+    K = len(index)
+    groups: list = [None]
+    if K * K > _GAMMA_VECTORS or N < 2:
+        return groups
+    gamma = [tuple(int(i == target) for i in range(d))]
+    for _ in range(N):
+        if K * len(gamma) > _GAMMA_VECTORS:
+            break
+        sums = [_row_sums(rows, alpha) for alpha in gamma]
+        level = [_maximal([tuple(map(s.__getitem__, places)) for s in sums]) for places in index]
+        groups.append(level)
+        gamma = _maximal([beta for group in level for beta in group])
+    return groups
+
+
+def _rounding_slack(terms: int, levels: int) -> Tuple[float, float]:
+    """``(F, A)`` such that every plan under a float child bound ``c`` read
+    with ``levels`` >= 2 steps left, off ``caps`` or off ``G``, is worth at
+    most ``c * F + A`` (in real numbers) as the walks value it, which is
+    :func:`~timemachine.core.evaluate_plan`'s value; ``terms`` is d.
+
+    Proof.  Let w be the node's float population, s = ``levels``, u =
+    2^-53, and v the real number w . P_k P_sigma e_target for a plan (k,
+    sigma) under child k, in the instance's float entries.  Every float
+    sum involved adds at most d nonnegative products left to right from 0
+    (the apply kernels, the dot kernel, :func:`_row_sums`), or is ``fsum``
+    of at most d products, rounded once after the products.  Without
+    underflow such a sum is the real one with each term scaled by at most d
+    factors (1 + delta), |delta| <= u (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sec. 3.1).
+
+    * The plan's float value applies s - 1 matrices to w and reads the last
+      step off Q[1], which holds entries of the matrices themselves: s sums,
+      so it is at most (1 + u)^(ds) v.
+    * Rounding is monotone, and so is a float sum of nonnegative products in
+      its terms.  Each vector of G[s][k], and Q[s][k], was built by s levels
+      of :func:`_row_sums` from vectors at least as large, entry by entry,
+      as those the same sums give along (k, sigma): G keeps a vector that
+      dominates each one it drops, and U takes a max.  So it is at least
+      (1 - u)^(ds) P_k P_sigma e_target, and ``c``, one more sum, is at
+      least (1 - u)^(d(s+1)) v.
+
+    So the value is at most c (1 + u)^(ds) / (1 - u)^(d(s+1)) <= c (1 +
+    gamma_m), with m = d(2s + 1) and gamma_m = m u / (1 - m u) (Higham,
+    Lemma 3.1), and gamma_m <= 2 m u = F - 1 while m u <= 1/2.  A product
+    that underflows errs by up to 2^-1075 absolutely instead (a sum never
+    does).  The value takes at most s d^2 products and ``c`` at most (s + 1)
+    d^2; entries are at most 1 and rows sum to at most 1 + ROW_SUM_TOL, so
+    each such error reaches the value or ``c`` scaled by at most 2, and F <=
+    2 scales those of ``c`` once more: A = 16 (s + 1) d^2 2^-1075 covers
+    them.  Both conditions hold while N (d u + ROW_SUM_TOL) <= 1/8, true of
+    every instance a search can finish.  F = 1 + m 2^-52 and A are exact
+    floats.
+    """
+    m = terms * (2 * levels + 1)
+    return 1 + m * 2.0**-52, (levels + 1) * terms * terms * 2.0**-1071
+
+
+def _deflated(x: float, factor: float, absolute: float) -> float:
+    """A float below (x - absolute) / factor, so that a bound ``c`` at most
+    it has ``c * factor + absolute < x``: each rounded step is followed by
+    a step to the next float down, which lies below the exact result."""
+    return nextafter(nextafter(x - absolute, -inf) / factor, -inf)
 
 
 # Terms per generated statement.  CPython compiles a chain of additions by
@@ -266,7 +397,28 @@ def mdp_value_table(inst: Instance) -> ValueTable:
     return ValueTable(tuple(tuple(view.divide(u, s) for u in level) for level, s in levels))
 
 
-class _FloatView:
+class _ValueView:
+    """What the two value backends share: the suffix groups G, built in the
+    backend's own numbers the first time a walk reads them, and the child
+    bounds read off them.  G holds plain tuples and lists, nothing that
+    refers back to the view."""
+
+    @cached_property
+    def G(self) -> list:
+        """Per level r, per matrix k, the group G[r][k] of
+        :func:`_suffix_groups`, up to the last level it covers."""
+        N = len(self.full) - 1
+        return _suffix_groups(self._rows, self._index, len(self.start), N, self._target)
+
+    def suffix_caps(self, weights, r: int) -> list:
+        """The K child bounds of a node with ``r`` steps left, 2 <= r <
+        len(G): the max of ``weights . beta`` over each group G[r][k], at
+        level r's scale, each a sum by ``_total``."""
+        total = self._total
+        return [max(map(total, map(map, repeat(mul), repeat(weights), group))) for group in self.G[r]]
+
+
+class _FloatView(_ValueView):
     """Float backend: the instance's weights and entries as they are.
 
     Every level scale and full mass is 1, so each child bound is the plain
@@ -287,17 +439,26 @@ class _FloatView:
     ``caps`` calls the :func:`_dot_kernel` of the instance's shape, taken
     the first time it runs and shared by every view of that shape.  It fixes
     the addition order, so leaf values match ``evaluate_plan`` bit for bit.
+    ``suffix_caps`` adds each product of a group's vector with ``fsum``,
+    which rounds once per product and once per sum on every CPython.
+
+    ``cutoffs`` carries the rounding slack of :func:`_rounding_slack` into
+    the walks' comparisons above the leaves, whichever of ``caps`` and
+    ``suffix_caps`` gave the bound; the bounds themselves stay plain float
+    sums, so beam reads ``caps`` unchanged.
     """
 
     base = 1
     memoize = False
     commuting_below = None
+    _total = staticmethod(fsum)
 
     def __init__(self, inst: Instance, rows, index):
         self.start = inst.start.weights
-        self._rows, self._index = rows, index
+        self._rows, self._index, self._target = rows, index, inst.target
         self.U, self.lookahead, _ = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
+        self._slacks = [_rounding_slack(inst.d, r) for r in range(2, inst.N + 1)]
 
     @cached_property
     def kernels(self):
@@ -314,6 +475,14 @@ class _FloatView:
     def caps(self, weights, r: int) -> list:
         return self._dot(weights, self.lookahead[r])
 
+    def cutoffs(self, x: float) -> list:
+        """Per level r, the float a child bound read with r steps left is
+        compared with, for plans worth ``x``: a bound at most it shows that
+        no plan under the child beats ``x``, and a bound below it that none
+        reaches ``x``.  It is ``x`` at r <= 1, where the bound is the leaf's
+        value, and ``x`` less the rounding slack above."""
+        return [x, x, *(_deflated(x, *slack) for slack in self._slacks)]
+
     @staticmethod
     def divide(x, scale):
         return x / scale
@@ -323,7 +492,7 @@ class _FloatView:
         return x
 
 
-class _IntegerView:
+class _IntegerView(_ValueView):
     """Exact backend: an integer rescaling of an exact instance.
 
     With L the lcm of the denominators of the nonzero entries and start
@@ -356,6 +525,7 @@ class _IntegerView:
 
     memoize = True
     commuting_below = None
+    _total = staticmethod(sum)
 
     def __init__(self, inst: Instance, entries, index):
         denominators = {t.denominator for row in entries for _, t in row}
@@ -363,7 +533,7 @@ class _IntegerView:
         rows = [tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in entries]
         self.start = tuple(int(w * L) * L**inst.N for w in inst.start.weights)
         self.U, _, self._sums = _tables(rows, index, inst.d, inst.N, inst.target)
-        self._index = index
+        self._rows, self._index, self._target = rows, index, inst.target
         self._unpack_words = Struct(f"<{len(index)}Q").unpack
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
@@ -423,6 +593,10 @@ class _IntegerView:
             return list(self._unpack_words(data))
         return list(map(int.from_bytes, map(data.__getitem__, fields), repeat("little")))
 
+    def cutoffs(self, x) -> list:
+        """Per level r >= 1, ``x``, a value at level 1's scale, at level r's."""
+        return [None, *(x * scale for scale in self.level_scale[:-1])]
+
     @staticmethod
     def divide(x, scale):
         return Fraction(x, scale)
@@ -443,6 +617,14 @@ def _view(inst: Instance, backend=None):
     if view is None:
         view = views[backend] = backend(inst, rows, index)
     return view
+
+
+def _level_caps(view) -> list:
+    """Per level r, the function a walk reads the K child bounds of a node
+    with r steps left through: ``suffix_caps`` at the levels above the
+    leaves that the view's suffix groups cover, ``caps`` elsewhere."""
+    covered = len(view.G)
+    return [view.suffix_caps if 2 <= r < covered else view.caps for r in range(len(view.full))]
 
 
 def _image(successors, s: int) -> int:
@@ -479,6 +661,7 @@ class _SupportView:
     """
 
     memoize = True
+    G = (None,)  # no suffix groups: every level reads caps
 
     def __init__(self, inst: Instance, entries, index):
         K, N = inst.K, inst.N
@@ -592,14 +775,17 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
 
 def branch_and_bound_solve(inst: Instance) -> SolveResult:
-    """Exact solve by depth-first search with relaxation-bound pruning.
+    """Exact solve by depth-first search with bound pruning.
 
     Children are visited in ascending matrix-index order.  A subtree rooted
-    at population ``v`` with ``r`` steps left is pruned when
-    ``sum_i v[i] * U[r][i] <= incumbent`` -- only strict improvements are
-    chased, so the returned plan is the first one attaining the final best
-    value in this order (which may differ from enumerate_solve's tie-break;
-    the values always agree).  On exact instances, subtree value
+    at population ``v`` with ``r`` steps left is pruned when its bound is
+    at most the incumbent: ``max over beta in G[r+1][k] of v_parent . beta``,
+    its best value, where the suffix groups cover its parent's level, else
+    ``sum_i v[i] * U[r][i]``; in float mode above the leaves the bound is
+    first widened by the rounding slack of :func:`_rounding_slack`.  Only
+    strict improvements are chased, so the returned plan is the first one
+    attaining the final best value in this order, enumerate_solve's plan,
+    and the values agree bit for bit.  On exact instances, subtree value
     certificates are memoized so that revisited states prune immediately:
     one certificate per unit of a normalized population (its live weights
     divided by their gcd), shared by every population proportional to it.
@@ -619,10 +805,8 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
     view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
-    apply, caps = view.apply, view.caps
+    apply, cutoffs, level_caps = view.apply, view.cutoffs, _level_caps(view)
     base, memoize = view.base, view.memoize
-    # level r's scale is level_scale[r - 1] times level 1's
-    above_level_one = view.level_scale[:N]
 
     best_value = None  # at level 1's scale
     best_plan: Plan = ()
@@ -649,7 +833,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
         child_classes, seen, live_of = classes[r], populations[r], live_weights[r]
         child_key = child_scale = child_cached = None
         level_cap = 0  # best child cap, at this level's scale
-        for k, cap in enumerate(caps(weights, steps_left)):
+        for k, cap in enumerate(level_caps[steps_left](weights, steps_left)):
             if incumbent is not None and cap <= incumbent:
                 pruned += 1
             else:
@@ -657,7 +841,7 @@ def branch_and_bound_solve(inst: Instance) -> SolveResult:
                 if steps_left == 1:
                     # a leaf: its cap is its value, a strict improvement
                     best_value, best_plan = cap, prefix + (k,)
-                    incumbent_by_level = [None, *(cap * s for s in above_level_one)]
+                    incumbent_by_level = cutoffs(cap)
                 else:
                     child = apply(weights, k)
                     if memoize:
@@ -733,13 +917,16 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
 
     Depth-first in ascending matrix order with early exit on the first
     witness, which is the lexicographically first plan that qualifies; a
-    child is pruned when its relaxation bound falls below alpha (below
-    ``alpha - 1e-12`` in float mode, where a leaf also qualifies at
-    ``value >= alpha - 1e-12``).  One step from the end the bound is the
-    leaf's value, so the first child that passes is the witness.  Exact
-    mode compares exactly.  On exact instances failed states more than one
-    step from the leaves are memoized, so the search never re-proves the
-    same dead subtree of depth two or more.
+    child is pruned when its bound, read as in
+    :func:`branch_and_bound_solve`, falls below alpha (below ``alpha -
+    1e-12`` in float mode, where a leaf also qualifies at ``value >= alpha -
+    1e-12``, and an inner bound is first widened by the rounding slack).
+    One step from the end the bound is the leaf's value, so the first child
+    that passes is the witness.  Exact mode compares exactly, and where the
+    suffix groups cover every inner level it walks straight down to the
+    witness, or proves at the root that none exists.  On exact instances
+    failed states more than one step from the leaves are memoized, so the
+    search never re-proves the same dead subtree of depth two or more.
 
     Exact alpha = 1 (with N >= 1) is the case the 3-SAT reduction rides on,
     and it runs on support bitmasks (:class:`_SupportView`): a plan has
@@ -769,11 +956,11 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
     view = _view(inst, _SupportView if exact and alpha == 1 and N else None)
     # exact bounds are integers, so the least integer at or above the cutoff
     # passes the same children and compares faster than a Fraction
-    cutoffs = [ceil(threshold * full) if exact else threshold * full for full in view.full]
+    cutoffs = [ceil(threshold * full) for full in view.full] if exact else view.cutoffs(threshold)
     if N == 0:
         attained = view.start[inst.target] >= cutoffs[0]
         return attained, (() if attained else None)
-    apply, caps, memoize = view.apply, view.caps, view.memoize
+    apply, level_caps, memoize = view.apply, _level_caps(view), view.memoize
     commuting_below = view.commuting_below or (0,) * (K + 1)
     failed = set()
 
@@ -789,7 +976,7 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
             return None
         cutoff = cutoffs[steps_left]
         skip = commuting_below[last]
-        for k, cap in enumerate(caps(weights, steps_left)):
+        for k, cap in enumerate(level_caps[steps_left](weights, steps_left)):
             if cap < cutoff or skip >> k & 1:
                 continue  # below the cutoff, or k commutes with last and sorts before it
             if steps_left == 1:

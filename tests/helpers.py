@@ -217,6 +217,30 @@ def random_sparse_float_instance(rng: Random, d: int, K: int, N: int) -> Instanc
     )
 
 
+def tie_heavy_instance(rng: Random, d: int, K: int, N: int, mode: str = "exact") -> Instance:
+    """Rows that are 0/1 maps mixed with half/half rows, and a start that
+    is a point mass or half/half, so that many plans tie in value."""
+    one, half = (Fraction(1), Fraction(1, 2)) if mode == "exact" else (1.0, 0.5)
+
+    def weights():
+        row = [one * 0] * d
+        if d == 1 or rng.random() < 0.5:
+            row[rng.randrange(d)] = one
+        else:
+            for j in rng.sample(range(d), 2):
+                row[j] = half
+        return tuple(row)
+
+    matrices = tuple(StochasticMatrix(tuple(weights() for _ in range(d))) for _ in range(K))
+    return Instance(
+        matrices=matrices,
+        N=N,
+        start=Distribution(weights()),
+        target=rng.randrange(d),
+        numeric_mode=mode,
+    )
+
+
 def random_instance(rng: Random, d: int, K: int, N: int, mode: str = "float") -> Instance:
     if mode == "float":
         matrices = tuple(random_float_matrix(rng, d) for _ in range(K))

@@ -56,6 +56,7 @@ from helpers import (
     random_float_matrix,
     random_instance,
     single_clause_formula,
+    tie_heavy_instance,
 )
 
 
@@ -425,6 +426,122 @@ class TestBoundAdmissibility:
                         v = apply(v, inst.matrices[plan[depth]])
 
 
+class TestSuffixBounds:
+    """bnb and decide bound a child above the leaves by the max of w . beta
+    over its suffix group G[r][k], and compare float bounds there with the
+    rounding slack; values, plans and witnesses stay enumeration's."""
+
+    @staticmethod
+    def instances():
+        rng = Random(9100)
+        for N in range(6):
+            for _ in range(5):
+                d, K = rng.randint(1, 5), rng.randint(1, 4)
+                for mode in ("float", "exact"):
+                    yield random_instance(rng, d, K, N, mode=mode)
+                    yield tie_heavy_instance(rng, d, K, N, mode=mode)
+        for mode in ("float", "exact"):
+            # groups that stop below the root
+            yield random_instance(rng, 5, 6, 4, mode=mode)
+            yield tie_heavy_instance(rng, 6, 7, 4, mode=mode)
+            # K * K above _GAMMA_VECTORS: no groups, every level reads caps
+            yield random_instance(rng, 3, 9, 3, mode=mode)
+            yield tie_heavy_instance(rng, 4, 9, 3, mode=mode)
+
+    @staticmethod
+    def coverage(inst):
+        """'none', 'partial' or 'full': which inner levels the groups cover."""
+        covered = len(solvers._view(inst).G) - 1
+        return "none" if covered < 2 else "full" if covered == inst.N else "partial"
+
+    def test_bnb_and_decide_answer_as_enumeration(self):
+        coverage = set()
+        for inst in self.instances():
+            exact = inst.numeric_mode == "exact"
+            same = (lambda x: x) if exact else float.hex
+            values = {p: evaluate_plan(inst, p) for p in product(range(inst.K), repeat=inst.N)}
+            optimum = max(values.values())
+            enum = enumerate_solve(inst)
+            bnb = branch_and_bound_solve(inst)
+            assert (same(enum.value), enum.plan) == (same(optimum), min(p for p, v in values.items() if v == optimum))
+            assert (same(bnb.value), bnb.plan) == (same(enum.value), enum.plan)
+            levels = sorted(set(values.values()))
+            for v in levels[:: max(1, len(levels) // 6)] + [optimum]:
+                # a float alpha whose threshold alpha - EVAL_TOL is v, or
+                # next to it where no alpha has that threshold
+                alpha = v if exact else next(
+                    (a for a in (v + EVAL_TOL, nextafter(v + EVAL_TOL, 2.0)) if a - EVAL_TOL == v),
+                    v + EVAL_TOL,
+                )
+                if alpha <= 1:
+                    threshold = alpha if exact else alpha - EVAL_TOL
+                    first = next((p for p, value in values.items() if value >= threshold), None)
+                    assert decide_threshold(inst, alpha) == (first is not None, first)
+            if exact or optimum > 0:  # no float threshold lies one ulp above 0
+                above = (optimum + 1) / 2 if exact else threshold_alpha(nextafter(optimum, 1.0))
+                if optimum < above <= 1:
+                    assert decide_threshold(inst, above) == (False, None)
+            if inst.N >= 2:
+                coverage.add((self.coverage(inst), inst.numeric_mode))
+        assert coverage == {(c, m) for c in ("none", "partial", "full") for m in ("float", "exact")}
+
+    def test_beam_still_matches_the_reference(self):
+        for inst in self.instances():
+            for got, expected in TestBeamSearch.answers(inst):
+                assert repr(got) == repr(expected)  # floats bit for bit
+
+    def test_every_plan_under_a_child_lies_within_its_bound(self):
+        # Float: every plan under a child, valued as the walks value it, is
+        # worth at most bound * F + A.  Exact: a child's bound off G is its
+        # best plan's value, and a bound off caps is at least that.
+        for inst in self.instances():
+            if inst.N < 2:
+                continue
+            view = solvers._view(inst)
+            level_caps = solvers._level_caps(view)
+            exact = inst.numeric_mode == "exact"
+
+            def values(weights, r):
+                """The values of the plans from ``weights`` with ``r`` steps
+                left, at level 1's scale, each child's bound checked."""
+                if r == 1:
+                    return view.caps(weights, 1)
+                out = []
+                for k, bound in enumerate(level_caps[r](weights, r)):
+                    below = values(view.apply(weights, k), r - 1)
+                    if exact:
+                        top = max(below) * view.level_scale[r - 1]
+                        assert bound == top if level_caps[r] == view.suffix_caps else bound >= top
+                    else:
+                        F, A = solvers._rounding_slack(inst.d, r)
+                        assert max(map(Fraction, below)) <= Fraction(bound) * Fraction(F) + Fraction(A)
+                    out += below
+                return out
+
+            values(view.start, inst.N)
+
+    def test_slack_and_cutoffs(self):
+        u = Fraction(1, 2**53)
+        for d, s in ((1, 2), (4, 2), (12, 9), (60, 30)):
+            F, A = solvers._rounding_slack(d, s)
+            m = d * (2 * s + 1)
+            assert Fraction(F) - 1 >= m * u / (1 - m * u)  # 1 + gamma_m
+            assert Fraction(A) == 16 * (s + 1) * d * d * Fraction(1, 2**1075)
+            for x in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 0.21009345801792856, 1.0):
+                cutoff = solvers._deflated(x, F, A)
+                assert Fraction(cutoff) * Fraction(F) + Fraction(A) < Fraction(x)
+                if x > 1e-300:
+                    assert Fraction(cutoff) >= Fraction(x) * (1 - 2 * (Fraction(F) - 1))
+
+    def test_reductions_build_no_groups(self, monkeypatch):
+        maximal = counting(monkeypatch, solvers, "_maximal")
+        inst = encode_reduction(planted_formula(Random(3), 4, 4)[1]).instance
+        assert inst.K * inst.K > solvers._GAMMA_VECTORS
+        result = branch_and_bound_solve(inst)
+        assert result.value == 1 and decide_threshold(inst, Fraction(1, 2))[0]
+        assert solvers._view(inst).G == [None] and maximal == []
+
+
 # Answers recorded from the solvers before their float and exact search paths
 # were merged into one walk over a numeric backend.  Node counts and
 # tie-broken plans are part of the contract: a refactor of the search must
@@ -439,16 +556,16 @@ PINNED_INSTANCES = {
 
 PINNED_SOLVES = [
     # (seed, method, value, plan, nodes_explored, nodes_pruned)
-    (7, "bnb", 0.21207698341970116, (0, 1, 1, 1, 1), 126, 237),
+    (7, "bnb", 0.21207698341970116, (0, 1, 1, 1, 1), 18, 21),
     (7, "beam1", 0.2056750177750979, (1, 2, 0, 0, 1), 15, 10),
     (7, "beam4", 0.20588470145199037, (0, 1, 0, 0, 1), 48, 29),
-    (8, "bnb", 0.1593653521715404, (0, 1, 0, 1, 0, 0), 66, 60),
+    (8, "bnb", 0.1593653521715404, (0, 1, 0, 1, 0, 0), 16, 10),
     (8, "beam1", 0.15591518714727198, (1, 1, 0, 1, 1, 0), 12, 6),
     (8, "beam4", 0.15591518714727198, (1, 1, 0, 1, 1, 0), 38, 16),
-    (9, "bnb", Fraction(5190148559, 21227005800), (0, 0, 1, 2), 40, 68),
+    (9, "bnb", Fraction(5190148559, 21227005800), (0, 0, 1, 2), 9, 6),
     (9, "beam1", Fraction(8262094277, 35983101000), (0, 2, 2, 1), 12, 8),
     (9, "beam4", Fraction(271580224529, 1167485319000), (0, 0, 2, 1), 36, 21),
-    (10, "bnb", Fraction(595312999368716977, 2105326440574156800), (0, 1, 1, 0, 1), 35, 27),
+    (10, "bnb", Fraction(595312999368716977, 2105326440574156800), (0, 1, 1, 0, 1), 15, 7),
     (10, "beam1", Fraction(133645205555394685169, 479440726995851292672), (0, 0, 0, 0, 1), 10, 5),
     (10, "beam4", Fraction(5264224639991055811, 18868190751509299200), (1, 0, 0, 0, 1), 30, 12),
 ]
@@ -462,22 +579,22 @@ PINNED_DECISIONS = [
 ]
 
 
-# Exact bnb answers where memo prunes fire: 0/1 maps from
+# Exact bnb answers on instances whose populations repeat: 0/1 maps from
 # deterministic_instance(Random(seed), d, K, N) with the start spread evenly
-# over all d states (the N = 2, 3, 4 ones prune off the memo at every depth
-# below the root, N = 1 never checks it), and planted reductions, which
-# prune off it two and three steps from the leaves.
+# over all d states, where the suffix groups bound every child exactly and
+# the memo never prunes, and planted reductions, which build no groups and
+# prune off the memo two and three steps from the leaves.
 PINNED_MEMO_SOLVES = [
     # (kind, (seed, d, K, N) or (n, m, seed), value, plan, nodes_explored, nodes_pruned)
     ("spread", (3, 6, 3, 1), Fraction(1, 6), (1,), 2, 1),
-    ("spread", (61, 4, 3, 2), Fraction(1, 4), (0, 1), 5, 5),
-    ("spread", (82, 4, 3, 2), Fraction(1, 2), (0, 1), 4, 3),
-    ("spread", (173, 6, 3, 3), Fraction(1, 3), (0, 2, 2), 10, 10),
-    ("spread", (742, 6, 3, 3), Fraction(1, 2), (2, 1, 0), 8, 9),
-    ("spread", (377, 6, 4, 4), Fraction(5, 6), (2, 1, 2, 0), 55, 135),
-    ("spread", (484, 6, 4, 4), Fraction(2, 3), (1, 0, 3, 2), 28, 52),
-    ("spread", (38, 10, 4, 7), Fraction(9, 10), (0, 3, 1, 3, 2, 2, 3), 996, 2678),
-    ("spread", (331, 12, 3, 8), Fraction(11, 12), (0, 2, 1, 2, 1, 2, 0, 1), 226, 411),
+    ("spread", (61, 4, 3, 2), Fraction(1, 4), (0, 1), 3, 3),
+    ("spread", (82, 4, 3, 2), Fraction(1, 2), (0, 1), 3, 3),
+    ("spread", (173, 6, 3, 3), Fraction(1, 3), (0, 2, 2), 7, 8),
+    ("spread", (742, 6, 3, 3), Fraction(1, 2), (2, 1, 0), 6, 9),
+    ("spread", (377, 6, 4, 4), Fraction(5, 6), (2, 1, 2, 0), 12, 24),
+    ("spread", (484, 6, 4, 4), Fraction(2, 3), (1, 0, 3, 2), 10, 22),
+    ("spread", (38, 10, 4, 7), Fraction(9, 10), (0, 3, 1, 3, 2, 2, 3), 41, 107),
+    ("spread", (331, 12, 3, 8), Fraction(11, 12), (0, 2, 1, 2, 1, 2, 0, 1), 29, 43),
     ("planted", (4, 4, 2), Fraction(1), (0, 2, 9, 20, 26, 1), 34, 748),
     ("planted", (4, 5, 0), Fraction(1), (0, 2, 9, 16, 23, 30, 1), 188, 4169),
     ("planted", (5, 4, 3), Fraction(1), (0, 2, 10, 17, 23, 1), 37, 805),
@@ -625,19 +742,27 @@ class TestLastStepOffLookahead:
             bnb = branch_and_bound_solve(inst)
             assert enum.value == values[enum.plan] == optimum
             assert bnb.value == values[bnb.plan] == optimum
-            # decide returns the first plan whose value reaches the threshold
-            thresholds = [optimum - EVAL_TOL]
-            if N <= 1:
-                # Without inner levels only leaves are compared, so a plan
-                # qualifies at a threshold equal to its value, not an ulp
-                # above.  (An inner bound is a float sum too and can sit an
-                # ulp below a plan that attains it, e.g. when K = 1.)
-                thresholds += values.values()
-            for threshold in thresholds:
+            # decide returns the first plan whose value reaches the threshold,
+            # also at a threshold equal to a plan's value: inner bounds carry
+            # the rounding slack, so none sits an ulp below a plan under it
+            for threshold in [optimum - EVAL_TOL, *values.values()]:
                 first = next(p for p, v in values.items() if v >= threshold)
                 assert decide_threshold(inst, threshold_alpha(threshold)) == (True, first)
             above = threshold_alpha(nextafter(optimum, 1.0))
             assert decide_threshold(inst, above) == (False, None)
+
+    def test_inner_bound_below_the_plan_still_qualifies(self):
+        # the first instance of the N = 2 case above: d = 4, K = 1, so its
+        # one plan is the optimum, and its root cap, a float sum of other
+        # products, lands three ulps below that plan's value
+        rng = Random(5152)
+        d, K = rng.randint(2, 5), rng.randint(1, 3)
+        inst = random_instance(rng, d, K, 2, mode="float")
+        value = evaluate_plan(inst, (0, 0))
+        assert (d, K, value) == (4, 1, 0.21009345801792856)
+        assert solvers._view(inst).caps(inst.start.weights, 2) == [0.21009345801792853]
+        assert decide_threshold(inst, threshold_alpha(value)) == (True, (0, 0))
+        assert branch_and_bound_solve(inst).value == value
 
     @pytest.mark.parametrize("N", [0, 1, 2, 4])
     def test_exact_unit_scale_solvers_agree(self, N):
