@@ -294,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # the searches recurse once per plan step
+        # branch and bound and the decision recurse once per plan step
         print("error: horizon N is too deep for the recursive search", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,8 +2,8 @@
 
 Four entry points, all pure functions of an :class:`~timemachine.core.Instance`:
 
-* :func:`enumerate_solve` -- exhaustive scan of all K^N plans; the reference
-  oracle for everything else.
+* :func:`enumerate_solve` -- exhaustive scan of all K^N plans, without
+  recursion; the reference oracle for everything else.
 * :func:`mdp_value_table` -- finite-horizon dynamic program for the relaxed
   single-individual problem, where a different matrix may be chosen per state
   per step.  ``U[r][i]`` bounds from above what any single plan can deliver
@@ -27,8 +27,9 @@ one level ``base`` times the scale of the level below), the total mass
 ``divide`` and ``to_value``.  ``caps`` returns the K
 child bounds of a node with ``r`` steps left, sum_i w_i Q[r][k][i] at level
 r's scale, where Q[r][k][i] is state i's value one step through matrix k;
-enumeration and beam search read child bounds only through it, and so do
-the two walks at the leaves (r = 1).  Above the leaves the walks read
+beam search reads child bounds only through it, and so do the two walks
+at the leaves (r = 1).  Enumeration reads no child bound: it reads plan
+values through ``suffix_values`` (below).  Above the leaves the walks read
 ``suffix_caps(weights, r)`` where the suffix groups ``G`` cover level r:
 the max of w . beta over the group G[r][k] of each child, which is the
 child's best value (:func:`_suffix_groups`).  An instance with K * K above
@@ -70,7 +71,7 @@ a backend lives until its instance dies or another instance is checked.
   It packs the K lookahead entries of each state into one integer, so one
   big-integer dot product yields all K child bounds.  Its groups ``G`` are
   integers too, level r scaled by L^r, so the walks' bounds off them are
-  exact.
+  exact.  Enumeration packs suffix values the same way, K^b to an integer.
 * :class:`_SupportView` serves only the exact decision at alpha = 1, the
   regime of the 3-SAT reduction.  Its populations are support bitmasks; it
   builds no value table, only certainty masks that know the matrix order,
@@ -86,6 +87,21 @@ that order, so leaf values match :func:`~timemachine.core.evaluate_plan` bit
 for bit on any CPython.
 A child whose occupied states all have relaxed value exactly 1 gets
 exactly the full mass as its bound, with no special case.
+
+Enumeration applies the first N - b steps of each plan forward and reads
+the values of all K^b suffixes of a population it reaches with one call,
+``suffix_values``.  Float keeps b = 1: those values are the dot kernel's
+sums over Q[1], the leaf values above, while a longer suffix read off a
+vector P_sigma e_target would add its products in another order than
+:func:`~timemachine.core.evaluate_plan` does.  Exact values are
+associative, so exact enumeration meets in the middle (Horowitz & Sahni
+1974) at b = N // 2: per state, one integer packs the state's entries of
+the K^b suffix vectors of Smallwood & Sondik (1973), and one big-integer
+dot product per forward population yields K^b exact plan values.  That
+table holds d integers of K^b fields, at most sqrt(K^N) vectors, so
+sqrt(budget) at most; it is built per call and dropped on return.  The
+walk itself is an odometer over the top levels and a pipeline of ``map``
+calls over the last forward steps, so no recursion grows with N.
 
 Branch and bound and the threshold decision are the two depth-first walks.
 Both visit children in ascending order, and a bound that is the child's
@@ -107,8 +123,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import repeat
+from functools import cached_property, lru_cache, partial
+from itertools import chain, repeat
 from math import ceil, fsum, gcd, inf, lcm, nextafter
 from operator import floordiv, ge, itemgetter, mul
 from struct import Struct
@@ -191,6 +207,25 @@ def _row_sums(rows, values) -> list:
             total += c * values[j]
         sums.append(total)
     return sums
+
+
+def _fields(count: int, top: int) -> list:
+    """The byte slices of ``count`` packed fields, field 0 at byte 0, each
+    as many bytes wide as ``top``, the largest value a field holds, takes,
+    and at least one 64-bit word."""
+    width = max(8, (top.bit_length() + 7) // 8)
+    return [slice(o, o + width) for o in range(0, count * width, width)]
+
+
+def _field_reader(fields):
+    """A function taking the little-endian bytes of an integer packed in
+    ``fields`` (:func:`_fields`) to the tuple of their values: one
+    precompiled ``struct`` unpack where a field is one 64-bit word, else
+    one byte slice per field.  Wider fields are not padded to whole words,
+    which would only lengthen the dot products that make the integers."""
+    if fields[0].stop == 8:
+        return Struct(f"<{len(fields)}Q").unpack
+    return lambda data: tuple(map(int.from_bytes, map(data.__getitem__, fields), repeat("little")))
 
 
 def _tables(rows, index, d: int, N: int, target: int):
@@ -475,6 +510,17 @@ class _FloatView(_ValueView):
     def caps(self, weights, r: int) -> list:
         return self._dot(weights, self.lookahead[r])
 
+    def appliers(self) -> list:
+        """Per matrix, a function taking a population to its image."""
+        return self.kernels
+
+    def suffix_values(self, N: int):
+        """``(b, read, table)`` for enumeration: ``read(weights, table)``
+        lists the values of the K^b plans that finish a population with b
+        steps left, in plan order.  Float reads the last step alone (b =
+        1), off the dot kernel and Q[1], as ``caps(weights, 1)`` does."""
+        return 1, self._dot, self.lookahead[1]
+
     def cutoffs(self, x: float) -> list:
         """Per level r, the float a child bound read with r steps left is
         compared with, for plans worth ``x``: a bound at most it shows that
@@ -508,10 +554,9 @@ class _IntegerView(_ValueView):
     population has mass D and every Q[r][k][i] lies in [0, L^r], so each
     child bound lies in [0, full[r]] and fits its field: the weighted sum
     of the packed columns never carries from one field into the next, and
-    one big-integer dot product yields all K child bounds.  Where full[r]
-    fits one word, one precompiled ``struct`` unpack reads all K fields;
-    wider fields are read by K byte slices, and are not padded to whole
-    words, which would only lengthen the dot product.  The packed columns
+    one big-integer dot product yields all K child bounds, read off by
+    :func:`_field_reader`, which also reads enumeration's suffix values
+    (``suffix_values``).  The packed columns
     are built from one byte string per distinct row sum per level.  Exact
     populations repeat (the reduction's 0/1 matrices move whole packets),
     so searches memoize over them.  The packed columns are built the first
@@ -534,7 +579,6 @@ class _IntegerView(_ValueView):
         self.start = tuple(int(w * L) * L**inst.N for w in inst.start.weights)
         self.U, _, self._sums = _tables(rows, index, inst.d, inst.N, inst.target)
         self._rows, self._index, self._target = rows, index, inst.target
-        self._unpack_words = Struct(f"<{len(index)}Q").unpack
         self.level_scale = [L**r for r in range(inst.N + 1)]
         self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
         self.moved = []
@@ -548,9 +592,12 @@ class _IntegerView(_ValueView):
         """Per level r, the byte slice of each matrix's field in a packed
         sum, each as many bytes wide as full[r] takes, and at least one
         64-bit word."""
-        K = len(self._index)
-        widths = [max(8, (full.bit_length() + 7) // 8) for full in self.full]
-        return [[slice(o, o + w) for o in range(0, K * w, w)] for w in widths]
+        return [_fields(len(self._index), full) for full in self.full]
+
+    @cached_property
+    def _readers(self):
+        """Per level r, the :func:`_field_reader` of its fields."""
+        return list(map(_field_reader, self.fields))
 
     @cached_property
     def columns(self):
@@ -587,11 +634,48 @@ class _IntegerView(_ValueView):
         return tuple(out)
 
     def caps(self, weights, r: int) -> list:
-        fields = self.fields[r]
-        data = sum(map(mul, weights, self.columns[r])).to_bytes(fields[-1].stop, "little")
-        if fields[0].stop == 8:  # one word per field
-            return list(self._unpack_words(data))
-        return list(map(int.from_bytes, map(data.__getitem__, fields), repeat("little")))
+        size = self.fields[r][-1].stop
+        return list(self._readers[r](sum(map(mul, weights, self.columns[r])).to_bytes(size, "little")))
+
+    def appliers(self) -> list:
+        """Per matrix, a function taking a population to its image."""
+        return [partial(self.apply, k=k) for k in range(len(self._index))]
+
+    def suffix_values(self, N: int):
+        """``(b, read, table)`` for enumeration, with b = N // 2:
+        ``read(weights, table)`` is the tuple of the values of the K^b plans
+        that finish a population with b steps left, in plan order, at level
+        b's scale.
+
+        The value of suffix sigma from w is w . V_sigma, with V_sigma = P_k
+        V_rest for sigma = (k, rest), in integers at scale L^b.  So per
+        state i, ``table[i]`` packs the K^b entries V_sigma[i] into one
+        integer, field f holding the suffix whose base-K digits spell f,
+        each field as wide as full[b] takes (:func:`_fields`), and one
+        big-integer dot product with a population yields all K^b values,
+        read off by :func:`_field_reader`.  The table is built level by
+        level as :func:`_tables` builds value levels: :func:`_row_sums`
+        over the packed integers of the level below gives, per distinct
+        row, the packed P_k row times every shorter suffix at once (no
+        field carries: every entry lies in [0, L^b]), and state i's block
+        for matrix k is the sum of its row in matrix k.  It holds d
+        integers of K^b fields, at most K^(N//2) <= sqrt(K^N) vectors,
+        about d K^b w bytes with w the field width (8 where full[b] fits
+        one word), and is built per call, not kept with the view.
+        """
+        b = N // 2
+        count = len(self._index) ** b
+        fields = _fields(count, self.full[b])
+        width, size = fields[0].stop, fields[-1].stop
+        by_state = list(zip(*self._index))  # per state, its row's place in each matrix
+        table = [int(i == self._target) for i in range(len(self.start))]
+        block = 1  # fields per matrix at the level built so far
+        for _ in range(b):
+            packed = [s.to_bytes(block * width, "little") for s in _row_sums(self._rows, table)]
+            table = [int.from_bytes(b"".join(map(packed.__getitem__, places)), "little") for places in by_state]
+            block *= len(self._index)
+        read = _field_reader(fields)
+        return b, lambda weights, table: read(sum(map(mul, weights, table)).to_bytes(size, "little")), table
 
     def cutoffs(self, x) -> list:
         """Per level r >= 1, ``x``, a value at level 1's scale, at level r's."""
@@ -733,11 +817,48 @@ class _SupportView:
         return [not s & outside for outside in self.uncertain[r]]
 
 
+# Enumeration expands each population near the leaves into a block of at
+# most this many leaves (or one population's K^b suffixes, if more) through
+# C-driven ``map`` calls, so its Python-level loop runs once per block.
+_BLOCK_LEAVES = 256
+
+
+def _expand(appliers, block) -> list:
+    """The children of the populations in ``block``, in plan order."""
+    return list(chain.from_iterable(zip(*[map(f, block) for f in appliers])))
+
+
+def _digits(index: int, K: int, count: int) -> list:
+    """The ``count`` base-K digits of ``index``, most significant first."""
+    digits = [0] * count
+    for place in range(count - 1, -1, -1):
+        index, digits[place] = divmod(index, K)
+    return digits
+
+
 def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) -> SolveResult:
     """Try all K^N plans and return the best value with the lexicographically
     smallest plan attaining it.
 
-    Refuses to start if K^N exceeds ``budget`` (default 10^8).
+    Refuses to start if K^N exceeds ``budget`` (default 10^8), before any
+    backend or table is built.  The walk applies the first N - b steps
+    forward and reads the values of all K^b suffixes of each population it
+    reaches with one call to the backend (``suffix_values``), not through
+    ``caps``.  Float keeps b = 1: the values are the dot kernel's leaf sums
+    over Q[1], which match :func:`~timemachine.core.evaluate_plan` bit for
+    bit, where a longer suffix would add products in another order.  Exact
+    values are associative, so b = N // 2 and the walk meets a packed
+    table of suffix vectors in the middle (Horowitz & Sahni 1974); the
+    table holds d integers of K^b fields each, at most sqrt(budget) fields,
+    built per call and dropped on return
+    (:meth:`_IntegerView.suffix_values` gives its size in bytes).  The
+    walk is an odometer over the top levels and, below them, a pipeline of
+    ``map`` calls that expands a population into a block of at most
+    ``_BLOCK_LEAVES`` leaves (or its K^b suffixes, if more), so no
+    recursion or nesting grows with N.  The first maximum in plan order is
+    the plan, so the answer is that of a depth-first scan.
+    ``nodes_explored`` is sum_(r=1..N) K^r, every node of the plan tree
+    below the root, and ``nodes_pruned`` is 0.
     """
     _sparse_rows(inst)  # the check first: K**N fails at K = 0, N < 0
     K, N = inst.K, inst.N
@@ -751,27 +872,38 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
-    apply, caps = view.apply, view.caps
+    b, read, table = view.suffix_values(N)
+    forward = N - b
+    piped = 0  # the forward steps a block expands
+    while piped < forward and K ** (b + piped + 1) <= _BLOCK_LEAVES:
+        piped += 1
+    top = forward - piped  # the levels the odometer walks
+    appliers = view.appliers() if forward else None  # float compiles its kernels here
 
-    best_value = None  # at level 1's scale
-    best_plan: Plan = ()
-    explored = 0
-
-    def walk(weights, steps_left: int, prefix: Plan):
-        nonlocal best_value, best_plan, explored
-        if steps_left == 1:
-            explored += K
-            for k, value in enumerate(caps(weights, 1)):  # the leaves' values
-                if best_value is None or value > best_value:
-                    best_value, best_plan = value, prefix + (k,)
-            return
-        for k in range(K):
-            explored += 1
-            walk(apply(weights, k), steps_left - 1, prefix + (k,))
-
-    walk(view.start, N, ())
-    del walk  # free the search state now, not at the next cycle collection
-    return SolveResult(view.to_value(best_value, 1), best_plan, explored, 0, "enum")
+    best_value, best_plan = -1, ()  # every plan is worth at least 0
+    populations, path = [[view.start]], [0]  # per level, its populations and the one visited
+    while path:
+        k = path[-1]
+        if k == len(populations[-1]):
+            populations.pop()
+            path.pop()
+            if path:
+                path[-1] += 1
+        elif len(path) <= top:
+            populations.append(_expand(appliers, [populations[-1][k]]))
+            path.append(0)
+        else:
+            block = [populations[-1][k]]
+            for _ in range(piped):
+                block = _expand(appliers, block)
+            values = list(chain.from_iterable(map(read, block, repeat(table))))
+            value = max(values)
+            if value > best_value:
+                best_value = value
+                best_plan = (*path[1:], *_digits(values.index(value), K, piped + b))
+            path[-1] += 1
+    explored = N if K == 1 else (K ** (N + 1) - K) // (K - 1)
+    return SolveResult(view.to_value(best_value, b), best_plan, explored, 0, "enum")
 
 
 def branch_and_bound_solve(inst: Instance) -> SolveResult:

@@ -3,9 +3,11 @@
 The oracles here deliberately avoid the library's evaluation path: plan
 values are recomputed via full matrix-matrix chain products, satisfaction
 of raw literal clauses via a tiny truth-table evaluator, and matrix powers
-by naive multiplication.  The one exception is ``beam_reference``, which
+by naive multiplication.  The exceptions are ``beam_reference``, which
 keeps the apply-then-score beam search through the public ``apply`` and
-``mdp_value_table``, so that float answers compare bit for bit.
+``mdp_value_table``, and ``enum_reference``, the former recursive
+enumeration on the solver's own backend, so that float answers compare bit
+for bit.
 ``dense_apply_reference`` is a frozen copy of the dense row-vector product
 the library ran before it moved populations through sparse rows, kept as
 the reference its results must match bit for bit.
@@ -28,6 +30,7 @@ from timemachine import (
     mdp_value_table,
     write_instance,
 )
+from timemachine import solvers
 from timemachine.instance_io import format_scalar
 
 
@@ -126,6 +129,36 @@ def beam_reference(inst, width):
         if best_value is None or value > best_value or (value == best_value and prefix < best_plan):
             best_value, best_plan = value, prefix
     return best_value, best_plan, explored, dropped
+
+
+def enum_reference(inst):
+    """Exhaustive search by the recursive walk ``enumerate_solve`` ran
+    before it read suffix values in blocks: depth first in plan order, one
+    ``apply`` per inner node and the leaves' values off their parent's
+    ``caps(weights, 1)``, keeping the first strict maximum.  It runs on the
+    solver's own backend, so float values compare bit for bit; it recurses
+    once per plan step.  Returns ``(value, plan, nodes_explored,
+    nodes_pruned)``."""
+    view = solvers._view(inst)
+    K, N = inst.K, inst.N
+    if N == 0:
+        return view.to_value(view.start[inst.target]), (), 0, 0
+    best_value, best_plan, explored = None, (), 0
+
+    def walk(weights, steps_left, prefix):
+        nonlocal best_value, best_plan, explored
+        if steps_left == 1:
+            explored += K
+            for k, value in enumerate(view.caps(weights, 1)):
+                if best_value is None or value > best_value:
+                    best_value, best_plan = value, prefix + (k,)
+            return
+        for k in range(K):
+            explored += 1
+            walk(view.apply(weights, k), steps_left - 1, prefix + (k,))
+
+    walk(view.start, N, ())
+    return view.to_value(best_value, 1), best_plan, explored, 0
 
 
 def raw_clause_satisfied(raw_clause, assignment):

@@ -48,6 +48,7 @@ from timemachine.reduction import (
 from helpers import (
     all_patterns_formula,
     beam_reference,
+    enum_reference,
     matrix_power,
     planted_formula,
     random_exact_distribution,
@@ -102,6 +103,49 @@ class TestEnumerate:
         result = enumerate_solve(identity_instance(N=0))
         assert result.value == 1
         assert result.plan == ()
+
+    def test_answers_equal_the_recursive_reference(self):
+        # floats by float.hex, exact values by type and value; exact suffix
+        # values are read off one-word fields (tie-heavy instances: L = 2)
+        # and off byte slices (random ones: L has many digits)
+        def key(answer):
+            value, *rest = answer
+            return (value.hex() if isinstance(value, float) else (type(value), value), *rest)
+
+        rng = Random(1700)
+        paths = set()
+        for _ in range(400):
+            mode = rng.choice(["float", "exact"])
+            d, K, N = rng.randint(1, 7), rng.randint(1, 4), rng.randint(0, 7)
+            while K**N > 1024:
+                N -= 1
+            make = tie_heavy_instance if rng.random() < 0.5 else random_instance
+            inst = make(rng, d, K, N, mode)
+            result = enumerate_solve(inst)
+            got = (result.value, result.plan, result.nodes_explored, result.nodes_pruned)
+            assert key(got) == key(enum_reference(inst))
+            if mode == "exact":
+                paths.add(solvers._view(inst).full[N // 2].bit_length() <= 64)
+        assert paths == {True, False}
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_deep_horizon_returns(self, mode):
+        # far past the default recursion limit
+        result = enumerate_solve(identity_instance(d=2, K=1, N=3000, mode=mode))
+        assert (result.value, result.plan) == (1, (0,) * 3000)
+        assert (result.nodes_explored, result.nodes_pruned) == (3000, 0)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_budget_refused_before_any_table(self, monkeypatch, mode):
+        views = counting(monkeypatch, solvers, "_view")
+        view_class = solvers._FloatView if mode == "float" else solvers._IntegerView
+        tables = counting(monkeypatch, view_class, "suffix_values")
+        inst = random_instance(Random(1701), 3, 3, 4, mode=mode)
+        with pytest.raises(BudgetExceededError):
+            enumerate_solve(inst, budget=3**4 - 1)
+        assert (views, tables) == ([], [])
+        enumerate_solve(inst, budget=3**4)
+        assert (len(views), len(tables)) == (1, 1)
 
 
 class TestValueTable:
