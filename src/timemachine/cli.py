@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: reduce, solve, decide, simulate, decode, verify-roundtrip,
-bench.  Exit codes: 0 success, 1 usage error (including a horizon too deep for
-the recursive searches), 2 solver budget exceeded, 3 verification
-disagreement.
+bench.  Exit codes: 0 success, 1 usage error or any other failure (including
+a horizon too deep for the recursive searches), 2 solver budget exceeded, 3
+verification disagreement.  Every failure is one line on stderr, with no
+traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import EXACT, _plan_states
+from .core import EXACT, _distributions, _plan_states, _value
 from .instance_io import (
     InstanceFormatError,
     artifact_from_document,
@@ -195,12 +196,12 @@ def _cmd_simulate(args) -> int:
     doc = read_instance(args.instance)
     inst = doc.instance
     plan = read_plan(args.plan)
-    points = _plan_states(inst, plan, full=True)  # one walk for the value and the trace
+    points, mass = _plan_states(inst, plan, full=True)  # one walk for the value and the trace
     if args.trace:
-        for t, point in enumerate(points):
+        for t, point in enumerate(_distributions(inst, points, mass)):
             row = " ".join(format_scalar(w, inst.numeric_mode) for w in point.weights)
             print(f"{t}: {row}")
-    print(format_scalar(points[-1].weights[inst.target], inst.numeric_mode))
+    print(format_scalar(_value(points[-1][inst.target], mass), inst.numeric_mode))
     return EXIT_OK
 
 
@@ -296,6 +297,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError:
         # branch and bound and the decision recurse once per plan step
         print("error: horizon N is too deep for the recursive search", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a fault not named above, e.g. a corrupted artifact's KeyError
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -21,7 +21,11 @@ shared freely across threads.
 The library reads an instance's rows only through :func:`_sparse_rows`,
 which keeps the check of the last instance object and its nonzero
 ``(column, entry)`` pairs, so validating, solving, evaluating and writing
-one object scan it once, and plan states move through those pairs.
+one object scan it once.  Plan states move through those pairs, except
+that an exact start led by a Fraction moves through the instance's integer
+form (:class:`_IntegerForm`), built once from them and shared with the
+exact search backend, so no Fraction is built until a caller reads a
+weight.
 """
 
 from __future__ import annotations
@@ -260,12 +264,13 @@ def _checked_rows(inst: Instance) -> Tuple[List[str], list, list]:
 
 
 # The last instance checked, one tuple replaced whole: a weak reference to
-# it, its check's violations, rows and index, and the solvers' backends
-# built for it so far, by class.  Compared by identity, since an equal
-# instance may differ in type (an int 1 for a float 1.0) and be invalid;
-# anything stored on the instance would make it unpicklable.  One slot, not
-# a map: each caller's calls on one instance run back to back.  Threads need
-# no lock: a race only makes one of them check again what the other did.
+# it, its check's violations, rows and index, and the forms built from its
+# rows so far, by class: its integer form and the solvers' backends.
+# Compared by identity, since an equal instance may differ in type (an int
+# 1 for a float 1.0) and be invalid; anything stored on the instance would
+# make it unpicklable.  One slot, not a map: each caller's calls on one
+# instance run back to back.  Threads need no lock: a race only makes one
+# of them check again what the other did.
 _slot: tuple = (None,)
 
 
@@ -294,6 +299,17 @@ def _sparse_rows(inst: Instance):
     return slot[2:4]
 
 
+def _derived(inst: Instance, form):
+    """``form(inst, rows, index)`` over the rows :func:`_sparse_rows` gives,
+    built the first time and kept in the instance's slot."""
+    rows, index = _sparse_rows(inst)
+    built = _prepared(inst)[4]
+    derived = built.get(form)
+    if derived is None:
+        derived = built[form] = form(inst, rows, index)
+    return derived
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every instance invariant and name each violation found.
 
@@ -315,6 +331,63 @@ def _step(weights: Sequence[Scalar], rows) -> tuple:
             for j, t in row:
                 out[j] += w * t
     return tuple(out)
+
+
+class _IntegerForm:
+    """The integer rescaling of a valid exact instance.
+
+    With L (``base``) the lcm of the denominators of the nonzero entries
+    and start weights, ``rows`` holds each distinct sparse row with its
+    entries times L, and ``start`` the start weights times D = L^(N+1)
+    (``mass``).  Each of the N applications divides by L, so a population
+    keeps mass D, every reachable weight stays an exact integer, a weight
+    with r steps left is a multiple of L^r, and weight x stands for
+    Fraction(x, D).
+
+    ``moved[k]`` is ``(whole, split)``, the rows matrix k moves (all but
+    the unit rows e_i): ``(i, j)`` for a row sending all of state i to j,
+    ``(i, row)`` for a row with several coefficients.
+    """
+
+    def __init__(self, inst: Instance, entries, index):
+        denominators = {t.denominator for row in entries for _, t in row}
+        self.base = L = lcm(*denominators, *(w.denominator for w in inst.start.weights))
+        self.rows = rows = [
+            tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in entries
+        ]
+        self.mass = L ** (inst.N + 1)
+        self.start = tuple(int(w * L) * L**inst.N for w in inst.start.weights)
+        # per distinct row, the column of its one entry, None if it has several
+        single = [row[0][0] if len(row) == 1 else None for row in rows]
+        self.moved = []
+        for places in index:
+            whole, split = [], []
+            for i, p in enumerate(places):
+                j = single[p]
+                if j is None:
+                    split.append((i, rows[p]))
+                elif j != i:
+                    whole.append((i, j))
+            self.moved.append((whole, split))
+
+    def apply(self, weights, k: int) -> tuple:
+        """``weights`` times matrix ``k``, one step of the rescaling."""
+        L = self.base
+        out = list(weights)
+        whole, split = self.moved[k]
+        for i, j in whole:  # the coefficient is L, so w moves as it is
+            w = weights[i]
+            if w:
+                out[i] -= w
+                out[j] += w
+        for i, row in split:
+            w = weights[i]
+            if w:
+                out[i] -= w
+                w //= L  # exact: a weight with a step left is a multiple of L
+                for j, c in row:
+                    out[j] += w * c
+        return tuple(out)
 
 
 def apply(v: Distribution, matrix: StochasticMatrix) -> Distribution:
@@ -347,8 +420,14 @@ def evaluate_plan(inst: Instance, plan: Sequence[int]) -> Scalar:
     the plan's matrices to the start state in order.
 
     The empty plan (N = 0) is legal and evaluates to ``start[target]``.
+
+    Exact values are exact.  A float value is the dense loop's sum, with
+    no clamping, so it can exceed 1 by rounding: 0/1 rows that re-add the
+    same weights in another order can make it 1.0000000000000002 on a
+    start of mass exactly 1.0.  The float searches return the same bits.
     """
-    return _plan_states(inst, plan, full=True)[-1].weights[inst.target]
+    points, mass = _plan_states(inst, plan, full=True)
+    return _value(points[-1][inst.target], mass)
 
 
 def trajectory(inst: Instance, plan: Sequence[int]) -> List[Distribution]:
@@ -358,19 +437,53 @@ def trajectory(inst: Instance, plan: Sequence[int]) -> List[Distribution]:
     matrix chosen at step ``t``.  For a full-length plan the last element's
     target coordinate equals :func:`evaluate_plan`.
     """
-    return _plan_states(inst, plan, full=False)
+    return _distributions(inst, *_plan_states(inst, plan, full=False))
 
 
-def _plan_states(inst: Instance, plan: Sequence[int], full: bool) -> List[Distribution]:
-    """The states a plan visits, start state first, after checking the
-    instance and that the plan has N steps if ``full``, else at most N."""
+def _plan_states(inst: Instance, plan: Sequence[int], full: bool) -> Tuple[list, Optional[int]]:
+    """The weights of the states a plan visits, start state first, and the
+    mass D they are read at, after checking the instance and that the plan
+    has N steps if ``full``, else at most N.
+
+    A nonempty plan from an exact start led by a Fraction walks the
+    integer form, ``_IntegerForm.apply`` per step, and weight x stands for
+    Fraction(x, D).  Any other walk runs the dense loop's arithmetic
+    (:func:`_step`), which leaves an int where nothing lands after an int
+    first weight, and D is None.  :func:`_value` and
+    :func:`_distributions` read the weights.
+    """
     rows, index = _sparse_rows(inst)
     plan = _check_plan_indices(inst, plan)
     if full and len(plan) != inst.N:
         raise ValueError(f"plan has {len(plan)} steps, instance horizon is {inst.N}")
     if len(plan) > inst.N:
         raise ValueError(f"plan has {len(plan)} steps, longer than horizon {inst.N}")
-    points = [inst.start]
+    if plan and isinstance(inst.start.weights[0], Fraction):  # float starts hold floats
+        form = _derived(inst, _IntegerForm)
+        step, points = form.apply, [form.start]
+        for k in plan:
+            points.append(step(points[-1], k))
+        return points, form.mass
+    points = [inst.start.weights]
     for k in plan:
-        points.append(Distribution(_step(points[-1].weights, map(rows.__getitem__, index[k]))))
-    return points
+        points.append(_step(points[-1], map(rows.__getitem__, index[k])))
+    return points, None
+
+
+def _value(x, mass: Optional[int]) -> Scalar:
+    """The number a weight of :func:`_plan_states` stands for."""
+    return x if mass is None else Fraction(x, mass)
+
+
+def _distributions(inst: Instance, points: list, mass: Optional[int]) -> List[Distribution]:
+    """The states of :func:`_plan_states` as distributions, the start as
+    the instance holds it; every zero weight of the integer form is one
+    shared Fraction(0)."""
+    if mass is None:
+        later = map(Distribution, points[1:])
+    else:
+        zero = Fraction(0)
+        later = (
+            Distribution(tuple(Fraction(x, mass) if x else zero for x in w)) for w in points[1:]
+        )
+    return [inst.start, *later]

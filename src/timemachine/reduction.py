@@ -42,6 +42,7 @@ from .core import (
     StochasticMatrix,
     _check_plan_indices,
     _plan_states,
+    _value,
     evaluate_plan,
 )
 from .solvers import BudgetExceededError, decide_threshold
@@ -365,11 +366,11 @@ def decode_assignment(artifact: ReductionArtifact, plan: Sequence[int]) -> Assig
     missing or ambiguous (impossible for a well-formed artifact).
     """
     inst = artifact.instance
-    states = _plan_states(inst, plan, full=True)
-    value = states[-1].weights[inst.target]
+    states, mass = _plan_states(inst, plan, full=True)
+    value = _value(states[-1][inst.target], mass)
     if value != 1:
         raise ValueError(f"plan value is {value}, not 1; nothing to decode")
-    penultimate = states[-2:][0].weights  # the start state for an empty plan
+    penultimate = states[-2:][0]  # the start state for an empty plan; signs only
     signs: List[Sign] = []
     for i in range(artifact.num_vars):
         on_plus = penultimate[artifact.state_table[f"x{i}+"]] > 0

@@ -125,12 +125,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
-from math import ceil, fsum, gcd, inf, lcm, nextafter
+from math import ceil, fsum, gcd, inf, nextafter
 from operator import floordiv, ge, itemgetter, mul
 from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _prepared, _sparse_rows
+from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _derived, _IntegerForm, _sparse_rows
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -539,14 +539,16 @@ class _FloatView(_ValueView):
 
 
 class _IntegerView(_ValueView):
-    """Exact backend: an integer rescaling of an exact instance.
+    """Exact backend: the instance's integer form
+    (:class:`~timemachine.core._IntegerForm`), which plan evaluation shares.
 
     With L the lcm of the denominators of the nonzero entries and start
     weights, each coefficient is an entry times L, so the tables come out
     scaled by L^r at level r: L^r U[r] = max_k sum_j (t L)(L^(r-1) U[r-1][j]).
     Populations are scaled by D = L^(N+1), and each of the N applications
     divides by L, so every reachable weight stays an exact integer, and a
-    weight with r steps left is a multiple of L^r.
+    weight with r steps left is a multiple of L^r.  ``apply`` is the
+    form's own step.
 
     The K lookahead entries Q[r][k][i] of a state are packed into one
     integer, field k holding Q[r][k][i], each field as many bytes wide as
@@ -562,30 +564,20 @@ class _IntegerView(_ValueView):
     so searches memoize over them.  The packed columns are built the first
     time ``caps`` runs, so callers that read no child bound never pay for
     them.
-
-    ``moved[k]`` is ``(whole, split)``, the rows matrix k moves (all but
-    the unit rows e_i): ``(i, j)`` for a row sending all of state i to j,
-    ``(i, row)`` for a row with several coefficients.
     """
 
     memoize = True
     commuting_below = None
     _total = staticmethod(sum)
+    apply = _IntegerForm.apply
 
     def __init__(self, inst: Instance, entries, index):
-        denominators = {t.denominator for row in entries for _, t in row}
-        self.base = L = lcm(*denominators, *(w.denominator for w in inst.start.weights))
-        rows = [tuple((j, t.numerator * (L // t.denominator)) for j, t in row) for row in entries]
-        self.start = tuple(int(w * L) * L**inst.N for w in inst.start.weights)
+        form = _derived(inst, _IntegerForm)  # ``entries`` scaled, once per instance
+        self.base, self.start, self.moved, rows = form.base, form.start, form.moved, form.rows
         self.U, _, self._sums = _tables(rows, index, inst.d, inst.N, inst.target)
         self._rows, self._index, self._target = rows, index, inst.target
-        self.level_scale = [L**r for r in range(inst.N + 1)]
-        self.full = [L ** (inst.N + 1) * scale for scale in self.level_scale]
-        self.moved = []
-        for places in index:
-            moved = [(i, rows[p]) for i, p in enumerate(places) if rows[p] != ((i, L),)]
-            whole = [(i, row[0][0]) for i, row in moved if len(row) == 1]
-            self.moved.append((whole, [(i, row) for i, row in moved if len(row) > 1]))
+        self.level_scale = [form.base**r for r in range(inst.N + 1)]
+        self.full = [form.mass * scale for scale in self.level_scale]
 
     @cached_property
     def fields(self):
@@ -614,24 +606,6 @@ class _IntegerView(_ValueView):
                 )
             )
         return columns
-
-    def apply(self, weights, k: int):
-        L = self.base
-        out = list(weights)
-        whole, split = self.moved[k]
-        for i, j in whole:  # the coefficient is L, so w moves as it is
-            w = weights[i]
-            if w:
-                out[i] -= w
-                out[j] += w
-        for i, row in split:
-            w = weights[i]
-            if w:
-                out[i] -= w
-                w //= L  # exact: a weight with a step left is a multiple of L
-                for j, c in row:
-                    out[j] += w * c
-        return tuple(out)
 
     def caps(self, weights, r: int) -> list:
         size = self.fields[r][-1].stop
@@ -695,12 +669,7 @@ def _view(inst: Instance, backend=None):
     from its sparse rows the first time and kept in the instance's slot."""
     if backend is None:
         backend = _IntegerView if inst.numeric_mode == EXACT else _FloatView
-    rows, index = _sparse_rows(inst)
-    views = _prepared(inst)[4]
-    view = views.get(backend)
-    if view is None:
-        view = views[backend] = backend(inst, rows, index)
-    return view
+    return _derived(inst, backend)
 
 
 def _level_caps(view) -> list:

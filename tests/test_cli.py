@@ -137,8 +137,10 @@ class TestSimulateAndDecode:
         main(["decide", str(sat_instance), "--alpha", "1", "--out", str(plan_path)])
         capsys.readouterr()
         applied = []
-        step = core._step
-        monkeypatch.setattr(core, "_step", lambda w, rows: applied.append(rows) or step(w, rows))
+        step = core._IntegerForm.apply
+        monkeypatch.setattr(
+            core._IntegerForm, "apply", lambda form, w, k: applied.append(k) or step(form, w, k)
+        )
         assert main(["simulate", str(sat_instance), str(plan_path), "--trace"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(applied) == len(read_plan(str(plan_path))) == len(lines) - 2
@@ -272,3 +274,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too deep" in err
         assert len(err.splitlines()) == 1
+
+    def test_unnamed_exception_is_one_line_error(self, sat_instance, capsys, monkeypatch):
+        from timemachine import cli
+
+        def broken(inst):
+            raise KeyError("x0+")
+
+        monkeypatch.setattr(cli, "branch_and_bound_solve", broken)
+        assert main(["solve", str(sat_instance), "--method", "bnb"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: KeyError: 'x0+'\n"
+        assert captured.out == ""

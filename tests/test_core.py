@@ -383,9 +383,9 @@ def typed(weights):
 
 
 class TestDenseIdentity:
-    """Plan states move through the instance check's sparse rows and match
-    the dense loop the library ran before, floats bit for bit, exact values
-    by value and type."""
+    """Plan states, through the instance check's sparse rows or the
+    integer form, match the dense loop the library ran before, floats bit
+    for bit, exact values by value and type."""
 
     def test_float_states_match_bit_for_bit(self):
         # a -0.0 first start weight makes -0.0 outputs where nothing lands
@@ -419,3 +419,105 @@ class TestDenseIdentity:
             plan = tuple(rng.randrange(K) for _ in range(N))
             got = [typed(p.weights) for p in trajectory(inst, plan)]
             assert got == [typed(w) for w in dense_trajectory_reference(inst, plan)]
+
+
+def parts_row(rng, d, denominator, whole_as_int=False):
+    """A random stochastic row in multiples of 1/denominator; with
+    ``whole_as_int`` its entries 0 and 1 are plain ints."""
+    counts = [0] * d
+    for _ in range(denominator):
+        counts[rng.randrange(d)] += 1
+    return tuple(
+        c // denominator if whole_as_int and c % denominator == 0 else Fraction(c, denominator)
+        for c in counts
+    )
+
+
+def parts_instance(rng, d, K, N, row_denominators, start_denominator, whole_as_int=False):
+    """An exact instance with rows in multiples of one of ``row_denominators``
+    and a Fraction start in multiples of 1/start_denominator."""
+    matrices = tuple(
+        StochasticMatrix(
+            tuple(parts_row(rng, d, rng.choice(row_denominators), whole_as_int) for _ in range(d))
+        )
+        for _ in range(K)
+    )
+    start = Distribution(parts_row(rng, d, start_denominator))
+    return Instance(matrices, N, start, rng.randrange(d), "exact")
+
+
+class TestExactPlanStates:
+    """Exact plan states walk the instance's integer form and read back as
+    the dense loop's Fractions, by value and type, at every prefix."""
+
+    def assert_dense(self, inst, plan):
+        expected = [typed(w) for w in dense_trajectory_reference(inst, plan)]
+        for t in range(len(plan) + 1):
+            assert [typed(p.weights) for p in trajectory(inst, plan[:t])] == expected[: t + 1]
+        assert typed([evaluate_plan(inst, plan)]) == [expected[-1][inst.target]]
+
+    @pytest.mark.parametrize(
+        "rows, start, whole_as_int",
+        [
+            ((2, 7), 5, False),  # start denominators absent from the rows
+            ((2, 7), 5, True),  # int entries beside Fraction ones
+            ((1,), 1, False),  # 0/1 entries, L = 1
+            ((1,), 1, True),
+            ((1, 3), 4, True),
+        ],
+    )
+    def test_states_match_the_dense_loop(self, rows, start, whole_as_int):
+        rng = Random(20244 + start)
+        for _ in range(40):
+            d, K, N = rng.randint(1, 6), rng.randint(1, 3), rng.randint(0, 6)
+            inst = parts_instance(rng, d, K, N, rows, start, whole_as_int)
+            self.assert_dense(inst, tuple(rng.randrange(K) for _ in range(N)))
+
+    @pytest.mark.parametrize("solve_first", [False, True])
+    def test_solver_and_evaluation_share_one_integer_form(self, solve_first):
+        from timemachine import branch_and_bound_solve, core, solvers
+
+        rng = Random(20245)
+        for _ in range(10):
+            inst = parts_instance(rng, 4, 3, 4, (2, 7), 5)
+            plan = tuple(rng.randrange(3) for _ in range(4))
+            if solve_first:
+                branch_and_bound_solve(inst)
+            self.assert_dense(inst, plan)
+            result = branch_and_bound_solve(inst)
+            self.assert_dense(inst, plan)
+            assert evaluate_plan(inst, result.plan) == result.value
+            form = core._derived(inst, core._IntegerForm)
+            view = solvers._view(inst)
+            assert (view.moved, view.start, view.base) == (form.moved, form.start, form.base)
+            assert view.moved is form.moved
+
+    def test_int_first_start_weight_runs_the_dense_step(self, monkeypatch):
+        from timemachine import core
+
+        steps = []
+        step = core._step
+        monkeypatch.setattr(core, "_step", lambda w, rows: steps.append(w) or step(w, rows))
+        monkeypatch.setattr(core._IntegerForm, "apply", None)  # never called
+        rng = Random(20246)
+        for _ in range(20):
+            d, K, N = rng.randint(2, 5), rng.randint(1, 3), rng.randint(1, 5)
+            inst = parts_instance(rng, d, K, N, (2, 7), 5, whole_as_int=True)
+            weights = [0] * d
+            weights[0] = 1
+            inst = Instance(inst.matrices, N, Distribution(tuple(weights)), inst.target, "exact")
+            plan = tuple(rng.randrange(K) for _ in range(N))
+            del steps[:]
+            self.assert_dense(inst, plan)
+            assert len(steps) == sum(range(N + 1)) + N  # every prefix, then the value
+
+    @pytest.mark.parametrize(
+        "start", [(Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(2, 3))]
+    )
+    def test_deep_identity_returns(self, start):
+        inst = Instance((StochasticMatrix.identity(2),), 3000, Distribution(start), 1, "exact")
+        plan = (0,) * 3000
+        assert typed([evaluate_plan(inst, plan)]) == [(Fraction, start[1])]
+        points = trajectory(inst, plan)
+        assert len(points) == 3001
+        assert all(typed(p.weights) == typed(start) for p in points)

@@ -277,8 +277,10 @@ class TestPlans:
         art = encode_reduction(single_clause_formula())
         plan = satisfying_plan(art, (1, 1, 1))
         applied = []
-        step = core._step
-        monkeypatch.setattr(core, "_step", lambda w, rows: applied.append(rows) or step(w, rows))
+        step = core._IntegerForm.apply
+        monkeypatch.setattr(
+            core._IntegerForm, "apply", lambda form, w, k: applied.append(k) or step(form, w, k)
+        )
         assert decode_assignment(art, plan) == (1, 1, 1)
         assert len(applied) == len(plan)
 
