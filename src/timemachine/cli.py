@@ -295,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # branch and bound and the decision recurse once per plan step
+        # the walk of branch and bound and the decision recurses once per plan step
         print("error: horizon N is too deep for the recursive search", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault not named above, e.g. a corrupted artifact's KeyError

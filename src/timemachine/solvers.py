@@ -20,19 +20,21 @@ Four entry points, all pure functions of an :class:`~timemachine.core.Instance`:
 value >= alpha?) with early exit on the first witness found.
 
 Every search runs on a numeric backend, and is written once against the
-interface the backends share: ``start``, ``apply(weights, k)``,
-``caps(weights, r)``, value levels ``U[r]`` (scaled by ``level_scale[r]``,
-one level ``base`` times the scale of the level below), the total mass
-``full[r]`` at each level's scale, ``memoize``, ``commuting_below``,
-``divide`` and ``to_value``.  ``caps`` returns the K
-child bounds of a node with ``r`` steps left, sum_i w_i Q[r][k][i] at level
-r's scale, where Q[r][k][i] is state i's value one step through matrix k;
-beam search reads child bounds only through it, and so do the two walks
-at the leaves (r = 1).  Enumeration reads no child bound: it reads plan
-values through ``suffix_values`` (below).  Above the leaves the walks read
-``suffix_caps(weights, r)`` where the suffix groups ``G`` cover level r:
-the max of w . beta over the group G[r][k] of each child, which is the
-child's best value (:func:`_suffix_groups`).  An instance with K * K above
+interface the backends share: ``start``, ``apply(weights, k)``, ``caps``,
+value levels ``U[r]`` (scaled by ``level_scale[r]``, one level ``base``
+times the scale of the level below), the total mass ``full[r]`` at each
+level's scale, ``memoize`` (with ``memo_keys`` and ``memo_class``),
+``divide`` and ``to_value``.  ``caps(weights, r, last)`` returns the K
+child bounds of a node with ``r`` steps left that matrix ``last`` made (K
+at the root), sum_i w_i Q[r][k][i] at level r's scale, where Q[r][k][i]
+is state i's value one step through matrix k; only the support backend
+reads ``last``.  Beam search reads child bounds only through ``caps``,
+and so does the walk at the leaves (r = 1).  Enumeration reads no child
+bound: it reads plan values through ``suffix_values`` (below).  Above
+the leaves the walk reads ``suffix_caps`` where the suffix groups ``G``
+cover level r: the max of w . beta over the group G[r][k] of each child,
+which is the child's best value (:func:`_suffix_groups`).  An instance
+with K * K above
 ``_GAMMA_VECTORS`` (every 3-SAT reduction) builds no group, and a level
 whose candidate vectors would exceed it ends the groups, so the levels
 above it read ``caps``.  The two value
@@ -61,7 +63,7 @@ a backend lives until its instance dies or another instance is checked.
   are bit-identical to that loop's.  The kernels are compiled the first
   time a search applies a matrix, once per instance, in time linear in
   the nonzeros.  Its child bounds come from one dot-product kernel per
-  ``(d, K)`` shape, compiled once per process.  The walks compare its
+  ``(d, K)`` shape, compiled once per process.  The walk compares its
   bounds above the leaves with a rounding slack (``cutoffs``), so that no
   bound, off ``caps`` or off ``G``, sits below the float value of a plan
   under it (:func:`_rounding_slack` has the proof).
@@ -70,14 +72,14 @@ a backend lives until its instance dies or another instance is checked.
   integers, level r scaled by L^r, and no Fraction is built before the end.
   It packs the K lookahead entries of each state into one integer, so one
   big-integer dot product yields all K child bounds.  Its groups ``G`` are
-  integers too, level r scaled by L^r, so the walks' bounds off them are
+  integers too, level r scaled by L^r, so the walk's bounds off them are
   exact.  Enumeration packs suffix values the same way, K^b to an integer.
 * :class:`_SupportView` serves only the exact decision at alpha = 1, the
   regime of the 3-SAT reduction.  Its populations are support bitmasks; it
   builds no value table, only certainty masks that know the matrix order,
-  so its child bounds are 0 or 1.  It declares the pairs of matrices whose
-  supports commute, so that the walk skips plans with such a pair out of
-  ascending order.  The value backends declare none.
+  so its child bounds are 0 or 1.  A child whose support relation commutes
+  with that of ``last`` and sorts below it reads 0, so the walk skips plans
+  with such a pair out of ascending order.
 
 A leaf is never materialized: its value is its bound at r = 1, the sum of
 its parent's weights times Q[1][k], which at one step from the end is the
@@ -103,17 +105,12 @@ sqrt(budget) at most; it is built per call and dropped on return.  The
 walk itself is an odometer over the top levels and a pipeline of ``map``
 calls over the last forward steps, so no recursion grows with N.
 
-Branch and bound and the threshold decision are the two depth-first walks.
-Both visit children in ascending order, and a bound that is the child's
-best value (exact mode, covered levels) or above every plan under it
-prunes no subtree holding the first optimal or qualifying plan, so their
-plans are those of enumeration whichever bound they read.
-The first chases strict improvements and, over exact populations, memoizes
-certified subtree bounds, one per class of proportional populations; a
-population seen before finds its class by its live weights as they are,
-and only a new one pays the gcd and division that name its class.
-The second stops at the first witness and, over exact populations,
-memoizes dead states.
+Branch and bound and the threshold decision are one depth-first walk,
+:func:`_search`; the solvers set only its incumbents.  It visits children
+in ascending order, and a bound that is the child's best value (exact
+mode, covered levels) or above every plan under it prunes no subtree
+holding the first optimal or qualifying plan, so the plans are those of
+enumeration whichever bound is read.
 All searches are deterministic, node counts included.  Every solver, and
 :func:`mdp_value_table`, raises ValueError with the first violation that
 :func:`~timemachine.core.validate_instance` reports.
@@ -126,7 +123,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
 from math import ceil, fsum, gcd, inf, nextafter
-from operator import floordiv, ge, itemgetter, mul
+from operator import floordiv, ge, itemgetter, mul, pos
 from struct import Struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -305,7 +302,7 @@ def _suffix_groups(rows, index, d: int, N: int, target: int) -> list:
 def _rounding_slack(terms: int, levels: int) -> Tuple[float, float]:
     """``(F, A)`` such that every plan under a float child bound ``c`` read
     with ``levels`` >= 2 steps left, off ``caps`` or off ``G``, is worth at
-    most ``c * F + A`` (in real numbers) as the walks value it, which is
+    most ``c * F + A`` (in real numbers) as the walk values it, which is
     :func:`~timemachine.core.evaluate_plan`'s value; ``terms`` is d.
 
     Proof.  Let w be the node's float population, s = ``levels``, u =
@@ -445,7 +442,7 @@ class _ValueView:
         N = len(self.full) - 1
         return _suffix_groups(self._rows, self._index, len(self.start), N, self._target)
 
-    def suffix_caps(self, weights, r: int) -> list:
+    def suffix_caps(self, weights, r: int, last=None) -> list:
         """The K child bounds of a node with ``r`` steps left, 2 <= r <
         len(G): the max of ``weights . beta`` over each group G[r][k], at
         level r's scale, each a sum by ``_total``."""
@@ -478,14 +475,13 @@ class _FloatView(_ValueView):
     which rounds once per product and once per sum on every CPython.
 
     ``cutoffs`` carries the rounding slack of :func:`_rounding_slack` into
-    the walks' comparisons above the leaves, whichever of ``caps`` and
+    the walk's comparisons above the leaves, whichever of ``caps`` and
     ``suffix_caps`` gave the bound; the bounds themselves stay plain float
     sums, so beam reads ``caps`` unchanged.
     """
 
     base = 1
     memoize = False
-    commuting_below = None
     _total = staticmethod(fsum)
 
     def __init__(self, inst: Instance, rows, index):
@@ -507,7 +503,7 @@ class _FloatView(_ValueView):
     def _dot(self):
         return _dot_kernel(len(self.start), len(self._index))
 
-    def caps(self, weights, r: int) -> list:
+    def caps(self, weights, r: int, last=None) -> list:
         return self._dot(weights, self.lookahead[r])
 
     def appliers(self) -> list:
@@ -567,7 +563,6 @@ class _IntegerView(_ValueView):
     """
 
     memoize = True
-    commuting_below = None
     _total = staticmethod(sum)
     apply = _IntegerForm.apply
 
@@ -607,7 +602,7 @@ class _IntegerView(_ValueView):
             )
         return columns
 
-    def caps(self, weights, r: int) -> list:
+    def caps(self, weights, r: int, last=None) -> list:
         size = self.fields[r][-1].stop
         return list(self._readers[r](sum(map(mul, weights, self.columns[r])).to_bytes(size, "little")))
 
@@ -650,6 +645,21 @@ class _IntegerView(_ValueView):
             block *= len(self._index)
         read = _field_reader(fields)
         return b, lambda weights, table: read(sum(map(mul, weights, table)).to_bytes(size, "little")), table
+
+    @cached_property
+    def memo_keys(self) -> list:
+        """Per level r, the picker of a population's live weights, those of
+        the states with a nonzero U[r]: the raw key of the memo."""
+        return [_picker([i for i, u in enumerate(level) if u]) for level in self.U]
+
+    @staticmethod
+    def memo_class(live) -> tuple:
+        """The memo class of live weights and its scale: the weights
+        divided by their gcd, and the gcd (None and 0 when no live state is
+        occupied).  Every bound of a population is a sum of its live
+        weights times integers, so the gcd divides it."""
+        g = gcd(*live)
+        return (tuple(map(floordiv, live, repeat(g))) if g else None), g
 
     def cutoffs(self, x) -> list:
         """Per level r >= 1, ``x``, a value at level 1's scale, at level r's."""
@@ -703,18 +713,24 @@ class _SupportView:
     Swapping adjacent matrices whose support relations commute leaves every
     final support unchanged.  So the lexicographically first plan of value
     1 has no adjacent pair ``a > b`` that commutes (a trace-monoid normal
-    form, as in Mazurkiewicz 1977 and Godefroid 1996), and the walk skips a
-    child below ``last`` that commutes with it: ``commuting_below[last]``
-    marks those children, with index K standing for the root.  The
-    certainty masks know the order: ``certain[r][k]`` holds the states whose
-    k-successors all lie in C[r-1][k], where C[r][last] is the union of
-    ``certain[r][k]`` over the k allowed after ``last`` and C[0] is
-    {target}.  So a child's bound is 1 iff its parent's support lies in its
-    mask, and 0 otherwise; every level's full mass and cutoff is 1.
+    form, as in Mazurkiewicz 1977 and Godefroid 1996), and a child below
+    ``last`` that commutes with it reads a bound of 0, so the walk skips it:
+    ``commuting_below[last]`` marks those children, with index K standing
+    for the root.  The certainty masks know the order: ``certain[r][k]``
+    holds the states whose k-successors all lie in C[r-1][k], where
+    C[r][last] is the union of ``certain[r][k]`` over the k allowed after
+    ``last`` and C[0] is {target}.  So a child's bound is 1 iff it is not
+    skipped and its parent's support lies in its mask, and 0 otherwise;
+    every level's full mass and scale is 1.  The memo keys on the bitmask
+    itself, at scale 1.  It leaves out ``last``: a subtree found dead after
+    one prefix holds no first witness after a later one, since the plan
+    through the earlier prefix would reach value 1 too and sort before it.
     """
 
+    base = 1
     memoize = True
     G = (None,)  # no suffix groups: every level reads caps
+    memo_class = staticmethod(lambda s: (s, 1))
 
     def __init__(self, inst: Instance, entries, index):
         K, N = inst.K, inst.N
@@ -754,6 +770,8 @@ class _SupportView:
                 if same:
                     below[b] |= 1 << a
         self.commuting_below = below
+        self._allowed = {}  # per last, built when first read
+        self.memo_keys = [pos] * (N + 1)  # the bitmask itself
 
         # C[r][last] is the union of suffix[last] and the masks of the
         # children below last that do not commute with it.
@@ -781,9 +799,14 @@ class _SupportView:
         moved = self.moved[k]
         return s & ~moved | _image(self.rows[k], s & moved)
 
-    def caps(self, s: int, r: int) -> list:
-        # True (1) where s lies inside certain[r][k], False (0) elsewhere
-        return [not s & outside for outside in self.uncertain[r]]
+    def caps(self, s: int, r: int, last: int) -> list:
+        # True (1) where k is not skipped after last and s lies inside
+        # certain[r][k], False (0) elsewhere
+        allowed = self._allowed.get(last)
+        if allowed is None:  # per child, False if it is skipped after last
+            skip = self.commuting_below[last]
+            allowed = self._allowed[last] = [not skip >> k & 1 for k in range(len(self.rows))]
+        return [a and not s & outside for outside, a in zip(self.uncertain[r], allowed)]
 
 
 # Enumeration expands each population near the leaves into a block of at
@@ -875,108 +898,111 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     return SolveResult(view.to_value(best_value, b), best_plan, explored, 0, "enum")
 
 
-def branch_and_bound_solve(inst: Instance) -> SolveResult:
-    """Exact solve by depth-first search with bound pruning.
+def _search(inst: Instance, view, incumbents: list, on_leaf):
+    """The depth-first walk of branch and bound and the threshold decision.
 
-    Children are visited in ascending matrix-index order.  A subtree rooted
-    at population ``v`` with ``r`` steps left is pruned when its bound is
-    at most the incumbent: ``max over beta in G[r+1][k] of v_parent . beta``,
-    its best value, where the suffix groups cover its parent's level, else
-    ``sum_i v[i] * U[r][i]``; in float mode above the leaves the bound is
-    first widened by the rounding slack of :func:`_rounding_slack`.  Only
-    strict improvements are chased, so the returned plan is the first one
-    attaining the final best value in this order, enumerate_solve's plan,
-    and the values agree bit for bit.  On exact instances, subtree value
-    certificates are memoized so that revisited states prune immediately:
-    one certificate per unit of a normalized population (its live weights
-    divided by their gcd), shared by every population proportional to it.
-    Each population seen is also keyed on its live weights as they are,
-    mapped to its class and its gcd, so a population seen before reaches
-    its certificate in two dict lookups; only a new one pays the gcd and the
-    division that name its class.  That map is a pure cache: every prune
-    decision is the one the normalized key alone gives.  A node looks up
-    each child it applies and settles a memo prune itself, so only a child
-    that survives the memo is walked; the root, alone at its level, has none.
+    Children are visited in ascending matrix order, and a child with ``r``
+    steps left is pruned when its bound (:func:`_level_caps`) is at most
+    ``incumbents[r]``, its level's incumbent at level r's scale.  One step
+    from the end the bound is the leaf's value, so a leaf that passes is
+    taken as the plan, and ``on_leaf(value)`` gives the incumbents from
+    then on.
 
+    Over exact populations (``view.memoize``) subtree value certificates
+    are memoized so that revisited states prune at once: one per memo class
+    (``view.memo_class``), per unit of its scale.  Each population seen is
+    also keyed on its raw memo key as it is (``view.memo_keys``: its live
+    weights, or its support bitmask), mapped to its class and scale, so a
+    population seen before reaches its certificate in two dict lookups;
+    that map is a pure cache.  A node looks up each child it applies and
+    settles a memo prune itself, so only a child that survives the memo is
+    walked.  A child the support backend skips reads a bound of 0, so it
+    never raises its parent's certificate.
+
+    Returns ``(value, plan, nodes_explored, nodes_pruned)``: the last leaf
+    taken, its value at level 1's scale (both None if no leaf passed).
     ``nodes_explored`` counts one per child state visited: an apply for an
-    inner node; a leaf is read off its parent's bound, which is its value.
-    ``nodes_pruned`` counts skipped subtrees.
+    inner node; a leaf is read off its parent's bound.  ``nodes_pruned``
+    counts subtrees pruned by bound or memo.  The walk recurses once per
+    plan step, and overwrites the lists ``caps`` returns.
     """
     K, N = inst.K, inst.N
-    view = _view(inst)
-    if N == 0:
-        return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
-    apply, cutoffs, level_caps = view.apply, view.cutoffs, _level_caps(view)
-    base, memoize = view.base, view.memoize
+    apply, level_caps, base, memoize = view.apply, _level_caps(view), view.base, view.memoize
+    best_value = best_plan = None
+    explored = pruned = walked = 0  # pruned: memo prunes
+    # Per level: the certificate of each memo class, and for each population
+    # seen, keyed on its raw memo key, its class and scale.
+    classes: List[Dict] = [{} for _ in range(N + 1)]
+    populations: List[Dict] = [{} for _ in range(N + 1)]
+    memo_keys = view.memo_keys if memoize else [None] * (N + 1)
+    memo_class = view.memo_class if memoize else None
 
-    best_value = None  # at level 1's scale
-    best_plan: Plan = ()
-    incumbent_by_level: List = [None] * (N + 1)  # best_value at each level's scale
-    explored = 0
-    pruned = 0
-    # Per level: the certificate of each class of proportional populations,
-    # keyed on its live weights divided by their gcd, and for each population
-    # seen, keyed on its live weights, its class and its gcd.
-    classes: List[Dict[Optional[tuple], Optional[int]]] = [{} for _ in range(N + 1)]
-    populations: List[Dict[tuple, tuple]] = [{} for _ in range(N + 1)]
-    live_weights = [None] * (N + 1)  # per level, what the memo keys on
-    if memoize:
-        live_weights = [_picker([i for i, u in enumerate(level) if u]) for level in view.U]
-
-    def walk(weights, steps_left: int, prefix: Plan, key, scale, cached):
-        """Explore a subtree; return a certified upper bound on its best
-        value, at its own level's scale.  ``key``, ``scale`` and ``cached``
-        are its memo class, gcd and certificate, as its parent looked them
-        up (``key`` None: no memo)."""
-        nonlocal best_value, best_plan, incumbent_by_level, explored, pruned
-        incumbent = incumbent_by_level[steps_left]
+    def walk(weights, steps_left: int, prefix: Plan, last: int, key, scale, cached):
+        """Explore a subtree that matrix ``last`` made; return a certified
+        upper bound on its best value, at its own level's scale.  ``key``,
+        ``scale`` and ``cached`` are its memo class, scale and certificate,
+        as its parent looked them up (``key`` None: no memo)."""
+        nonlocal best_value, best_plan, incumbents, explored, pruned, walked
+        walked += 1
+        incumbent = incumbents[steps_left]
         r = steps_left - 1  # the children's level
-        child_classes, seen, live_of = classes[r], populations[r], live_weights[r]
+        child_classes, seen, raw_key = classes[r], populations[r], memo_keys[r]
         child_key = child_scale = child_cached = None
-        level_cap = 0  # best child cap, at this level's scale
-        for k, cap in enumerate(level_caps[steps_left](weights, steps_left)):
-            if incumbent is not None and cap <= incumbent:
-                pruned += 1
-            else:
+        caps = level_caps[steps_left](weights, steps_left, last)
+        for k, cap in enumerate(caps):
+            if cap > incumbent:
                 explored += 1
                 if steps_left == 1:
-                    # a leaf: its cap is its value, a strict improvement
+                    # a leaf: its cap is its value
                     best_value, best_plan = cap, prefix + (k,)
-                    incumbent_by_level = cutoffs(cap)
+                    incumbents = on_leaf(cap)
                 else:
                     child = apply(weights, k)
                     if memoize:
-                        live = live_of(child)
-                        entry = seen.get(live)
-                        if entry is not None:
-                            child_key, child_scale = entry
-                            child_cached = child_classes[child_key]
+                        raw = raw_key(child)
+                        entry = seen.get(raw)
+                        if entry is None:
+                            entry = seen[raw] = memo_class(raw)
+                            child_cached = child_classes.setdefault(entry[0], None)
                         else:
-                            g = child_scale = gcd(*live)  # 0 when no live state is occupied
-                            child_key = tuple(map(floordiv, live, repeat(g))) if g else None
-                            seen[live] = child_key, g
-                            child_cached = child_classes.setdefault(child_key, None)
-                    # a certificate exists only once a leaf has set the incumbent
-                    if child_cached is None or child_cached * child_scale > incumbent_by_level[r]:
-                        cap = walk(child, r, prefix + (k,), child_key, child_scale, child_cached)
+                            child_cached = child_classes[entry[0]]
+                        child_key, child_scale = entry
+                    if child_cached is None or child_cached * child_scale > incumbents[r]:
+                        cap = walk(child, r, prefix + (k,), k, child_key, child_scale, child_cached)
                     else:
                         pruned += 1  # a memo prune, settled without walking the child
                         cap = child_cached * child_scale
-                    cap *= base
-                incumbent = incumbent_by_level[steps_left]
-            if cap > level_cap:
-                level_cap = cap
+                    caps[k] = cap * base  # its certificate, at this level's scale
+                incumbent = incumbents[steps_left]
+        level_cap = max(caps)  # over the certificates and the bounds of pruned children
         if key is not None:
-            # Exact: every cap is a sum of live weights times integers, so
-            # their gcd divides it.
             per_unit = level_cap // scale
             if cached is None or per_unit < cached:
                 classes[steps_left][key] = per_unit
         return level_cap
 
-    walk(view.start, N, (), None, None, None)  # the root is the only population at level N
+    walk(view.start, N, (), K, None, None, None)  # the root is the only population at level N
     del walk  # free the memo now, not at the next cycle collection
-    return SolveResult(view.to_value(best_value, 1), best_plan, explored, pruned, "bnb")
+    # every node read K bounds, and each that did not exceed its incumbent pruned a child
+    return best_value, best_plan, explored, pruned + K * walked - explored
+
+
+def branch_and_bound_solve(inst: Instance) -> SolveResult:
+    """Exact solve by depth-first search with bound pruning: the walk of
+    :func:`_search`, chasing strict improvements.
+
+    Every level's incumbent starts at -1, which no bound reaches, and each
+    leaf taken raises them to its value (``cutoffs``; in float mode above
+    the leaves, less the rounding slack of :func:`_rounding_slack`).  So
+    the returned plan is the first one attaining the final best value in
+    ascending order, enumerate_solve's plan, and the values agree bit for
+    bit.  The node counts are the walk's.
+    """
+    view = _view(inst)
+    if inst.N == 0:
+        return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "bnb")
+    value, plan, explored, pruned = _search(inst, view, [-1] * (inst.N + 1), view.cutoffs)
+    return SolveResult(view.to_value(value, 1), plan, explored, pruned, "bnb")
 
 
 def beam_search(inst: Instance, width: int) -> SolveResult:
@@ -1016,79 +1042,50 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
 def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan]]:
     """Is there a length-N plan with value >= alpha?  Returns (yes/no, witness).
 
-    Depth-first in ascending matrix order with early exit on the first
-    witness, which is the lexicographically first plan that qualifies; a
-    child is pruned when its bound, read as in
-    :func:`branch_and_bound_solve`, falls below alpha (below ``alpha -
-    1e-12`` in float mode, where a leaf also qualifies at ``value >= alpha -
-    1e-12``, and an inner bound is first widened by the rounding slack).
-    One step from the end the bound is the leaf's value, so the first child
-    that passes is the witness.  Exact mode compares exactly, and where the
-    suffix groups cover every inner level it walks straight down to the
-    witness, or proves at the root that none exists.  On exact instances
-    failed states more than one step from the leaves are memoized, so the
-    search never re-proves the same dead subtree of depth two or more.
+    The walk of :func:`_search`, with every level's incumbent pinned just
+    below the cutoff, so that a child passes iff its bound reaches it, and
+    raised to +inf at the first leaf that passes, the witness, so that the
+    walk unwinds by comparisons alone.  The witness is the
+    lexicographically first plan that qualifies.  Exact mode compares
+    exactly; float mode compares with ``alpha - 1e-12``, above the leaves
+    less the rounding slack (``cutoffs``).
 
-    Exact alpha = 1 (with N >= 1) is the case the 3-SAT reduction rides on,
-    and it runs on support bitmasks (:class:`_SupportView`): a plan has
-    value 1 iff its final support lies in {target}.  A child is skipped
-    when it sorts below the previous matrix and their supports commute, as
-    the first witness never has such a pair, and a child passes iff every
-    occupied state lies in its order-aware certainty mask.  The witness is
-    the same as on exact populations, found in far fewer nodes.
+    Exact alpha = 1 (with N >= 1), the 3-SAT reduction's case, runs on
+    support bitmasks (:class:`_SupportView`): a plan has value 1 iff its
+    final support lies in {target}.  The witness is the same as on exact
+    populations, found in far fewer nodes.
+
+    ``alpha`` is an int or a Fraction, or on a float instance also a float;
+    anything else, a boolean included, raises ValueError, as does an alpha
+    outside [0, 1].
     """
     if isinstance(alpha, bool):
         raise ValueError("alpha must be a number, not a boolean")
     exact = inst.numeric_mode == EXACT
-    if exact:
-        if isinstance(alpha, float):
-            raise ValueError("exact instance requires an exact (int/Fraction) alpha")
-        threshold = alpha
-    else:
+    if not isinstance(alpha, (int, Fraction) if exact else (int, Fraction, float)):
+        kinds = "an exact (int/Fraction)" if exact else "an int, Fraction or float"
+        mode = "exact" if exact else "float"
+        raise ValueError(f"{mode} instance requires {kinds} alpha, got {type(alpha).__name__}")
+    if not exact:
         try:
             alpha = float(alpha)
         except OverflowError:
             raise ValueError("alpha must lie in [0, 1], got one beyond the float range") from None
-        threshold = alpha - EVAL_TOL
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
-    K, N = inst.K, inst.N
+    N = inst.N
     view = _view(inst, _SupportView if exact and alpha == 1 and N else None)
-    # exact bounds are integers, so the least integer at or above the cutoff
-    # passes the same children and compares faster than a Fraction
-    cutoffs = [ceil(threshold * full) for full in view.full] if exact else view.cutoffs(threshold)
+    # a bound passes iff it exceeds its incumbent: exact bounds are
+    # integers, so the incumbent is one below the least integer at or above
+    # the cutoff; a float one is the float below the cutoff
+    if exact:
+        incumbents = [ceil(alpha * full) - 1 for full in view.full]
+    else:
+        incumbents = [nextafter(c, -inf) for c in view.cutoffs(alpha - EVAL_TOL)]
     if N == 0:
-        attained = view.start[inst.target] >= cutoffs[0]
+        attained = view.start[inst.target] > incumbents[0]
         return attained, (() if attained else None)
-    apply, level_caps, memoize = view.apply, _level_caps(view), view.memoize
-    commuting_below = view.commuting_below or (0,) * (K + 1)
-    failed = set()
-
-    def walk(weights, steps_left: int, prefix: Plan, last: int) -> Optional[Plan]:
-        # One step from the leaves a dead state costs at most K bound sums
-        # to prove again, less than hashing and keeping it.  The key leaves
-        # out last, which decides the skipped children: if the state failed
-        # after an earlier prefix, a witness through it now would reach
-        # value 1 after that prefix too, from a plan sorting before it, so
-        # it would not be the first.
-        key = (steps_left, weights) if memoize and steps_left > 1 else None
-        if key in failed:
-            return None
-        cutoff = cutoffs[steps_left]
-        skip = commuting_below[last]
-        for k, cap in enumerate(level_caps[steps_left](weights, steps_left)):
-            if cap < cutoff or skip >> k & 1:
-                continue  # below the cutoff, or k commutes with last and sorts before it
-            if steps_left == 1:
-                return prefix + (k,)  # the leaf's value is its bound
-            witness = walk(apply(weights, k), steps_left - 1, prefix + (k,), k)
-            if witness is not None:
-                return witness
-        if key is not None:
-            failed.add(key)
-        return None
-
-    witness = walk(view.start, N, (), K)
-    del walk  # free the memo now, not at the next cycle collection
-    return (witness is not None), witness
+    stop = [inf] * (N + 1)
+    witness = _search(inst, view, incumbents, lambda value: stop)[1]
+    return witness is not None, witness

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import weakref
+from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
@@ -446,6 +447,39 @@ class TestDecideThreshold:
             with pytest.raises(ValueError, match="alpha"):
                 decide_threshold(identity_instance(mode=mode), alpha)
 
+    @pytest.mark.parametrize(
+        "alpha", [None, "0.5", 0.5j, Decimal("0.5")], ids=["none", "str", "complex", "decimal"]
+    )
+    def test_non_number_alpha_rejected(self, alpha):
+        for mode in ("exact", "float"):
+            with pytest.raises(ValueError, match="alpha"):
+                decide_threshold(identity_instance(mode=mode), alpha)
+
+    def test_decimal_alpha_rejected_where_it_rounded(self):
+        # The only plan is worth exactly 1/2.  A Decimal alpha times the
+        # level masses, 2^(N + 1 + r), rounds to 28 digits, which answered
+        # no at N = 60; a Fraction compares exactly.
+        half = Fraction(1, 2)
+        inst = Instance(
+            matrices=(StochasticMatrix(((half, half), (half, half))),), N=60, numeric_mode="exact"
+        )
+        assert decide_threshold(inst, half) == (True, (0,) * 60)
+        with pytest.raises(ValueError, match="alpha"):
+            decide_threshold(inst, Decimal("0.5"))
+
+    def test_float_instance_takes_int_fraction_and_float(self):
+        inst = identity_instance(mode="float")
+        for alpha in (1, Fraction(1, 2), 0.5):
+            assert decide_threshold(inst, alpha) == (True, (0, 0, 0))
+
+    def test_stops_at_the_first_witness(self, monkeypatch):
+        # At alpha 0 every child passes, so N - 1 applies reach the first
+        # leaf, the witness, and the walk unwinds without applying another.
+        inst = identity_instance(d=2, K=3, N=12)
+        calls = counting(monkeypatch, solvers._view(inst), "apply")
+        assert decide_threshold(inst, 0) == (True, (0,) * 12)
+        assert len(calls) == 11
+
 
 class TestBoundAdmissibility:
     def test_every_suffix_value_below_bound(self):
@@ -535,7 +569,7 @@ class TestSuffixBounds:
                 assert repr(got) == repr(expected)  # floats bit for bit
 
     def test_every_plan_under_a_child_lies_within_its_bound(self):
-        # Float: every plan under a child, valued as the walks value it, is
+        # Float: every plan under a child, valued as the walk values it, is
         # worth at most bound * F + A.  Exact: a child's bound off G is its
         # best plan's value, and a bound off caps is at least that.
         for inst in self.instances():
@@ -682,6 +716,16 @@ class TestPinnedAnswers:
         assert (result.value, result.plan) == (value, plan)
         assert (result.nodes_explored, result.nodes_pruned) == (explored, pruned)
 
+    @pytest.mark.parametrize("kind,args,value,plan,explored,pruned", PINNED_MEMO_SOLVES)
+    def test_decide_with_memo_prunes(self, kind, args, value, plan, explored, pruned):
+        # decide walks with bnb's memo: at the optimum its witness is bnb's
+        # plan, and just above it nothing qualifies (no alpha in [0, 1] lies
+        # above an optimum of 1)
+        inst = memo_instance(kind, args)
+        assert decide_threshold(inst, value) == (True, plan)
+        if value < 1:
+            assert decide_threshold(inst, value + Fraction(1, 10**9)) == (False, None)
+
     def test_bnb_on_satisfiable_reduction(self):
         result = branch_and_bound_solve(encode_reduction(single_clause_formula()).instance)
         assert (result.value, result.plan) == (1, (0, 2, 1))
@@ -723,8 +767,8 @@ class TestPinnedAnswers:
 class TestSearchStateLifetime:
     @pytest.mark.parametrize("seed", sorted(PINNED_INSTANCES))
     def test_freed_on_return(self, seed):
-        # The walks are self-referencing closures; unless a solver breaks that
-        # cycle, its memo and tables outlive the call until a full collection.
+        # The search walk is a self-referencing closure; unless the search
+        # breaks that cycle, its memo outlives the call until a full collection.
         inst = pinned_instance(seed)
         gc.collect()
         gc.disable()
