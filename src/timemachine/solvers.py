@@ -57,13 +57,17 @@ a backend lives until its instance dies or another instance is checked.
   weights unscaled and sums each child bound separately, so float
   arithmetic and its summation order are those of the plain problem.
   Float populations practically never repeat exactly, so searches keep no
-  memo over it.  It applies each matrix through a kernel generated for it,
+  memo over it.  It applies each matrix through a kernel of its own,
   straight-line code over the matrix's nonzero entries that adds the same
   products in the same order as a loop over the rows would, so its results
-  are bit-identical to that loop's.  The kernels are compiled the first
-  time a search applies a matrix, once per instance, in time linear in
-  the nonzeros.  Its child bounds come from one dot-product kernel per
-  ``(d, K)`` shape, compiled once per process.  The walk compares its
+  are bit-identical to that loop's.  The code is compiled once per process
+  per sparsity pattern (dense matrices of one d share it), and each
+  matrix's kernel is that code with the matrix's entries bound in as its
+  constants, the first time a search applies the matrix, once per
+  instance, in time linear in the nonzeros.  Its child bounds come from one
+  dot-product kernel per ``(d, K)`` shape, compiled once per process, and
+  enumeration's leaf values from kernels that apply a matrix and then add
+  the dot kernel's sums, bound the same way.  The walk compares its
   bounds above the leaves with a rounding slack (``cutoffs``), so that no
   bound, off ``caps`` or off ``G``, sits below the float value of a plan
   under it (:func:`_rounding_slack` has the proof).
@@ -95,7 +99,9 @@ the values of all K^b suffixes of a population it reaches with one call,
 ``suffix_values``.  Float keeps b = 1: those values are the dot kernel's
 sums over Q[1], the leaf values above, while a longer suffix read off a
 vector P_sigma e_target would add its products in another order than
-:func:`~timemachine.core.evaluate_plan` does.  Exact values are
+:func:`~timemachine.core.evaluate_plan` does.  Where the walk applies the
+step before the leaves, one fused kernel per matrix (``fused``) applies it
+and adds those sums in one call, in the same order.  Exact values are
 associative, so exact enumeration meets in the middle (Horowitz & Sahni
 1974) at b = N // 2: per state, one integer packs the state's entries of
 the K^b suffix vectors of Smallwood & Sondik (1973), and one big-integer
@@ -125,6 +131,7 @@ from itertools import chain, repeat
 from math import ceil, fsum, gcd, inf, nextafter
 from operator import floordiv, ge, itemgetter, mul, pos
 from struct import Struct
+from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _derived, _IntegerForm, _sparse_rows
@@ -366,36 +373,75 @@ def _sum_lines(name: str, zero: str, terms: List[str]) -> List[str]:
     return lines
 
 
-def _float_kernel(rows):
-    """A function taking a float population to its image under one matrix,
-    given the matrix's sparse ``(column, entry)`` rows in row order.
+@lru_cache(maxsize=128)
+def _kernel_template(pattern: tuple, vectors: int) -> tuple:
+    """``(code, order)``: the code of every :func:`_float_kernel` whose
+    matrix has the sparsity ``pattern`` (per row, the columns of its
+    nonzero entries, in row order; it fixes d) and that ends in ``vectors``
+    leaf sums, and the order in which a kernel's constants are picked out
+    of its entries, row by row, its vectors' entries, vector by vector, and
+    the template's own constants.
 
-    Its straight-line source computes each output o_j = 0.0 + w_i1*c_1 +
-    w_i2*c_2 + ... over column j's nonzero entries, in ascending row order:
-    the products and the order of a loop that adds each weight's products
-    into ``[0.0] * d``, so the results are the same bit for bit.  The loop
-    skips zero weights; here a zero weight only adds a product of +-0.0 to
-    a sum that starts at +0.0 and stays nonnegative, which changes no bit.
-    A column is summed in statements of at most ``_KERNEL_TERMS`` terms,
-    each starting from the last one's total, so the additions keep their
-    order and no expression grows with the column.  The source holds only
-    integers and the ``repr`` of the entries, which the instance check has
-    found finite, and runs without builtins; compiling it takes time linear
-    in the nonzeros.
+    The source is that of the kernel :func:`_float_kernel` describes, with
+    the float n in place of the n-th of those entries, counting from 1:
+    distinct floats that no other constant equals and that sit only in
+    products with a local, so the compiler neither merges nor folds them,
+    and each marks the one place among the code's constants where its entry
+    goes.  Dense matrices of one d share one template, compiled once per
+    process.
     """
-    d = len(rows)
+    d = len(pattern)
     columns: List[List[str]] = [[] for _ in range(d)]
-    for i, row in enumerate(rows):
-        for j, c in row:
-            # the float's own repr, whatever a subclass of float overrides
-            columns[j].append(f"w{i}*{float.__repr__(c)}")
+    n = 0
+    for i, row in enumerate(pattern):
+        for j in row:
+            n += 1
+            columns[j].append(f"w{i}*{n}.0")
     lines = ["def kernel(w):", f" {''.join(f'w{i},' for i in range(d))} = w"]
     for j, terms in enumerate(columns):
         lines += _sum_lines(f"o{j}", "0.0", terms)
-    lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
-    namespace = {"__builtins__": {}}
-    exec("\n".join(lines), namespace)
-    return namespace.pop("kernel")  # the kernel's globals must not hold it
+    if vectors:
+        for k in range(vectors):
+            lines += _sum_lines(f"s{k}", "0", [f"o{i}*{n + k * d + i + 1}.0" for i in range(d)])
+        lines.append(f" return [{', '.join(f's{k}' for k in range(vectors))}]")
+    else:
+        lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
+    module = compile("\n".join(lines), "<kernel>", "exec")
+    code = next(c for c in module.co_consts if isinstance(c, CodeType))
+    count = n + vectors * d  # the placeholders; the template's own constants follow
+    consts = enumerate(code.co_consts)
+    return code, tuple(int(c) - 1 if type(c) is float and c >= 1 else count + p for p, c in consts)
+
+
+def _float_kernel(rows, vectors=()):
+    """A function taking a float population to its image under one matrix,
+    given the matrix's sparse ``(column, entry)`` rows in row order; with
+    ``vectors``, to the list of the image's sums with each, instead.
+
+    It computes each output o_j = 0.0 + w_i1*c_1 + w_i2*c_2 + ... over
+    column j's nonzero entries, in ascending row order: the products and
+    the order of a loop that adds each weight's products into ``[0.0] *
+    d``, so the results are the same bit for bit.  The loop skips zero
+    weights; here a zero weight only adds a product of +-0.0 to a sum that
+    starts at +0.0 and stays nonnegative, which changes no bit.  A column
+    is summed in statements of at most ``_KERNEL_TERMS`` terms, each
+    starting from the last one's total, so the additions keep their order
+    and no expression grows with the column.  With ``vectors`` it then
+    sums 0 + o_0*q_0 + o_1*q_1 + ... for each vector q, the operations of
+    :func:`_dot_kernel` on the image, in the same order.
+
+    The kernel is bound, not compiled: its code is the template of its
+    pattern (:func:`_kernel_template`) with the entries put in place of the
+    template's placeholders, each as the float's own value
+    (``float.__float__``, whatever a subclass of float overrides), and the
+    vectors' entries as they are.  So binding takes time linear in the
+    nonzeros, and only a pattern seen for the first time is compiled.  The
+    kernel runs without builtins.
+    """
+    code, order = _kernel_template(tuple(tuple(j for j, _ in row) for row in rows), len(vectors))
+    entries = [float.__float__(c) for row in rows for _, c in row]
+    pool = (*entries, *chain.from_iterable(vectors), *code.co_consts)
+    return FunctionType(code.replace(co_consts=tuple(map(pool.__getitem__, order))), {"__builtins__": {}})
 
 
 @lru_cache(maxsize=128)
@@ -459,14 +505,19 @@ class _FloatView(_ValueView):
     instances they practically never repeat exactly, so a memo costs a key
     per node and prunes nothing.
 
-    ``apply`` runs one generated kernel per matrix (:func:`_float_kernel`),
-    a function with one straight-line sum per output state, which replaces
-    a Python double loop over the nonzero entries.  The kernels are built
-    the first time ``apply`` runs, once per instance, since later calls on
-    the instance reuse the view; callers that never apply a matrix compile
-    nothing: :func:`mdp_value_table`, and every search at N <= 1, which
-    reads every child off ``caps``.  A kernel references no view, so
-    dropping the view frees it without a cycle collection.
+    ``apply`` runs one kernel per matrix (:func:`_float_kernel`), a
+    function with one straight-line sum per output state, which replaces a
+    Python double loop over the nonzero entries.  The kernels are bound
+    from the template of their pattern the first time ``apply`` runs, once
+    per instance, since later calls on the instance reuse the view.
+    ``fused`` holds a second kernel per matrix, bound the first time
+    enumeration pipes a step: it applies the matrix and returns the K leaf
+    sums of the image over Q[1], the operations of the apply kernel and
+    then the dot kernel, in the same order, so enumeration at N = 2 binds
+    no apply kernel.  Callers that never apply a matrix bind nothing:
+    :func:`mdp_value_table`, and every search at N <= 1, which reads every
+    child off ``caps``.  A kernel references no view, so dropping the view
+    frees it without a cycle collection.
 
     ``caps`` calls the :func:`_dot_kernel` of the instance's shape, taken
     the first time it runs and shared by every view of that shape.  It fixes
@@ -496,6 +547,14 @@ class _FloatView(_ValueView):
         """Per matrix, the kernel that applies it."""
         return [_float_kernel(list(map(self._rows.__getitem__, places))) for places in self._index]
 
+    @cached_property
+    def fused(self):
+        """Per matrix k, the kernel that applies k and returns the K leaf
+        sums of the image over Q[1]: ``caps(apply(w, k), 1)``, bit for bit,
+        in one call."""
+        q = self.lookahead[1]
+        return [_float_kernel(list(map(self._rows.__getitem__, places)), q) for places in self._index]
+
     def apply(self, weights, k: int):
         return self.kernels[k](weights)
 
@@ -514,7 +573,8 @@ class _FloatView(_ValueView):
         """``(b, read, table)`` for enumeration: ``read(weights, table)``
         lists the values of the K^b plans that finish a population with b
         steps left, in plan order.  Float reads the last step alone (b =
-        1), off the dot kernel and Q[1], as ``caps(weights, 1)`` does."""
+        1), off the dot kernel and Q[1], as ``caps(weights, 1)`` does; a
+        walk that applies the step before it reads through ``fused``."""
         return 1, self._dot, self.lookahead[1]
 
     def cutoffs(self, x: float) -> list:
@@ -565,6 +625,7 @@ class _IntegerView(_ValueView):
     memoize = True
     _total = staticmethod(sum)
     apply = _IntegerForm.apply
+    fused = None  # enumeration applies, then reads the packed table
 
     def __init__(self, inst: Instance, entries, index):
         form = _derived(inst, _IntegerForm)  # ``entries`` scaled, once per instance
@@ -838,11 +899,13 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     reaches with one call to the backend (``suffix_values``), not through
     ``caps``.  Float keeps b = 1: the values are the dot kernel's leaf sums
     over Q[1], which match :func:`~timemachine.core.evaluate_plan` bit for
-    bit, where a longer suffix would add products in another order.  Exact
-    values are associative, so b = N // 2 and the walk meets a packed
-    table of suffix vectors in the middle (Horowitz & Sahni 1974); the
-    table holds d integers of K^b fields each, at most sqrt(budget) fields,
-    built per call and dropped on return
+    bit, where a longer suffix would add products in another order; a
+    block that applies the step before them reads them through the
+    backend's ``fused`` kernels, which take that step and the sums in one
+    call.  Exact values are associative, so b = N // 2 and the walk meets
+    a packed table of suffix vectors in the middle (Horowitz & Sahni
+    1974); the table holds d integers of K^b fields each, at most
+    sqrt(budget) fields, built per call and dropped on return
     (:meth:`_IntegerView.suffix_values` gives its size in bytes).  The
     walk is an odometer over the top levels and, below them, a pipeline of
     ``map`` calls that expands a population into a block of at most
@@ -870,7 +933,11 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     while piped < forward and K ** (b + piped + 1) <= _BLOCK_LEAVES:
         piped += 1
     top = forward - piped  # the levels the odometer walks
-    appliers = view.appliers() if forward else None  # float compiles its kernels here
+    # a backend with fused kernels takes a block's last step and its reads
+    # in one call per child
+    fused = view.fused if piped else None
+    expanded = piped - (fused is not None)  # the steps a block applies
+    appliers = view.appliers() if top or expanded else None  # float binds its kernels here
 
     best_value, best_plan = -1, ()  # every plan is worth at least 0
     populations, path = [[view.start]], [0]  # per level, its populations and the one visited
@@ -886,9 +953,12 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
             path.append(0)
         else:
             block = [populations[-1][k]]
-            for _ in range(piped):
+            for _ in range(expanded):
                 block = _expand(appliers, block)
-            values = list(chain.from_iterable(map(read, block, repeat(table))))
+            if fused is None:
+                values = list(chain.from_iterable(map(read, block, repeat(table))))
+            else:
+                values = list(chain.from_iterable(_expand(fused, block)))
             value = max(values)
             if value > best_value:
                 best_value = value

@@ -10,7 +10,9 @@ enumeration on the solver's own backend, so that float answers compare bit
 for bit.
 ``dense_apply_reference`` is a frozen copy of the dense row-vector product
 the library ran before it moved populations through sparse rows, kept as
-the reference its results must match bit for bit.
+the reference its results must match bit for bit, and
+``exec_float_kernel`` a frozen copy of the float apply kernels the library
+compiled per matrix before it bound them from per-pattern templates.
 """
 
 import io
@@ -80,6 +82,30 @@ def dense_apply_reference(weights, rows):
                 if t:
                     out[j] = out[j] + w * t
     return tuple(out)
+
+
+def exec_float_kernel(rows):
+    """The float kernel of a matrix's sparse ``(column, entry)`` rows as the
+    library generated it before it bound kernels from templates: source
+    holding the ``float.__repr__`` of every entry, one statement per output
+    (each of at most 200 terms, the next starting from its total), compiled
+    by ``exec`` per matrix and run without builtins.  The reference the
+    template-bound kernels match bit for bit."""
+    d = len(rows)
+    columns = [[] for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            columns[j].append(f"w{i}*{float.__repr__(c)}")
+    lines = ["def kernel(w):", f" {''.join(f'w{i},' for i in range(d))} = w"]
+    for j, terms in enumerate(columns):
+        total = "0.0"
+        for s in range(0, len(terms) or 1, 200):
+            lines.append(f" o{j} = {' + '.join([total, *terms[s : s + 200]])}")
+            total = f"o{j}"
+    lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace.pop("kernel")
 
 
 def dense_trajectory_reference(inst, plan):

@@ -50,6 +50,7 @@ from helpers import (
     all_patterns_formula,
     beam_reference,
     enum_reference,
+    exec_float_kernel,
     matrix_power,
     planted_formula,
     random_exact_distribution,
@@ -57,6 +58,7 @@ from helpers import (
     random_float_distribution,
     random_float_matrix,
     random_instance,
+    random_sparse_float_instance,
     single_clause_formula,
     tie_heavy_instance,
 )
@@ -1602,18 +1604,21 @@ class TestFloatKernels:
         assert list(map(repr, got)) == ["1.0", "0.0", "0.0"]
 
     def test_kernel_runs_without_builtins(self):
-        kernel = solvers._float_kernel([((1, 1.0),), ((0, 1.0),)])
-        assert kernel.__globals__ == {"__builtins__": {}}
+        rows = [((1, 1.0),), ((0, 0.5), (1, 0.5))]
+        kernel, fused = solvers._float_kernel(rows), solvers._float_kernel(rows, [(0.0, 1.0)])
+        assert kernel.__globals__ == fused.__globals__ == {"__builtins__": {}}
+        assert (kernel((0.5, 0.5)), fused((0.5, 0.5))) == ((0.25, 0.75), [0.75])
 
     def test_built_only_when_a_search_applies_a_matrix(self, monkeypatch):
-        built = []
+        built = []  # per kernel bound, its rows and fused vectors
         make = solvers._float_kernel
 
-        def counting(rows):
-            built.append(len(rows))
-            return make(rows)
+        def counting(rows, vectors=()):
+            built.append((len(rows), len(vectors)))
+            return make(rows, vectors)
 
         monkeypatch.setattr(solvers, "_float_kernel", counting)
+        solvers._kernel_template.cache_clear()
         inst = random_instance(Random(7102), 4, 3, 1, mode="float")
         mdp_value_table(inst)
         enumerate_solve(inst)
@@ -1621,8 +1626,130 @@ class TestFloatKernels:
         decide_threshold(inst, 0.0)
         beam_search(inst, 4)
         assert built == []
-        enumerate_solve(random_instance(Random(7103), 4, 3, 2, mode="float"))
-        assert built == [4, 4, 4]  # once per matrix, for the whole search
+        assert solvers._kernel_template.cache_info().misses == 0
+        inst = random_instance(Random(7103), 4, 3, 2, mode="float")
+        enumerate_solve(inst)
+        # at N = 2 enumeration reads every leaf through a fused kernel, once
+        # per matrix for the whole search, and binds no apply kernel
+        assert built == [(4, 3)] * 3
+        branch_and_bound_solve(inst)
+        enumerate_solve(inst)
+        beam_search(inst, 4)
+        assert built == [(4, 3)] * 3 + [(4, 0)] * 3
+        # dense matrices share one pattern: one template per kind of kernel
+        assert solvers._kernel_template.cache_info().misses == 2
+
+
+class Shifted(float):
+    """A float whose ``repr`` and ``float()`` both lie about its value."""
+
+    def __repr__(self):
+        return "0.5"
+
+    def __float__(self):
+        return 0.25
+
+
+def random_sparse_rows(rng, d):
+    """Sparse ``(column, entry)`` rows of between zero and d entries each,
+    at random ascending columns, so that some columns are empty: entries
+    of 5e-324, in [0, 1) or of magnitude 1e-9 to 1e9."""
+    return [
+        tuple(
+            (j, rng.choice((5e-324, rng.random() + 5e-324, rng.random() * 10 ** rng.randint(-9, 9) + 5e-324)))
+            for j in sorted(rng.sample(range(d), rng.randint(0, d)))
+        )
+        for _ in range(d)
+    ]
+
+
+def kernel_populations(rng, d):
+    """Populations a kernel is checked on: all zeros, all -0.0, and random
+    ones with zeros or of wide magnitudes."""
+    populations = [(0.0,) * d, (-0.0,) * d]
+    populations += [population_with_zeros(rng, d) for _ in range(5)]
+    populations += [tuple(wide_float(rng) for _ in range(d)) for _ in range(5)]
+    return populations
+
+
+def hexes(values):
+    return list(map(float.hex, values))
+
+
+class TestKernelTemplates:
+    """Float kernels are bound from one template per sparsity pattern and
+    number of fused vectors; each computes what the kernel compiled for its
+    own matrix computed (``exec_float_kernel``), bit for bit."""
+
+    def test_bound_kernels_equal_the_compiled_ones(self):
+        rng = Random(7110)
+        for _ in range(300):
+            rows = random_sparse_rows(rng, rng.randint(1, 12))
+            kernel, reference = solvers._float_kernel(rows), exec_float_kernel(rows)
+            for weights in kernel_populations(rng, len(rows)):
+                assert hexes(kernel(weights)) == hexes(reference(weights))
+
+    def test_column_longer_than_one_statement(self):
+        # 450 rows all reach state 0: a column of 450 terms, in three statements
+        d = 450
+        assert d > 2 * solvers._KERNEL_TERMS
+        rng = Random(7111)
+        rows = [((0, rng.random() * 10 ** rng.randint(-9, 9)), (i, 5e-324)) for i in range(d)]
+        vectors = [tuple(wide_float(rng) for _ in range(d)) for _ in range(2)]
+        kernel, fused = solvers._float_kernel(rows), solvers._float_kernel(rows, vectors)
+        reference, dot = exec_float_kernel(rows), solvers._dot_kernel(d, 2)
+        for weights in kernel_populations(rng, d):
+            assert hexes(kernel(weights)) == hexes(reference(weights))
+            assert hexes(fused(weights)) == hexes(dot(reference(weights), vectors))
+
+    def test_float_subclass_entries_bind_their_float_value(self):
+        shifted = [((0, Shifted(0.3)), (1, Shifted(0.7))), ((1, Shifted(1.0)),)]
+        plain = [((0, 0.3), (1, 0.7)), ((1, 1.0),)]
+        weights = (0.6, 0.4)
+        got = solvers._float_kernel(shifted)(weights)
+        assert hexes(got) == hexes(exec_float_kernel(shifted)(weights))
+        assert hexes(got) == hexes(solvers._float_kernel(plain)(weights))
+        assert all(type(x) is float for x in got)
+
+    def test_fused_kernel_is_apply_then_dot(self):
+        rng = Random(7112)
+        for _ in range(300):
+            d, K = rng.randint(1, 12), rng.randint(1, 5)
+            rows = random_sparse_rows(rng, d)
+            vectors = [tuple(wide_float(rng) for _ in range(d)) for _ in range(K)]
+            fused = solvers._float_kernel(rows, vectors)
+            apply, dot = exec_float_kernel(rows), solvers._dot_kernel(d, K)
+            for weights in kernel_populations(rng, d):
+                assert hexes(fused(weights)) == hexes(dot(apply(weights), vectors))
+
+    def test_compiled_once_per_pattern(self):
+        solvers._kernel_template.cache_clear()
+        rng = Random(7113)
+        dense = [[tuple(enumerate(row)) for row in random_float_matrix(rng, 6).rows] for _ in range(3)]
+        weights = random_float_distribution(rng, 6).weights
+        for rows in dense:
+            got = solvers._float_kernel(rows)(weights)
+            assert hexes(got) == hexes(exec_float_kernel(rows)(weights))
+        assert solvers._kernel_template.cache_info().misses == 1
+        vectors = [(1.0,) * 6, (0.5,) * 6]
+        for rows in dense:
+            solvers._float_kernel(rows, vectors)
+        solvers._float_kernel(dense[0], vectors[:1])
+        assert solvers._kernel_template.cache_info().misses == 3
+        solvers._float_kernel(random_sparse_rows(rng, 6))
+        assert solvers._kernel_template.cache_info().misses == 4
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 2, 5, 16, 17])
+    def test_enumeration_equals_the_reference_on_either_leaf_path(self, K, N):
+        # K <= 16 pipes a step at N >= 2 and reads its leaves through the
+        # fused kernels; K = 17 pipes none and reads them off the dot kernel
+        rng = Random(7120 + 10 * K + N)
+        for inst in (random_instance(rng, 5, K, N, "float"), random_sparse_float_instance(rng, 4, K, N)):
+            result = enumerate_solve(inst)
+            value, plan, explored, _ = enum_reference(inst)
+            assert (result.value.hex(), result.plan, result.nodes_explored) == (value.hex(), plan, explored)
+            assert ("fused" in vars(solvers._view(inst))) == (N >= 2 and K <= 16)
 
 
 def dot_reference(weights, vectors):
@@ -1740,8 +1867,8 @@ def all_solver_answers(inst, fresh=False):
 
 class TestPreparedInstance:
     """Consecutive solver calls on one instance object share one check, one
-    set of tables, one float kernel per matrix and one packed-column build,
-    and answer as calls in a fresh process would."""
+    set of tables, one float kernel of each kind per matrix and one
+    packed-column build, and answer as calls in a fresh process would."""
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_one_preparation_serves_every_call(self, monkeypatch, mode):
@@ -1751,9 +1878,14 @@ class TestPreparedInstance:
         checks = counting(monkeypatch, core, "_checked_rows")
         kernels = counting(monkeypatch, solvers, "_float_kernel")
         integer_views = counting(monkeypatch, solvers._IntegerView, "__init__")
+        solvers._kernel_template.cache_clear()
         assert all_solver_answers(inst) == expected
         assert len(checks) == 1
-        assert len(kernels) == (inst.K if mode == "float" else 0)
+        # per matrix, one apply kernel and one fused with enumeration's leaf
+        # sums, bound from one template each: the matrices are dense
+        fused = sorted(len(call[1]) if len(call) > 1 else 0 for call in kernels)
+        assert fused == ([0] * inst.K + [inst.K] * inst.K if mode == "float" else [])
+        assert solvers._kernel_template.cache_info().misses == (2 if mode == "float" else 0)
         assert len(integer_views) == (1 if mode == "exact" else 0)
 
     def test_alternating_objects_are_prepared_each_time(self, monkeypatch):
