@@ -66,10 +66,10 @@ a backend lives until its instance dies or another instance is checked.
   constants, the first time a search applies the matrix, once per
   instance, in time linear in the nonzeros.  Its child bounds come from one
   dot-product kernel per ``(d, K)`` shape, compiled once per process, and
-  enumeration's leaf values from kernels that apply a matrix and then add
-  the dot kernel's sums, bound the same way.  The walk compares its
-  bounds above the leaves with a rounding slack (``cutoffs``), so that no
-  bound, off ``caps`` or off ``G``, sits below the float value of a plan
+  so do enumeration's suffix vectors and their reads.  The walk compares
+  its bounds above the leaves with a rounding slack (``cutoffs``), and
+  enumeration its suffix reads, so that no bound or read, off ``caps``,
+  off ``G`` or off a suffix vector, sits below the float value of a plan
   under it (:func:`_rounding_slack` has the proof).
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
@@ -94,22 +94,24 @@ for bit on any CPython.
 A child whose occupied states all have relaxed value exactly 1 gets
 exactly the full mass as its bound, with no special case.
 
-Enumeration applies the first N - b steps of each plan forward and reads
-the values of all K^b suffixes of a population it reaches with one call,
-``suffix_values``.  Float keeps b = 1: those values are the dot kernel's
-sums over Q[1], the leaf values above, while a longer suffix read off a
-vector P_sigma e_target would add its products in another order than
-:func:`~timemachine.core.evaluate_plan` does.  Where the walk applies the
-step before the leaves, one fused kernel per matrix (``fused``) applies it
-and adds those sums in one call, in the same order.  Exact values are
-associative, so exact enumeration meets in the middle (Horowitz & Sahni
-1974) at b = N // 2: per state, one integer packs the state's entries of
-the K^b suffix vectors of Smallwood & Sondik (1973), and one big-integer
-dot product per forward population yields K^b exact plan values.  That
-table holds d integers of K^b fields, at most sqrt(K^N) vectors, so
-sqrt(budget) at most; it is built per call and dropped on return.  The
-walk itself is an odometer over the top levels and a pipeline of ``map``
-calls over the last forward steps, so no recursion grows with N.
+Enumeration meets in the middle (Horowitz & Sahni 1974) at b = N // 2,
+at least 1 in float mode: it applies the first N - b steps of each plan
+forward and reads the values of all K^b suffixes of a population it
+reaches off the K^b suffix vectors P_sigma e_target of Smallwood & Sondik
+(1973) (``suffix_values``).  That table holds at most sqrt(K^N) vectors,
+so sqrt(budget) at most; it is built per call and dropped on return.
+Exact values are associative, so exact reads are the plans' values: per
+state, one integer packs the state's entries of the vectors, and one
+big-integer dot product per forward population yields K^b exact plan
+values.  Float reads go through the dot kernel, K vectors per call, and
+at b >= 2 they add their products in another order than
+:func:`~timemachine.core.evaluate_plan` does.  So they only filter: a
+block of plans whose largest read is at most the cutoff of the best value
+so far (``cutoffs`` at level b) holds no plan that beats it, and any other
+block is valued again (``revalue``), through the apply kernels and the
+leaf values above, in the same order as ``evaluate_plan``.  The walk
+itself is an odometer over the top levels and a pipeline of ``map`` calls
+over the last forward steps, so no recursion grows with N.
 
 Branch and bound and the threshold decision are one depth-first walk,
 :func:`_search`; the solvers set only its incumbents.  It visits children
@@ -310,7 +312,9 @@ def _rounding_slack(terms: int, levels: int) -> Tuple[float, float]:
     """``(F, A)`` such that every plan under a float child bound ``c`` read
     with ``levels`` >= 2 steps left, off ``caps`` or off ``G``, is worth at
     most ``c * F + A`` (in real numbers) as the walk values it, which is
-    :func:`~timemachine.core.evaluate_plan`'s value; ``terms`` is d.
+    :func:`~timemachine.core.evaluate_plan`'s value; ``terms`` is d.  So is
+    a plan of enumeration whose suffix read (``suffix_values``) with
+    ``levels`` = b >= 2 steps left is ``c``.
 
     Proof.  Let w be the node's float population, s = ``levels``, u =
     2^-53, and v the real number w . P_k P_sigma e_target for a plan (k,
@@ -332,18 +336,31 @@ def _rounding_slack(terms: int, levels: int) -> Tuple[float, float]:
       dominates each one it drops, and U takes a max.  So it is at least
       (1 - u)^(ds) P_k P_sigma e_target, and ``c``, one more sum, is at
       least (1 - u)^(d(s+1)) v.
+    * An enumeration read ``c`` = w . alpha_sigma, for the plan sigma of s
+      steps that finishes w (here v = w . P_sigma e_target), starts from the
+      same w as the plan's value: the walk applies the steps before it
+      through the same kernels.
+      Level 1 of the suffix vectors is Q[1], read off the 0/1 level U[0]:
+      each product is an entry times 0 or 1 and each addition adds a zero,
+      so it is exact.  Each further level reads a dense row against the
+      vectors below through the dot kernel, and ``c`` reads w against
+      alpha_sigma: one sum of d nonnegative products each, where a zero
+      entry adds an exact 0.  So alpha_sigma is at least (1 -
+      u)^(d(s-1)) P_sigma e_target, as rounding is monotone, and ``c`` is at
+      least (1 - u)^(ds) v, so at least (1 - u)^(d(s+1)) v as well.
 
     So the value is at most c (1 + u)^(ds) / (1 - u)^(d(s+1)) <= c (1 +
     gamma_m), with m = d(2s + 1) and gamma_m = m u / (1 - m u) (Higham,
     Lemma 3.1), and gamma_m <= 2 m u = F - 1 while m u <= 1/2.  A product
     that underflows errs by up to 2^-1075 absolutely instead (a sum never
-    does).  The value takes at most s d^2 products and ``c`` at most (s + 1)
-    d^2; entries are at most 1 and rows sum to at most 1 + ROW_SUM_TOL, so
-    each such error reaches the value or ``c`` scaled by at most 2, and F <=
-    2 scales those of ``c`` once more: A = 16 (s + 1) d^2 2^-1075 covers
-    them.  Both conditions hold while N (d u + ROW_SUM_TOL) <= 1/8, true of
-    every instance a search can finish.  F = 1 + m 2^-52 and A are exact
-    floats.
+    does, and a product with an exact 0 or 1 never errs).  The value takes
+    at most s d^2 products, a bound ``c`` at most (s + 1) d^2 and a read
+    ``c`` at most (s - 1) d^2 + d; entries are at most 1 and rows sum to at
+    most 1 + ROW_SUM_TOL, so each such error reaches the value or ``c``
+    scaled by at most 2, and F <= 2 scales those of ``c`` once more: A = 16
+    (s + 1) d^2 2^-1075 covers them.  Both conditions hold while N (d u +
+    ROW_SUM_TOL) <= 1/8, true of every instance a search can finish.  F = 1
+    + m 2^-52 and A are exact floats.
     """
     m = terms * (2 * levels + 1)
     return 1 + m * 2.0**-52, (levels + 1) * terms * terms * 2.0**-1071
@@ -374,13 +391,12 @@ def _sum_lines(name: str, zero: str, terms: List[str]) -> List[str]:
 
 
 @lru_cache(maxsize=128)
-def _kernel_template(pattern: tuple, vectors: int) -> tuple:
+def _kernel_template(pattern: tuple) -> tuple:
     """``(code, order)``: the code of every :func:`_float_kernel` whose
     matrix has the sparsity ``pattern`` (per row, the columns of its
-    nonzero entries, in row order; it fixes d) and that ends in ``vectors``
-    leaf sums, and the order in which a kernel's constants are picked out
-    of its entries, row by row, its vectors' entries, vector by vector, and
-    the template's own constants.
+    nonzero entries, in row order; it fixes d), and the order in which a
+    kernel's constants are picked out of its entries, row by row, and the
+    template's own constants.
 
     The source is that of the kernel :func:`_float_kernel` describes, with
     the float n in place of the n-th of those entries, counting from 1:
@@ -400,23 +416,16 @@ def _kernel_template(pattern: tuple, vectors: int) -> tuple:
     lines = ["def kernel(w):", f" {''.join(f'w{i},' for i in range(d))} = w"]
     for j, terms in enumerate(columns):
         lines += _sum_lines(f"o{j}", "0.0", terms)
-    if vectors:
-        for k in range(vectors):
-            lines += _sum_lines(f"s{k}", "0", [f"o{i}*{n + k * d + i + 1}.0" for i in range(d)])
-        lines.append(f" return [{', '.join(f's{k}' for k in range(vectors))}]")
-    else:
-        lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
+    lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
     module = compile("\n".join(lines), "<kernel>", "exec")
     code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    count = n + vectors * d  # the placeholders; the template's own constants follow
-    consts = enumerate(code.co_consts)
-    return code, tuple(int(c) - 1 if type(c) is float and c >= 1 else count + p for p, c in consts)
+    consts = enumerate(code.co_consts)  # the placeholders, then the template's own constants
+    return code, tuple(int(c) - 1 if type(c) is float and c >= 1 else n + p for p, c in consts)
 
 
-def _float_kernel(rows, vectors=()):
+def _float_kernel(rows):
     """A function taking a float population to its image under one matrix,
-    given the matrix's sparse ``(column, entry)`` rows in row order; with
-    ``vectors``, to the list of the image's sums with each, instead.
+    given the matrix's sparse ``(column, entry)`` rows in row order.
 
     It computes each output o_j = 0.0 + w_i1*c_1 + w_i2*c_2 + ... over
     column j's nonzero entries, in ascending row order: the products and
@@ -426,21 +435,18 @@ def _float_kernel(rows, vectors=()):
     starts at +0.0 and stays nonnegative, which changes no bit.  A column
     is summed in statements of at most ``_KERNEL_TERMS`` terms, each
     starting from the last one's total, so the additions keep their order
-    and no expression grows with the column.  With ``vectors`` it then
-    sums 0 + o_0*q_0 + o_1*q_1 + ... for each vector q, the operations of
-    :func:`_dot_kernel` on the image, in the same order.
+    and no expression grows with the column.
 
     The kernel is bound, not compiled: its code is the template of its
     pattern (:func:`_kernel_template`) with the entries put in place of the
     template's placeholders, each as the float's own value
-    (``float.__float__``, whatever a subclass of float overrides), and the
-    vectors' entries as they are.  So binding takes time linear in the
-    nonzeros, and only a pattern seen for the first time is compiled.  The
-    kernel runs without builtins.
+    (``float.__float__``, whatever a subclass of float overrides).  So
+    binding takes time linear in the nonzeros, and only a pattern seen for
+    the first time is compiled.  The kernel runs without builtins.
     """
-    code, order = _kernel_template(tuple(tuple(j for j, _ in row) for row in rows), len(vectors))
+    code, order = _kernel_template(tuple(tuple(j for j, _ in row) for row in rows))
     entries = [float.__float__(c) for row in rows for _, c in row]
-    pool = (*entries, *chain.from_iterable(vectors), *code.co_consts)
+    pool = (*entries, *code.co_consts)
     return FunctionType(code.replace(co_consts=tuple(map(pool.__getitem__, order))), {"__builtins__": {}})
 
 
@@ -510,25 +516,24 @@ class _FloatView(_ValueView):
     Python double loop over the nonzero entries.  The kernels are bound
     from the template of their pattern the first time ``apply`` runs, once
     per instance, since later calls on the instance reuse the view.
-    ``fused`` holds a second kernel per matrix, bound the first time
-    enumeration pipes a step: it applies the matrix and returns the K leaf
-    sums of the image over Q[1], the operations of the apply kernel and
-    then the dot kernel, in the same order, so enumeration at N = 2 binds
-    no apply kernel.  Callers that never apply a matrix bind nothing:
-    :func:`mdp_value_table`, and every search at N <= 1, which reads every
-    child off ``caps``.  A kernel references no view, so dropping the view
-    frees it without a cycle collection.
+    Callers that never apply a matrix bind nothing: :func:`mdp_value_table`,
+    and every search at N <= 1, which reads every child off ``caps``.  A
+    kernel references no view, so dropping the view frees it without a
+    cycle collection.
 
     ``caps`` calls the :func:`_dot_kernel` of the instance's shape, taken
     the first time it runs and shared by every view of that shape.  It fixes
     the addition order, so leaf values match ``evaluate_plan`` bit for bit.
+    Enumeration's suffix vectors and their reads (``suffix_values``) go
+    through the same kernel, so no other kernel shape is compiled.
     ``suffix_caps`` adds each product of a group's vector with ``fsum``,
     which rounds once per product and once per sum on every CPython.
 
     ``cutoffs`` carries the rounding slack of :func:`_rounding_slack` into
     the walk's comparisons above the leaves, whichever of ``caps`` and
-    ``suffix_caps`` gave the bound; the bounds themselves stay plain float
-    sums, so beam reads ``caps`` unchanged.
+    ``suffix_caps`` gave the bound, and into enumeration's filter over its
+    suffix reads; the bounds themselves stay plain float sums, so beam
+    reads ``caps`` unchanged.
     """
 
     base = 1
@@ -547,14 +552,6 @@ class _FloatView(_ValueView):
         """Per matrix, the kernel that applies it."""
         return [_float_kernel(list(map(self._rows.__getitem__, places))) for places in self._index]
 
-    @cached_property
-    def fused(self):
-        """Per matrix k, the kernel that applies k and returns the K leaf
-        sums of the image over Q[1]: ``caps(apply(w, k), 1)``, bit for bit,
-        in one call."""
-        q = self.lookahead[1]
-        return [_float_kernel(list(map(self._rows.__getitem__, places)), q) for places in self._index]
-
     def apply(self, weights, k: int):
         return self.kernels[k](weights)
 
@@ -570,12 +567,47 @@ class _FloatView(_ValueView):
         return self.kernels
 
     def suffix_values(self, N: int):
-        """``(b, read, table)`` for enumeration: ``read(weights, table)``
-        lists the values of the K^b plans that finish a population with b
-        steps left, in plan order.  Float reads the last step alone (b =
-        1), off the dot kernel and Q[1], as ``caps(weights, 1)`` does; a
-        walk that applies the step before it reads through ``fused``."""
-        return 1, self._dot, self.lookahead[1]
+        """``(b, read, table)`` for enumeration, with b = N // 2 and at
+        least 1: ``table`` holds the K^b suffix vectors alpha_sigma = P_sigma
+        e_target of the plans sigma that finish a population with b steps
+        left, in plan order and in chunks of K, and ``read(weights, table)``
+        iterates over their approximate values m(sigma) = weights .
+        alpha_sigma, in plan order, one dot kernel call per chunk.
+
+        Level 1 is Q[1], which holds alpha_k = P_k e_target exactly.  Each
+        further level is P_k alpha over the vectors alpha of the level below,
+        k first: every distinct row, made dense, is read against the level
+        below through the dot kernel, K vectors per call, and state i's
+        entry of P_k alpha is the read of its row in matrix k.  Only at b = 1
+        is m(sigma) the plan's value as ``evaluate_plan`` adds it (the read
+        is ``caps(weights, 1)``); further from the leaves it adds its
+        products in another order, within the slack of ``cutoffs`` at level
+        b (:func:`_rounding_slack`), and enumeration values the plans a read
+        cannot rule out again (``revalue``).  The table holds K^b vectors of
+        d floats, at most sqrt(K^N), built per call, not kept with the view.
+        """
+        K, d, dot = len(self._index), len(self.start), self._dot
+        b = max(N // 2, 1)
+        table = [self.lookahead[1]]  # level 1, one chunk of K vectors
+        dense = [[0.0] * d for _ in self._rows] if b > 1 else []
+        for row, entries in zip(self._rows, dense):
+            for j, c in row:
+                entries[j] = c
+        for _ in range(b - 1):
+            # per distinct row, its reads against every vector of the level below
+            reads = [list(chain.from_iterable(map(dot, repeat(row), table))) for row in dense]
+            vectors = chain.from_iterable(zip(*map(reads.__getitem__, places)) for places in self._index)
+            table = list(zip(*[vectors] * K))  # in chunks of K
+        return b, lambda weights, table: chain.from_iterable(map(dot, repeat(weights), table)), table
+
+    def revalue(self, block, b: int) -> list:
+        """The values of the K^b plans that finish each population of
+        ``block``, with b steps left, in plan order, as ``evaluate_plan``
+        adds them: the block expanded b - 1 steps through the apply kernels,
+        and each leaf read off Q[1] (``caps(weights, 1)``)."""
+        for _ in range(b - 1):
+            block = _expand(self.kernels, block)
+        return list(chain.from_iterable(map(self._dot, block, repeat(self.lookahead[1]))))
 
     def cutoffs(self, x: float) -> list:
         """Per level r, the float a child bound read with r steps left is
@@ -625,7 +657,7 @@ class _IntegerView(_ValueView):
     memoize = True
     _total = staticmethod(sum)
     apply = _IntegerForm.apply
-    fused = None  # enumeration applies, then reads the packed table
+    revalue = None  # enumeration's suffix reads are the plans' exact values
 
     def __init__(self, inst: Instance, entries, index):
         form = _derived(inst, _IntegerForm)  # ``entries`` scaled, once per instance
@@ -872,7 +904,8 @@ class _SupportView:
 
 # Enumeration expands each population near the leaves into a block of at
 # most this many leaves (or one population's K^b suffixes, if more) through
-# C-driven ``map`` calls, so its Python-level loop runs once per block.
+# C-driven ``map`` calls, so its Python-level loop runs once per block;
+# blocks whose reads are filtered are one population each.
 _BLOCK_LEAVES = 256
 
 
@@ -896,24 +929,26 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     Refuses to start if K^N exceeds ``budget`` (default 10^8), before any
     backend or table is built.  The walk applies the first N - b steps
     forward and reads the values of all K^b suffixes of each population it
-    reaches with one call to the backend (``suffix_values``), not through
-    ``caps``.  Float keeps b = 1: the values are the dot kernel's leaf sums
-    over Q[1], which match :func:`~timemachine.core.evaluate_plan` bit for
-    bit, where a longer suffix would add products in another order; a
-    block that applies the step before them reads them through the
-    backend's ``fused`` kernels, which take that step and the sums in one
-    call.  Exact values are associative, so b = N // 2 and the walk meets
-    a packed table of suffix vectors in the middle (Horowitz & Sahni
-    1974); the table holds d integers of K^b fields each, at most
-    sqrt(budget) fields, built per call and dropped on return
-    (:meth:`_IntegerView.suffix_values` gives its size in bytes).  The
-    walk is an odometer over the top levels and, below them, a pipeline of
-    ``map`` calls that expands a population into a block of at most
-    ``_BLOCK_LEAVES`` leaves (or its K^b suffixes, if more), so no
-    recursion or nesting grows with N.  The first maximum in plan order is
-    the plan, so the answer is that of a depth-first scan.
-    ``nodes_explored`` is sum_(r=1..N) K^r, every node of the plan tree
-    below the root, and ``nodes_pruned`` is 0.
+    reaches off a table of suffix vectors (``suffix_values``), not through
+    ``caps``: it meets the table in the middle (Horowitz & Sahni 1974), at
+    b = N // 2 (at least 1 in float mode).  The table holds at most
+    sqrt(budget) vectors, built per call and dropped on return.  Exact
+    reads are the plans' values, d integers of K^b packed fields
+    (:meth:`_IntegerView.suffix_values` gives their size in bytes).  Float
+    reads with b >= 2 add their products in another order than
+    :func:`~timemachine.core.evaluate_plan`, within the rounding slack of
+    ``cutoffs`` at level b: a block whose largest read is at most the
+    cutoff of the best value so far holds no plan that beats it, and is
+    skipped.  Any other block is valued again as ``evaluate_plan`` adds
+    (``revalue``), and only those values are compared, so every float
+    value is the sequential one, bit for bit.  The walk is an odometer
+    over the top levels and, below them, a pipeline of ``map`` calls that
+    expands a population into a block of at most ``_BLOCK_LEAVES`` leaves
+    (or its K^b suffixes, if more), so no recursion or nesting grows with
+    N.  A block's first maximum is taken only if it beats the best value
+    strictly, so the plan is the first maximum in plan order, that of a
+    depth-first scan.  ``nodes_explored`` is sum_(r=1..N) K^r, every node
+    of the plan tree below the root, and ``nodes_pruned`` is 0.
     """
     _sparse_rows(inst)  # the check first: K**N fails at K = 0, N < 0
     K, N = inst.K, inst.N
@@ -928,18 +963,18 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
     b, read, table = view.suffix_values(N)
+    revalue = view.revalue if b > 1 else None  # None where reads are the values
     forward = N - b
-    piped = 0  # the forward steps a block expands
-    while piped < forward and K ** (b + piped + 1) <= _BLOCK_LEAVES:
+    # the forward steps a block expands; none where reads are filtered, so
+    # that a block valued again holds one population's K^b plans
+    piped = 0
+    while revalue is None and piped < forward and K ** (b + piped + 1) <= _BLOCK_LEAVES:
         piped += 1
     top = forward - piped  # the levels the odometer walks
-    # a backend with fused kernels takes a block's last step and its reads
-    # in one call per child
-    fused = view.fused if piped else None
-    expanded = piped - (fused is not None)  # the steps a block applies
-    appliers = view.appliers() if top or expanded else None  # float binds its kernels here
+    appliers = view.appliers() if forward else None  # float binds its kernels here
 
-    best_value, best_plan = -1, ()  # every plan is worth at least 0
+    best_value = cutoff = -1  # every plan is worth at least 0
+    best_plan = ()
     populations, path = [[view.start]], [0]  # per level, its populations and the one visited
     while path:
         k = path[-1]
@@ -953,16 +988,18 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
             path.append(0)
         else:
             block = [populations[-1][k]]
-            for _ in range(expanded):
+            for _ in range(piped):
                 block = _expand(appliers, block)
-            if fused is None:
-                values = list(chain.from_iterable(map(read, block, repeat(table))))
-            else:
-                values = list(chain.from_iterable(_expand(fused, block)))
+            values = list(chain.from_iterable(map(read, block, repeat(table))))
             value = max(values)
-            if value > best_value:
-                best_value = value
-                best_plan = (*path[1:], *_digits(values.index(value), K, piped + b))
+            if value > cutoff:
+                if revalue is not None:
+                    values = revalue(block, b)
+                    value = max(values)
+                if value > best_value:
+                    best_value = value
+                    best_plan = (*path[1:], *_digits(values.index(value), K, piped + b))
+                    cutoff = best_value if revalue is None else view.cutoffs(best_value)[b]
             path[-1] += 1
     explored = N if K == 1 else (K ** (N + 1) - K) // (K - 1)
     return SolveResult(view.to_value(best_value, b), best_plan, explored, 0, "enum")

@@ -276,6 +276,40 @@ def random_sparse_float_instance(rng: Random, d: int, K: int, N: int) -> Instanc
     )
 
 
+def wide_float_weights(rng: Random, d: int, small=None):
+    """A float probability vector whose entries are 0.0, 5e-324 or of
+    magnitudes 1e-9 to 1, one of them taking what the others leave: the
+    others are scaled with it to sum to 1, and each 5e-324 stays as it is.
+    The entry at index ``small``, if given and d > 1, is instead 0.0,
+    5e-324 or below 1e-300."""
+    raw = [rng.choice((0.0, 5e-324, rng.random() * 10.0 ** -rng.randint(0, 9))) for _ in range(d)]
+    raw[rng.choice([i for i in range(d) if i != small] or [0])] = 1.0
+    if small is not None and d > 1:
+        raw[small] = rng.choice((0.0, 5e-324, rng.random() * 10.0 ** -rng.randint(300, 320)))
+    total = sum(x for x in raw if x != 5e-324)
+    return tuple(x if x == 5e-324 else x / total for x in raw)
+
+
+def wide_float_instance(rng: Random, d: int, K: int, N: int, tiny: bool = False) -> Instance:
+    """A float instance of :func:`wide_float_weights` rows and start, so
+    that products underflow and sums add terms of wide magnitude; with
+    ``tiny``, every entry of the target column is small, and so is every
+    plan's value at N >= 1."""
+    target = rng.randrange(d)
+    small = target if tiny else None
+    matrices = tuple(
+        StochasticMatrix(tuple(wide_float_weights(rng, d, small) for _ in range(d)))
+        for _ in range(K)
+    )
+    return Instance(
+        matrices=matrices,
+        N=N,
+        start=Distribution(wide_float_weights(rng, d)),
+        target=target,
+        numeric_mode="float",
+    )
+
+
 def tie_heavy_instance(rng: Random, d: int, K: int, N: int, mode: str = "exact") -> Instance:
     """Rows that are 0/1 maps mixed with half/half rows, and a start that
     is a point mass or half/half, so that many plans tie in value."""

@@ -209,12 +209,37 @@ class TestBench:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [
-            "instance", "method", "value", "nodes_explored", "nodes_pruned", "wall_ms",
+            "instance", "method", "value", "nodes_explored", "nodes_pruned", "wall_ms", "read_ms",
         ]
         assert len(rows) == 3
         assert rows[1][1] == "bnb" and rows[1][2] == "1/1"
         assert rows[2][1] == "beam:4"
         float(rows[1][5])  # wall_ms parses
+        assert float(rows[1][6]) > 0  # the read, timed once
+        assert rows[2][6] == "0.000"  # the same file: its document reused
+
+    def test_each_instance_file_read_once(self, sat_instance, tmp_path, monkeypatch):
+        import timemachine.cli as cli_module
+
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_instance(path)
+
+        monkeypatch.setattr(cli_module, "read_instance", counting)
+        suite = tmp_path / "suite.txt"
+        name = sat_instance.name
+        suite.write_text(f"{name} enum\n{name} bnb\n./{name} beam:4\n")
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
+        assert len(reads) == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:3] for row in rows[1:]] == [
+            [name, "enum", "1/1"], [name, "bnb", "1/1"], [f"./{name}", "beam:4", "1/1"],
+        ]
+        assert [row[6] for row in rows[2:]] == ["0.000", "0.000"]
 
     def test_unknown_method_is_usage_error(self, sat_instance, tmp_path):
         suite = tmp_path / "suite.txt"

@@ -61,6 +61,7 @@ from helpers import (
     random_sparse_float_instance,
     single_clause_formula,
     tie_heavy_instance,
+    wide_float_instance,
 )
 
 
@@ -1605,17 +1606,17 @@ class TestFloatKernels:
 
     def test_kernel_runs_without_builtins(self):
         rows = [((1, 1.0),), ((0, 0.5), (1, 0.5))]
-        kernel, fused = solvers._float_kernel(rows), solvers._float_kernel(rows, [(0.0, 1.0)])
-        assert kernel.__globals__ == fused.__globals__ == {"__builtins__": {}}
-        assert (kernel((0.5, 0.5)), fused((0.5, 0.5))) == ((0.25, 0.75), [0.75])
+        kernel = solvers._float_kernel(rows)
+        assert kernel.__globals__ == {"__builtins__": {}}
+        assert kernel((0.5, 0.5)) == (0.25, 0.75)
 
     def test_built_only_when_a_search_applies_a_matrix(self, monkeypatch):
-        built = []  # per kernel bound, its rows and fused vectors
+        built = []  # per kernel bound, its rows
         make = solvers._float_kernel
 
-        def counting(rows, vectors=()):
-            built.append((len(rows), len(vectors)))
-            return make(rows, vectors)
+        def counting(rows):
+            built.append(len(rows))
+            return make(rows)
 
         monkeypatch.setattr(solvers, "_float_kernel", counting)
         solvers._kernel_template.cache_clear()
@@ -1629,15 +1630,20 @@ class TestFloatKernels:
         assert solvers._kernel_template.cache_info().misses == 0
         inst = random_instance(Random(7103), 4, 3, 2, mode="float")
         enumerate_solve(inst)
-        # at N = 2 enumeration reads every leaf through a fused kernel, once
-        # per matrix for the whole search, and binds no apply kernel
-        assert built == [(4, 3)] * 3
+        # at N = 2 enumeration applies the first step, through one kernel
+        # per matrix for the whole search
+        assert built == [4] * 3
         branch_and_bound_solve(inst)
         enumerate_solve(inst)
         beam_search(inst, 4)
-        assert built == [(4, 3)] * 3 + [(4, 0)] * 3
-        # dense matrices share one pattern: one template per kind of kernel
-        assert solvers._kernel_template.cache_info().misses == 2
+        assert built == [4] * 3
+        # at N = 4 it values the blocks its reads cannot rule out through
+        # the same kernels
+        inst = random_instance(Random(7104), 4, 3, 4, mode="float")
+        enumerate_solve(inst)
+        assert built == [4] * 6
+        # dense matrices share one pattern, and one template
+        assert solvers._kernel_template.cache_info().misses == 1
 
 
 class Shifted(float):
@@ -1677,9 +1683,9 @@ def hexes(values):
 
 
 class TestKernelTemplates:
-    """Float kernels are bound from one template per sparsity pattern and
-    number of fused vectors; each computes what the kernel compiled for its
-    own matrix computed (``exec_float_kernel``), bit for bit."""
+    """Float kernels are bound from one template per sparsity pattern; each
+    computes what the kernel compiled for its own matrix computed
+    (``exec_float_kernel``), bit for bit."""
 
     def test_bound_kernels_equal_the_compiled_ones(self):
         rng = Random(7110)
@@ -1695,12 +1701,9 @@ class TestKernelTemplates:
         assert d > 2 * solvers._KERNEL_TERMS
         rng = Random(7111)
         rows = [((0, rng.random() * 10 ** rng.randint(-9, 9)), (i, 5e-324)) for i in range(d)]
-        vectors = [tuple(wide_float(rng) for _ in range(d)) for _ in range(2)]
-        kernel, fused = solvers._float_kernel(rows), solvers._float_kernel(rows, vectors)
-        reference, dot = exec_float_kernel(rows), solvers._dot_kernel(d, 2)
+        kernel, reference = solvers._float_kernel(rows), exec_float_kernel(rows)
         for weights in kernel_populations(rng, d):
             assert hexes(kernel(weights)) == hexes(reference(weights))
-            assert hexes(fused(weights)) == hexes(dot(reference(weights), vectors))
 
     def test_float_subclass_entries_bind_their_float_value(self):
         shifted = [((0, Shifted(0.3)), (1, Shifted(0.7))), ((1, Shifted(1.0)),)]
@@ -1711,17 +1714,6 @@ class TestKernelTemplates:
         assert hexes(got) == hexes(solvers._float_kernel(plain)(weights))
         assert all(type(x) is float for x in got)
 
-    def test_fused_kernel_is_apply_then_dot(self):
-        rng = Random(7112)
-        for _ in range(300):
-            d, K = rng.randint(1, 12), rng.randint(1, 5)
-            rows = random_sparse_rows(rng, d)
-            vectors = [tuple(wide_float(rng) for _ in range(d)) for _ in range(K)]
-            fused = solvers._float_kernel(rows, vectors)
-            apply, dot = exec_float_kernel(rows), solvers._dot_kernel(d, K)
-            for weights in kernel_populations(rng, d):
-                assert hexes(fused(weights)) == hexes(dot(apply(weights), vectors))
-
     def test_compiled_once_per_pattern(self):
         solvers._kernel_template.cache_clear()
         rng = Random(7113)
@@ -1731,25 +1723,8 @@ class TestKernelTemplates:
             got = solvers._float_kernel(rows)(weights)
             assert hexes(got) == hexes(exec_float_kernel(rows)(weights))
         assert solvers._kernel_template.cache_info().misses == 1
-        vectors = [(1.0,) * 6, (0.5,) * 6]
-        for rows in dense:
-            solvers._float_kernel(rows, vectors)
-        solvers._float_kernel(dense[0], vectors[:1])
-        assert solvers._kernel_template.cache_info().misses == 3
         solvers._float_kernel(random_sparse_rows(rng, 6))
-        assert solvers._kernel_template.cache_info().misses == 4
-
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    @pytest.mark.parametrize("K", [1, 2, 5, 16, 17])
-    def test_enumeration_equals_the_reference_on_either_leaf_path(self, K, N):
-        # K <= 16 pipes a step at N >= 2 and reads its leaves through the
-        # fused kernels; K = 17 pipes none and reads them off the dot kernel
-        rng = Random(7120 + 10 * K + N)
-        for inst in (random_instance(rng, 5, K, N, "float"), random_sparse_float_instance(rng, 4, K, N)):
-            result = enumerate_solve(inst)
-            value, plan, explored, _ = enum_reference(inst)
-            assert (result.value.hex(), result.plan, result.nodes_explored) == (value.hex(), plan, explored)
-            assert ("fused" in vars(solvers._view(inst))) == (N >= 2 and K <= 16)
+        assert solvers._kernel_template.cache_info().misses == 2
 
 
 def dot_reference(weights, vectors):
@@ -1806,6 +1781,10 @@ class TestDotKernels:
             inst = random_instance(Random(seed), 5, 3, 3, mode="float")
             branch_and_bound_solve(inst)
             assert solvers._dot_kernel.cache_info().misses == 1
+        # enumeration builds and reads its suffix vectors (b = 3) through
+        # the kernel of the instance's shape too
+        enumerate_solve(random_instance(Random(7202), 5, 3, 6, mode="float"))
+        assert solvers._dot_kernel.cache_info().misses == 1
         enumerate_solve(random_instance(Random(7204), 6, 3, 3, mode="float"))
         assert solvers._dot_kernel.cache_info().misses == 2
 
@@ -1819,6 +1798,103 @@ class TestDotKernels:
         assert solvers._dot_kernel.cache_info().misses == 0
         branch_and_bound_solve(inst)
         assert solvers._dot_kernel.cache_info().misses == 1
+
+
+class TestFloatSuffixReads:
+    """Float enumeration reads every plan's value approximately off suffix
+    vectors b = N // 2 steps from the end, skips the blocks whose reads the
+    rounding slack rules out, and values the rest again as
+    ``evaluate_plan`` adds; its answers are the sequential scan's, bit for
+    bit."""
+
+    @staticmethod
+    def check(inst):
+        result = enumerate_solve(inst)
+        value, plan, explored, _ = enum_reference(inst)
+        assert (result.value.hex(), result.plan, result.nodes_explored) == (value.hex(), plan, explored)
+
+    @staticmethod
+    def shapes(rng, count, d, K, N):
+        """``count`` random (d, K, N) in the given ranges, N lowered until
+        K^N is at most 2,000."""
+        for _ in range(count):
+            shape = rng.randint(*d), rng.randint(*K), rng.randint(*N)
+            while shape[1] ** shape[2] > 2000:
+                shape = shape[0], shape[1], shape[2] - 1
+            yield shape
+
+    @pytest.mark.parametrize(
+        "K, N",
+        [(1, N) for N in range(1, 7)] + [(2, N) for N in range(2, 9)]
+        + [(5, 3), (5, 4), (5, 5), (16, 2), (16, 3), (17, 2), (17, 3), (17, 4)],
+    )
+    def test_each_suffix_length_equals_the_reference(self, K, N):
+        # b = N // 2 from 1 to 4; blocks of one population, and at b = 1
+        # blocks that expand forward steps up to 256 leaves (K <= 16)
+        rng = Random(7410 + 10 * K + N)
+        for inst in (random_instance(rng, 5, K, N, "float"), random_sparse_float_instance(rng, 4, K, N)):
+            self.check(inst)
+
+    def test_random_instances_equal_the_reference(self):
+        rng = Random(7400)
+        for d, K, N in self.shapes(rng, 300, (1, 9), (1, 18), (0, 5)):
+            self.check(random_instance(rng, d, K, N, "float"))
+
+    def test_tie_heavy_instances_equal_the_reference(self):
+        # plans tie with the best value, so their blocks pass the cutoff, and
+        # the first maximum in plan order decides
+        rng = Random(7401)
+        for d, K, N in self.shapes(rng, 150, (1, 6), (1, 4), (2, 8)):
+            self.check(tie_heavy_instance(rng, d, K, N, "float"))
+
+    def test_extreme_entries_equal_the_reference(self):
+        # entries of 5e-324 and of magnitudes 1e-9 to 1, and plan values
+        # below 1e-300, where products underflow
+        rng = Random(7402)
+        for d, K, N in self.shapes(rng, 150, (1, 6), (1, 4), (2, 8)):
+            self.check(wide_float_instance(rng, d, K, N, tiny=rng.random() < 0.5))
+
+    def test_every_read_clears_the_cutoff_of_its_plans_value(self):
+        rng = Random(7403)
+        makes = [
+            lambda d, K, N: random_instance(rng, d, K, N, "float"),
+            lambda d, K, N: tie_heavy_instance(rng, d, K, N, "float"),
+            lambda d, K, N: random_sparse_float_instance(rng, d, K, N),
+            lambda d, K, N: wide_float_instance(rng, d, K, N),
+            lambda d, K, N: wide_float_instance(rng, d, K, N, tiny=True),
+        ]
+        suffixes = set()
+        for d, K, N in self.shapes(rng, 150, (1, 8), (1, 4), (1, 8)):
+            inst = rng.choice(makes)(d, K, N)
+            view = solvers._view(inst)
+            b, read, table = view.suffix_values(N)
+            suffixes.add(b)
+            for prefix in product(range(K), repeat=N - b):
+                weights = view.start
+                for k in prefix:
+                    weights = view.apply(weights, k)
+                reads = list(read(weights, table))
+                assert len(reads) == K**b
+                for suffix, m in zip(product(range(K), repeat=b), reads):
+                    v = evaluate_plan(inst, prefix + suffix)
+                    assert m >= view.cutoffs(v)[b]
+                    if b == 1:  # a read one step from the end is the value
+                        assert m.hex() == v.hex()
+        assert suffixes == {1, 2, 3, 4}
+
+    def test_one_kernel_shape_and_only_apply_kernels(self, monkeypatch):
+        built = counting(monkeypatch, solvers, "_float_kernel")
+        revalued = counting(monkeypatch, solvers._FloatView, "revalue")
+        solvers._dot_kernel.cache_clear()
+        inst = random_instance(Random(7404), 8, 4, 8, "float")
+        enumerate_solve(inst)  # b = 4: 256 suffix vectors of 8 entries
+        assert solvers._dot_kernel.cache_info().misses == 1
+        # the apply kernels, one per matrix, and no other
+        assert [len(rows) for rows, in built] == [8] * 4
+        assert not hasattr(solvers._view(inst), "fused")
+        # of the 256 blocks, one per population 4 steps from the end, the
+        # reads rule out most
+        assert 1 <= len(revalued) < 256 // 4
 
 
 def clear_slot():
@@ -1867,8 +1943,8 @@ def all_solver_answers(inst, fresh=False):
 
 class TestPreparedInstance:
     """Consecutive solver calls on one instance object share one check, one
-    set of tables, one float kernel of each kind per matrix and one
-    packed-column build, and answer as calls in a fresh process would."""
+    set of tables, one float kernel per matrix and one packed-column build,
+    and answer as calls in a fresh process would."""
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_one_preparation_serves_every_call(self, monkeypatch, mode):
@@ -1881,11 +1957,10 @@ class TestPreparedInstance:
         solvers._kernel_template.cache_clear()
         assert all_solver_answers(inst) == expected
         assert len(checks) == 1
-        # per matrix, one apply kernel and one fused with enumeration's leaf
-        # sums, bound from one template each: the matrices are dense
-        fused = sorted(len(call[1]) if len(call) > 1 else 0 for call in kernels)
-        assert fused == ([0] * inst.K + [inst.K] * inst.K if mode == "float" else [])
-        assert solvers._kernel_template.cache_info().misses == (2 if mode == "float" else 0)
+        # per matrix, one apply kernel, all bound from one template: the
+        # matrices are dense
+        assert len(kernels) == (inst.K if mode == "float" else 0)
+        assert solvers._kernel_template.cache_info().misses == (1 if mode == "float" else 0)
         assert len(integer_views) == (1 if mode == "exact" else 0)
 
     def test_alternating_objects_are_prepared_each_time(self, monkeypatch):
