@@ -52,6 +52,15 @@ EXIT_DISAGREEMENT = 3
 
 DEFAULT_BEAM_WIDTH = 8
 
+# per method, its solver called with an instance, a beam width and an
+# enumeration budget
+_SOLVERS = {
+    "enum": lambda inst, width, budget: enumerate_solve(inst, budget=budget),
+    "bnb": lambda inst, width, budget: branch_and_bound_solve(inst),
+    "beam": lambda inst, width, budget: beam_search(inst, width),
+}
+METHODS = tuple(_SOLVERS)
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; 2 is taken by "budget
@@ -75,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="maximize plan value on an instance")
     p.add_argument("instance", help="instance file")
-    p.add_argument("--method", required=True, choices=("enum", "bnb", "beam"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH, help="beam only")
     p.add_argument(
         "--budget",
@@ -149,11 +158,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _run_method(inst, method: str, beam_width: int, budget: int):
-    if method == "enum":
-        return enumerate_solve(inst, budget=budget)
-    if method == "bnb":
-        return branch_and_bound_solve(inst)
-    return beam_search(inst, beam_width)
+    return _SOLVERS[method](inst, beam_width, budget)
 
 
 def _cmd_solve(args) -> int:
@@ -231,17 +236,21 @@ def _cmd_verify_roundtrip(args) -> int:
 
 
 def _parse_suite_line(line: str):
+    """``(path, method, beam width)`` of a suite line ``<instance> <method>``,
+    the method one of METHODS and a beam's width written ``beam:<width>``;
+    raises ValueError quoting the line if it is not of that form."""
     fields = line.split()
     if len(fields) != 2:
         raise ValueError(f"suite line must be '<instance> <method>', got {line!r}")
-    path, method = fields
-    width = DEFAULT_BEAM_WIDTH
-    if method.startswith("beam:"):
-        width = int(method.split(":", 1)[1])
-        method = "beam"
-    if method not in ("enum", "bnb", "beam"):
-        raise ValueError(f"unknown method {method!r} in suite")
-    return path, method, width
+    path = fields[0]
+    method, colon, width = fields[1].partition(":")
+    if method not in METHODS or (colon and method != "beam"):
+        raise ValueError(f"unknown method in suite line {line!r}; methods are {', '.join(METHODS)}")
+    if not colon:
+        return path, method, DEFAULT_BEAM_WIDTH
+    if not (width.isdecimal() and int(width) >= 1):
+        raise ValueError(f"beam width must be an integer >= 1 in suite line {line!r}")
+    return path, method, int(width)
 
 
 def _cmd_bench(args) -> int:

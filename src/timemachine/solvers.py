@@ -94,24 +94,23 @@ for bit on any CPython.
 A child whose occupied states all have relaxed value exactly 1 gets
 exactly the full mass as its bound, with no special case.
 
-Enumeration meets in the middle (Horowitz & Sahni 1974) at b = N // 2,
-at least 1 in float mode: it applies the first N - b steps of each plan
-forward and reads the values of all K^b suffixes of a population it
-reaches off the K^b suffix vectors P_sigma e_target of Smallwood & Sondik
-(1973) (``suffix_values``).  That table holds at most sqrt(K^N) vectors,
-so sqrt(budget) at most; it is built per call and dropped on return.
-Exact values are associative, so exact reads are the plans' values: per
-state, one integer packs the state's entries of the vectors, and one
-big-integer dot product per forward population yields K^b exact plan
-values.  Float reads go through the dot kernel, K vectors per call, and
-at b >= 2 they add their products in another order than
-:func:`~timemachine.core.evaluate_plan` does.  So they only filter: a
-block of plans whose largest read is at most the cutoff of the best value
-so far (``cutoffs`` at level b) holds no plan that beats it, and any other
-block is valued again (``revalue``), through the apply kernels and the
-leaf values above, in the same order as ``evaluate_plan``.  The walk
-itself is an odometer over the top levels and a pipeline of ``map`` calls
-over the last forward steps, so no recursion grows with N.
+Enumeration meets in the middle (Horowitz & Sahni 1974) at b = max(N //
+2, 1), in both modes: an odometer applies the first N - b steps of each
+plan forward, and each population it reaches reads the values of all its
+K^b suffixes, once, off the K^b suffix vectors P_sigma e_target of
+Smallwood & Sondik (1973) (``suffix_values``).  That table holds at most
+sqrt(K^N) vectors where N >= 2, and K where N = 1; it is built per call
+and dropped on return.  Exact values are associative, so exact reads are
+the plans' values: per state, one integer packs the state's entries of
+the vectors, and one big-integer dot product per forward population
+yields K^b exact plan values.  Float reads go through the dot kernel, K
+vectors per call, and at b >= 2 they add their products in another order
+than :func:`~timemachine.core.evaluate_plan` does.  So they only filter:
+a population whose largest read is at most the cutoff of the best value
+so far (``cutoffs`` at level b) holds no plan that beats it, and any
+other is valued again (``revalue``), through the apply kernels and the
+leaf values above, in the same order as ``evaluate_plan``.  No recursion
+grows with N.
 
 Branch and bound and the threshold decision are one depth-first walk,
 :func:`_search`; the solvers set only its incumbents.  It visits children
@@ -128,7 +127,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import ceil, fsum, gcd, inf, nextafter
 from operator import floordiv, ge, itemgetter, mul, pos
@@ -562,16 +561,12 @@ class _FloatView(_ValueView):
     def caps(self, weights, r: int, last=None) -> list:
         return self._dot(weights, self.lookahead[r])
 
-    def appliers(self) -> list:
-        """Per matrix, a function taking a population to its image."""
-        return self.kernels
-
-    def suffix_values(self, N: int):
-        """``(b, read, table)`` for enumeration, with b = N // 2 and at
-        least 1: ``table`` holds the K^b suffix vectors alpha_sigma = P_sigma
+    def suffix_values(self, b: int):
+        """``(read, table)`` for enumeration, b >= 1 steps from the end:
+        ``table`` holds the K^b suffix vectors alpha_sigma = P_sigma
         e_target of the plans sigma that finish a population with b steps
         left, in plan order and in chunks of K, and ``read(weights, table)``
-        iterates over their approximate values m(sigma) = weights .
+        is the list of their approximate values m(sigma) = weights .
         alpha_sigma, in plan order, one dot kernel call per chunk.
 
         Level 1 is Q[1], which holds alpha_k = P_k e_target exactly.  Each
@@ -584,10 +579,9 @@ class _FloatView(_ValueView):
         products in another order, within the slack of ``cutoffs`` at level
         b (:func:`_rounding_slack`), and enumeration values the plans a read
         cannot rule out again (``revalue``).  The table holds K^b vectors of
-        d floats, at most sqrt(K^N), built per call, not kept with the view.
+        d floats, built per call, not kept with the view.
         """
         K, d, dot = len(self._index), len(self.start), self._dot
-        b = max(N // 2, 1)
         table = [self.lookahead[1]]  # level 1, one chunk of K vectors
         dense = [[0.0] * d for _ in self._rows] if b > 1 else []
         for row, entries in zip(self._rows, dense):
@@ -598,15 +592,16 @@ class _FloatView(_ValueView):
             reads = [list(chain.from_iterable(map(dot, repeat(row), table))) for row in dense]
             vectors = chain.from_iterable(zip(*map(reads.__getitem__, places)) for places in self._index)
             table = list(zip(*[vectors] * K))  # in chunks of K
-        return b, lambda weights, table: chain.from_iterable(map(dot, repeat(weights), table)), table
+        return lambda weights, table: list(chain.from_iterable(map(dot, repeat(weights), table))), table
 
-    def revalue(self, block, b: int) -> list:
-        """The values of the K^b plans that finish each population of
-        ``block``, with b steps left, in plan order, as ``evaluate_plan``
-        adds them: the block expanded b - 1 steps through the apply kernels,
-        and each leaf read off Q[1] (``caps(weights, 1)``)."""
-        for _ in range(b - 1):
-            block = _expand(self.kernels, block)
+    def revalue(self, weights, b: int) -> list:
+        """The values of the K^b plans that finish population ``weights``,
+        with b steps left, in plan order, as ``evaluate_plan`` adds them:
+        the population expanded b - 1 steps through the apply kernels, and
+        each leaf read off Q[1] (``caps(weights, 1)``)."""
+        block = [weights]
+        for _ in range(b - 1):  # the children of the block's populations, in plan order
+            block = list(chain.from_iterable(zip(*[map(f, block) for f in self.kernels])))
         return list(chain.from_iterable(map(self._dot, block, repeat(self.lookahead[1]))))
 
     def cutoffs(self, x: float) -> list:
@@ -664,6 +659,7 @@ class _IntegerView(_ValueView):
         self.base, self.start, self.moved, rows = form.base, form.start, form.moved, form.rows
         self.U, _, self._sums = _tables(rows, index, inst.d, inst.N, inst.target)
         self._rows, self._index, self._target = rows, index, inst.target
+        self._by_state = list(zip(*index))  # per state, its row's place in each matrix
         self.level_scale = [form.base**r for r in range(inst.N + 1)]
         self.full = [form.mass * scale for scale in self.level_scale]
 
@@ -679,32 +675,25 @@ class _IntegerView(_ValueView):
         """Per level r, the :func:`_field_reader` of its fields."""
         return list(map(_field_reader, self.fields))
 
+    def _pack(self, sums, width: int) -> list:
+        """Per state, one integer whose field k, ``width`` bytes wide from
+        byte k * width, holds the sum in ``sums`` of the state's row in
+        matrix k."""
+        packed = [s.to_bytes(width, "little") for s in sums].__getitem__
+        return [int.from_bytes(b"".join(map(packed, places)), "little") for places in self._by_state]
+
     @cached_property
     def columns(self):
         """Per level r >= 1, the packed lookahead entries of each state."""
-        by_state = list(zip(*self._index))  # per state, its row's place in each matrix
-        columns = [None]
-        for level_sums, fields in zip(self._sums[1:], self.fields[1:]):
-            width = fields[0].stop  # field 0 spans bytes [0, width)
-            packed = [q.to_bytes(width, "little") for q in level_sums]
-            columns.append(
-                tuple(
-                    int.from_bytes(b"".join(map(packed.__getitem__, places)), "little")
-                    for places in by_state
-                )
-            )
-        return columns
+        levels = zip(self._sums[1:], self.fields[1:])  # field 0 of a level spans bytes [0, width)
+        return [None, *(self._pack(sums, fields[0].stop) for sums, fields in levels)]
 
     def caps(self, weights, r: int, last=None) -> list:
         size = self.fields[r][-1].stop
         return list(self._readers[r](sum(map(mul, weights, self.columns[r])).to_bytes(size, "little")))
 
-    def appliers(self) -> list:
-        """Per matrix, a function taking a population to its image."""
-        return [partial(self.apply, k=k) for k in range(len(self._index))]
-
-    def suffix_values(self, N: int):
-        """``(b, read, table)`` for enumeration, with b = N // 2:
+    def suffix_values(self, b: int):
+        """``(read, table)`` for enumeration, b steps from the end:
         ``read(weights, table)`` is the tuple of the values of the K^b plans
         that finish a population with b steps left, in plan order, at level
         b's scale.
@@ -720,24 +709,18 @@ class _IntegerView(_ValueView):
         over the packed integers of the level below gives, per distinct
         row, the packed P_k row times every shorter suffix at once (no
         field carries: every entry lies in [0, L^b]), and state i's block
-        for matrix k is the sum of its row in matrix k.  It holds d
-        integers of K^b fields, at most K^(N//2) <= sqrt(K^N) vectors,
-        about d K^b w bytes with w the field width (8 where full[b] fits
-        one word), and is built per call, not kept with the view.
+        for matrix k is the sum of its row in matrix k (``_pack``, which
+        also packs ``columns``).  It holds d integers of K^b fields, about
+        d K^b w bytes with w the field width (8 where full[b] fits one
+        word), and is built per call, not kept with the view.
         """
-        b = N // 2
-        count = len(self._index) ** b
-        fields = _fields(count, self.full[b])
+        fields = _fields(len(self._index) ** b, self.full[b])
         width, size = fields[0].stop, fields[-1].stop
-        by_state = list(zip(*self._index))  # per state, its row's place in each matrix
         table = [int(i == self._target) for i in range(len(self.start))]
-        block = 1  # fields per matrix at the level built so far
-        for _ in range(b):
-            packed = [s.to_bytes(block * width, "little") for s in _row_sums(self._rows, table)]
-            table = [int.from_bytes(b"".join(map(packed.__getitem__, places)), "little") for places in by_state]
-            block *= len(self._index)
+        for level in range(b):  # K^level fields per matrix at the level built so far
+            table = self._pack(_row_sums(self._rows, table), len(self._index) ** level * width)
         read = _field_reader(fields)
-        return b, lambda weights, table: read(sum(map(mul, weights, table)).to_bytes(size, "little")), table
+        return lambda weights, table: read(sum(map(mul, weights, table)).to_bytes(size, "little")), table
 
     @cached_property
     def memo_keys(self) -> list:
@@ -902,18 +885,6 @@ class _SupportView:
         return [a and not s & outside for outside, a in zip(self.uncertain[r], allowed)]
 
 
-# Enumeration expands each population near the leaves into a block of at
-# most this many leaves (or one population's K^b suffixes, if more) through
-# C-driven ``map`` calls, so its Python-level loop runs once per block;
-# blocks whose reads are filtered are one population each.
-_BLOCK_LEAVES = 256
-
-
-def _expand(appliers, block) -> list:
-    """The children of the populations in ``block``, in plan order."""
-    return list(chain.from_iterable(zip(*[map(f, block) for f in appliers])))
-
-
 def _digits(index: int, K: int, count: int) -> list:
     """The ``count`` base-K digits of ``index``, most significant first."""
     digits = [0] * count
@@ -927,28 +898,26 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     smallest plan attaining it.
 
     Refuses to start if K^N exceeds ``budget`` (default 10^8), before any
-    backend or table is built.  The walk applies the first N - b steps
-    forward and reads the values of all K^b suffixes of each population it
-    reaches off a table of suffix vectors (``suffix_values``), not through
-    ``caps``: it meets the table in the middle (Horowitz & Sahni 1974), at
-    b = N // 2 (at least 1 in float mode).  The table holds at most
-    sqrt(budget) vectors, built per call and dropped on return.  Exact
-    reads are the plans' values, d integers of K^b packed fields
-    (:meth:`_IntegerView.suffix_values` gives their size in bytes).  Float
-    reads with b >= 2 add their products in another order than
-    :func:`~timemachine.core.evaluate_plan`, within the rounding slack of
-    ``cutoffs`` at level b: a block whose largest read is at most the
-    cutoff of the best value so far holds no plan that beats it, and is
-    skipped.  Any other block is valued again as ``evaluate_plan`` adds
-    (``revalue``), and only those values are compared, so every float
-    value is the sequential one, bit for bit.  The walk is an odometer
-    over the top levels and, below them, a pipeline of ``map`` calls that
-    expands a population into a block of at most ``_BLOCK_LEAVES`` leaves
-    (or its K^b suffixes, if more), so no recursion or nesting grows with
-    N.  A block's first maximum is taken only if it beats the best value
-    strictly, so the plan is the first maximum in plan order, that of a
-    depth-first scan.  ``nodes_explored`` is sum_(r=1..N) K^r, every node
-    of the plan tree below the root, and ``nodes_pruned`` is 0.
+    backend or table is built.  The walk meets a table of suffix vectors in
+    the middle (Horowitz & Sahni 1974), at b = max(N // 2, 1) steps from
+    the end: an odometer applies the first N - b steps of each plan
+    forward, and each population it reaches reads the values of its K^b
+    suffixes off the table (``suffix_values``), not through ``caps``.  The
+    table holds K^b vectors, at most sqrt(budget) where N >= 2, built per
+    call and dropped on return.  Exact reads are the plans' values, d
+    integers of K^b packed fields (:meth:`_IntegerView.suffix_values`
+    gives their size in bytes).  Float reads with b >= 2 add their
+    products in another order than :func:`~timemachine.core.evaluate_plan`,
+    within the rounding slack of ``cutoffs`` at level b: a population
+    whose largest read is at most the cutoff of the best value so far
+    holds no plan that beats it, and is skipped.  Any other is valued again as ``evaluate_plan``
+    adds (``revalue``), and only those values are compared, so every float
+    value is the sequential one, bit for bit.  No recursion or nesting
+    grows with N.  A population's first maximum is taken only if it beats
+    the best value strictly, so the plan is the first maximum in plan
+    order, that of a depth-first scan.  ``nodes_explored`` is sum_(r=1..N)
+    K^r, every node of the plan tree below the root, and ``nodes_pruned``
+    is 0.
     """
     _sparse_rows(inst)  # the check first: K**N fails at K = 0, N < 0
     K, N = inst.K, inst.N
@@ -962,16 +931,10 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
-    b, read, table = view.suffix_values(N)
+    b = max(N // 2, 1)
+    read, table = view.suffix_values(b)
     revalue = view.revalue if b > 1 else None  # None where reads are the values
-    forward = N - b
-    # the forward steps a block expands; none where reads are filtered, so
-    # that a block valued again holds one population's K^b plans
-    piped = 0
-    while revalue is None and piped < forward and K ** (b + piped + 1) <= _BLOCK_LEAVES:
-        piped += 1
-    top = forward - piped  # the levels the odometer walks
-    appliers = view.appliers() if forward else None  # float binds its kernels here
+    apply, forward = view.apply, N - b
 
     best_value = cutoff = -1  # every plan is worth at least 0
     best_plan = ()
@@ -983,22 +946,20 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
             path.pop()
             if path:
                 path[-1] += 1
-        elif len(path) <= top:
-            populations.append(_expand(appliers, [populations[-1][k]]))
+        elif len(path) <= forward:
+            populations.append(list(map(apply, repeat(populations[-1][k]), range(K))))
             path.append(0)
         else:
-            block = [populations[-1][k]]
-            for _ in range(piped):
-                block = _expand(appliers, block)
-            values = list(chain.from_iterable(map(read, block, repeat(table))))
+            weights = populations[-1][k]
+            values = read(weights, table)
             value = max(values)
             if value > cutoff:
                 if revalue is not None:
-                    values = revalue(block, b)
+                    values = revalue(weights, b)
                     value = max(values)
                 if value > best_value:
                     best_value = value
-                    best_plan = (*path[1:], *_digits(values.index(value), K, piped + b))
+                    best_plan = (*path[1:], *_digits(values.index(value), K, b))
                     cutoff = best_value if revalue is None else view.cutoffs(best_value)[b]
             path[-1] += 1
     explored = N if K == 1 else (K ** (N + 1) - K) // (K - 1)

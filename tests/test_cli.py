@@ -241,11 +241,17 @@ class TestBench:
         ]
         assert [row[6] for row in rows[2:]] == ["0.000", "0.000"]
 
-    def test_unknown_method_is_usage_error(self, sat_instance, tmp_path):
+    @pytest.mark.parametrize("method", ["dance", "beam:abc", "beam:0"])
+    def test_unknown_method_is_usage_error(self, sat_instance, tmp_path, capsys, method):
+        # refused while the suite is parsed, before the CSV is opened
         suite = tmp_path / "suite.txt"
-        suite.write_text(f"{sat_instance.name} dance\n")
+        line = f"{sat_instance.name} {method}"
+        suite.write_text(f"{sat_instance.name} bnb\n{line}\n")
         out = tmp_path / "bench.csv"
         assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and repr(line) in err
 
 
 class TestUsageErrors:

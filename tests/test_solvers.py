@@ -108,28 +108,36 @@ class TestEnumerate:
         assert result.value == 1
         assert result.plan == ()
 
-    def test_answers_equal_the_recursive_reference(self):
+    def test_answers_equal_the_recursive_reference(self, monkeypatch):
         # floats by float.hex, exact values by type and value; exact suffix
         # values are read off one-word fields (tie-heavy instances: L = 2)
-        # and off byte slices (random ones: L has many digits)
+        # and off byte slices (random ones: L has many digits), at the b
+        # the walk passes to suffix_values
         def key(answer):
             value, *rest = answer
             return (value.hex() if isinstance(value, float) else (type(value), value), *rest)
 
         rng = Random(1700)
-        paths = set()
+        cases = []
         for _ in range(400):
             mode = rng.choice(["float", "exact"])
             d, K, N = rng.randint(1, 7), rng.randint(1, 4), rng.randint(0, 7)
             while K**N > 1024:
                 N -= 1
             make = tie_heavy_instance if rng.random() < 0.5 else random_instance
-            inst = make(rng, d, K, N, mode)
+            cases.append(make(rng, d, K, N, mode))
+        # exact N = 1, where the walk reads a table of K suffixes (b = 1)
+        for d, K in product((1, 3, 6), (1, 2, 5, 9)):
+            make = tie_heavy_instance if rng.random() < 0.5 else random_instance
+            cases.append(make(rng, d, K, 1, "exact"))
+        tables = counting(monkeypatch, solvers._IntegerView, "suffix_values")
+        paths = set()
+        for inst in cases:
             result = enumerate_solve(inst)
             got = (result.value, result.plan, result.nodes_explored, result.nodes_pruned)
             assert key(got) == key(enum_reference(inst))
-            if mode == "exact":
-                paths.add(solvers._view(inst).full[N // 2].bit_length() <= 64)
+        for view, b in tables:
+            paths.add(view.full[b].bit_length() <= 64)
         assert paths == {True, False}
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
@@ -150,6 +158,31 @@ class TestEnumerate:
         assert (views, tables) == ([], [])
         enumerate_solve(inst, budget=3**4)
         assert (len(views), len(tables)) == (1, 1)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("N", [1, 2, 5, 6])
+    def test_each_forward_population_is_read_once(self, monkeypatch, mode, N):
+        # the walk meets the table at b = max(N // 2, 1) in both modes and
+        # reads each of the K^(N - b) populations N - b steps in once
+        view_class = solvers._FloatView if mode == "float" else solvers._IntegerView
+        original, reads = view_class.suffix_values, []
+
+        def suffix_values(view, b):
+            read, table = original(view, b)
+
+            def counted(weights, table):
+                reads.append(b)
+                return read(weights, table)
+
+            return counted, table
+
+        monkeypatch.setattr(view_class, "suffix_values", suffix_values)
+        inst = random_instance(Random(1702), 4, 3, N, mode=mode)
+        result = enumerate_solve(inst)
+        b = max(N // 2, 1)
+        assert reads == [b] * 3 ** (N - b)
+        got = (result.value, result.plan, result.nodes_explored, result.nodes_pruned)
+        assert got == enum_reference(inst)
 
 
 class TestValueTable:
@@ -1637,7 +1670,7 @@ class TestFloatKernels:
         enumerate_solve(inst)
         beam_search(inst, 4)
         assert built == [4] * 3
-        # at N = 4 it values the blocks its reads cannot rule out through
+        # at N = 4 it values the populations its reads cannot rule out through
         # the same kernels
         inst = random_instance(Random(7104), 4, 3, 4, mode="float")
         enumerate_solve(inst)
@@ -1802,8 +1835,8 @@ class TestDotKernels:
 
 class TestFloatSuffixReads:
     """Float enumeration reads every plan's value approximately off suffix
-    vectors b = N // 2 steps from the end, skips the blocks whose reads the
-    rounding slack rules out, and values the rest again as
+    vectors b = max(N // 2, 1) steps from the end, skips the populations
+    whose reads the rounding slack rules out, and values the rest again as
     ``evaluate_plan`` adds; its answers are the sequential scan's, bit for
     bit."""
 
@@ -1829,8 +1862,7 @@ class TestFloatSuffixReads:
         + [(5, 3), (5, 4), (5, 5), (16, 2), (16, 3), (17, 2), (17, 3), (17, 4)],
     )
     def test_each_suffix_length_equals_the_reference(self, K, N):
-        # b = N // 2 from 1 to 4; blocks of one population, and at b = 1
-        # blocks that expand forward steps up to 256 leaves (K <= 16)
+        # b = max(N // 2, 1) from 1 to 4, at K up to 17
         rng = Random(7410 + 10 * K + N)
         for inst in (random_instance(rng, 5, K, N, "float"), random_sparse_float_instance(rng, 4, K, N)):
             self.check(inst)
@@ -1841,7 +1873,7 @@ class TestFloatSuffixReads:
             self.check(random_instance(rng, d, K, N, "float"))
 
     def test_tie_heavy_instances_equal_the_reference(self):
-        # plans tie with the best value, so their blocks pass the cutoff, and
+        # plans tie with the best value, so their populations pass the cutoff, and
         # the first maximum in plan order decides
         rng = Random(7401)
         for d, K, N in self.shapes(rng, 150, (1, 6), (1, 4), (2, 8)):
@@ -1867,7 +1899,8 @@ class TestFloatSuffixReads:
         for d, K, N in self.shapes(rng, 150, (1, 8), (1, 4), (1, 8)):
             inst = rng.choice(makes)(d, K, N)
             view = solvers._view(inst)
-            b, read, table = view.suffix_values(N)
+            b = max(N // 2, 1)
+            read, table = view.suffix_values(b)
             suffixes.add(b)
             for prefix in product(range(K), repeat=N - b):
                 weights = view.start
@@ -1892,8 +1925,7 @@ class TestFloatSuffixReads:
         # the apply kernels, one per matrix, and no other
         assert [len(rows) for rows, in built] == [8] * 4
         assert not hasattr(solvers._view(inst), "fused")
-        # of the 256 blocks, one per population 4 steps from the end, the
-        # reads rule out most
+        # of the 256 populations 4 steps from the end, the reads rule out most
         assert 1 <= len(revalued) < 256 // 4
 
 
