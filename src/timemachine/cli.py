@@ -263,33 +263,35 @@ def _cmd_bench(args) -> int:
                 continue
             rows.append(_parse_suite_line(line))
     documents = {}  # per resolved path, its document, read once
+    results = []  # written only once every line has run
+    for path, method, width in rows:
+        resolved = os.path.normpath(path if os.path.isabs(path) else os.path.join(suite_dir, path))
+        doc, read_ms = documents.get(resolved), 0.0
+        if doc is None:
+            started = time.perf_counter()
+            doc = documents[resolved] = read_instance(resolved)
+            read_ms = (time.perf_counter() - started) * 1000.0
+        started = time.perf_counter()
+        result = _run_method(doc.instance, method, width, DEFAULT_ENUMERATION_BUDGET)
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        method_tag = f"beam:{width}" if method == "beam" else method
+        results.append(
+            [
+                path,
+                method_tag,
+                format_scalar(result.value, doc.instance.numeric_mode),
+                result.nodes_explored,
+                result.nodes_pruned,
+                f"{wall_ms:.3f}",
+                f"{read_ms:.3f}",
+            ]
+        )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["instance", "method", "value", "nodes_explored", "nodes_pruned", "wall_ms", "read_ms"]
         )
-        for path, method, width in rows:
-            resolved = os.path.normpath(path if os.path.isabs(path) else os.path.join(suite_dir, path))
-            doc, read_ms = documents.get(resolved), 0.0
-            if doc is None:
-                started = time.perf_counter()
-                doc = documents[resolved] = read_instance(resolved)
-                read_ms = (time.perf_counter() - started) * 1000.0
-            started = time.perf_counter()
-            result = _run_method(doc.instance, method, width, DEFAULT_ENUMERATION_BUDGET)
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            method_tag = f"beam:{width}" if method == "beam" else method
-            writer.writerow(
-                [
-                    path,
-                    method_tag,
-                    format_scalar(result.value, doc.instance.numeric_mode),
-                    result.nodes_explored,
-                    result.nodes_pruned,
-                    f"{wall_ms:.3f}",
-                    f"{read_ms:.3f}",
-                ]
-            )
+        writer.writerows(results)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -66,11 +66,12 @@ a backend lives until its instance dies or another instance is checked.
   constants, the first time a search applies the matrix, once per
   instance, in time linear in the nonzeros.  Its child bounds come from one
   dot-product kernel per ``(d, K)`` shape, compiled once per process, and
-  so do enumeration's suffix vectors and their reads.  The walk compares
-  its bounds above the leaves with a rounding slack (``cutoffs``), and
-  enumeration its suffix reads, so that no bound or read, off ``caps``,
-  off ``G`` or off a suffix vector, sits below the float value of a plan
-  under it (:func:`_rounding_slack` has the proof).
+  so do enumeration's reads, off G or off suffix vectors it builds through
+  the same kernel.  The walk compares its bounds above the leaves with a
+  rounding slack (``cutoffs``), and enumeration its largest reads, so that
+  no bound or read, off ``caps``, off ``G`` or off a suffix vector, sits
+  below the float value of a plan under it (:func:`_rounding_slack` has
+  the proof).
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
@@ -96,21 +97,25 @@ exactly the full mass as its bound, with no special case.
 
 Enumeration meets in the middle (Horowitz & Sahni 1974) at b = max(N //
 2, 1), in both modes: an odometer applies the first N - b steps of each
-plan forward, and each population it reaches reads the values of all its
-K^b suffixes, once, off the K^b suffix vectors P_sigma e_target of
-Smallwood & Sondik (1973) (``suffix_values``).  That table holds at most
-sqrt(K^N) vectors where N >= 2, and K where N = 1; it is built per call
-and dropped on return.  Exact values are associative, so exact reads are
+plan forward, and each population it reaches is read once, off the
+suffix vectors P_sigma e_target of Smallwood & Sondik (1973) of b steps
+(``suffix_values``).  Exact values are associative, so exact reads are
 the plans' values: per state, one integer packs the state's entries of
-the vectors, and one big-integer dot product per forward population
-yields K^b exact plan values.  Float reads go through the dot kernel, K
-vectors per call, and at b >= 2 they add their products in another order
-than :func:`~timemachine.core.evaluate_plan` does.  So they only filter:
-a population whose largest read is at most the cutoff of the best value
-so far (``cutoffs`` at level b) holds no plan that beats it, and any
-other is valued again (``revalue``), through the apply kernels and the
-leaf values above, in the same order as ``evaluate_plan``.  No recursion
-grows with N.
+all K^b vectors, and one big-integer dot product per forward population
+yields K^b exact plan values.  That table holds at most sqrt(K^N) vectors
+where N >= 2, and K where N = 1; it is built per call and dropped on
+return.  Float reads go through the dot kernel, K vectors per call.  At
+b = 1 they are the plans' values, read off Q[1].  At b >= 2 they add
+their products in another order than
+:func:`~timemachine.core.evaluate_plan` does, so they only filter: a
+population whose largest read is at most the cutoff of the best value so
+far (``cutoffs`` at level b) holds no plan that beats it, and any other
+is valued again (``revalue``), through the apply kernels and the leaf
+values above, in the same order as ``evaluate_plan``.  Only the largest
+read counts there, and where the suffix groups cover level b it is read
+off the vectors of G[b], all k, which hold the maximal suffix vectors and
+number at most K^b; the K^b table is built only where they do not.  No
+recursion grows with N.
 
 Branch and bound and the threshold decision are one depth-first walk,
 :func:`_search`; the solvers set only its incumbents.  It visits children
@@ -290,7 +295,7 @@ def _suffix_groups(rows, index, d: int, N: int, target: int) -> list:
     of the child that matrix k makes of w, with r - 1 steps left after it,
     is the max of w . beta over G[r][k].  G[0] is None, and the list ends at
     the first level whose candidates would exceed ``_GAMMA_VECTORS``; it
-    is empty past G[0] where N < 2, as no walk reads G[1].
+    is empty past G[0] where N < 2, as no walk or enumeration reads G[1].
     """
     K = len(index)
     groups: list = [None]
@@ -312,8 +317,8 @@ def _rounding_slack(terms: int, levels: int) -> Tuple[float, float]:
     with ``levels`` >= 2 steps left, off ``caps`` or off ``G``, is worth at
     most ``c * F + A`` (in real numbers) as the walk values it, which is
     :func:`~timemachine.core.evaluate_plan`'s value; ``terms`` is d.  So is
-    a plan of enumeration whose suffix read (``suffix_values``) with
-    ``levels`` = b >= 2 steps left is ``c``.
+    every plan that finishes a population of enumeration whose largest
+    read (``suffix_values``) with ``levels`` = b >= 2 steps left is ``c``.
 
     Proof.  Let w be the node's float population, s = ``levels``, u =
     2^-53, and v the real number w . P_k P_sigma e_target for a plan (k,
@@ -334,11 +339,14 @@ def _rounding_slack(terms: int, levels: int) -> Tuple[float, float]:
       as those the same sums give along (k, sigma): G keeps a vector that
       dominates each one it drops, and U takes a max.  So it is at least
       (1 - u)^(ds) P_k P_sigma e_target, and ``c``, one more sum, is at
-      least (1 - u)^(d(s+1)) v.
-    * An enumeration read ``c`` = w . alpha_sigma, for the plan sigma of s
-      steps that finishes w (here v = w . P_sigma e_target), starts from the
-      same w as the plan's value: the walk applies the steps before it
-      through the same kernels.
+      least (1 - u)^(d(s+1)) v.  Enumeration's largest read off G[s], from
+      a population w with s steps left, is at least the read of that
+      vector of G[s][k], one more sum, so at least (1 - u)^(d(s+1)) v too,
+      for every plan (k, sigma) that finishes w: the walk applies the steps
+      before w through the same kernels as the plan's value.
+    * Where G does not cover level s, enumeration's largest read is at
+      least the read ``c`` = w . alpha_sigma of each plan sigma of s steps
+      that finishes w (here v = w . P_sigma e_target), off the full table.
       Level 1 of the suffix vectors is Q[1], read off the 0/1 level U[0]:
       each product is an entry times 0 or 1 and each addition adds a zero,
       so it is exact.  Each further level reads a dense row against the
@@ -482,9 +490,9 @@ def mdp_value_table(inst: Instance) -> ValueTable:
 
 class _ValueView:
     """What the two value backends share: the suffix groups G, built in the
-    backend's own numbers the first time a walk reads them, and the child
-    bounds read off them.  G holds plain tuples and lists, nothing that
-    refers back to the view."""
+    backend's own numbers the first time a walk or float enumeration reads
+    them, and the child bounds read off them.  G holds plain tuples and
+    lists, nothing that refers back to the view."""
 
     @cached_property
     def G(self) -> list:
@@ -523,8 +531,12 @@ class _FloatView(_ValueView):
     ``caps`` calls the :func:`_dot_kernel` of the instance's shape, taken
     the first time it runs and shared by every view of that shape.  It fixes
     the addition order, so leaf values match ``evaluate_plan`` bit for bit.
-    Enumeration's suffix vectors and their reads (``suffix_values``) go
-    through the same kernel, so no other kernel shape is compiled.
+    Enumeration's reads (``suffix_values``) go through the same kernel, K
+    vectors per call, and so does the build of a suffix table
+    (``suffix_table``), so no other kernel shape is compiled.  Where the
+    suffix groups cover enumeration's level b >= 2, a population reads the
+    vectors of G[b], the groups the walk reads too, built once per
+    instance, and no suffix table is built.
     ``suffix_caps`` adds each product of a group's vector with ``fsum``,
     which rounds once per product and once per sum on every CPython.
 
@@ -561,25 +573,19 @@ class _FloatView(_ValueView):
     def caps(self, weights, r: int, last=None) -> list:
         return self._dot(weights, self.lookahead[r])
 
-    def suffix_values(self, b: int):
-        """``(read, table)`` for enumeration, b >= 1 steps from the end:
-        ``table`` holds the K^b suffix vectors alpha_sigma = P_sigma
-        e_target of the plans sigma that finish a population with b steps
-        left, in plan order and in chunks of K, and ``read(weights, table)``
-        is the list of their approximate values m(sigma) = weights .
-        alpha_sigma, in plan order, one dot kernel call per chunk.
+    def suffix_table(self, b: int) -> list:
+        """The K^b suffix vectors alpha_sigma = P_sigma e_target of the
+        plans sigma that finish a population with b >= 1 steps left, in plan
+        order and in chunks of K.
 
         Level 1 is Q[1], which holds alpha_k = P_k e_target exactly.  Each
         further level is P_k alpha over the vectors alpha of the level below,
         k first: every distinct row, made dense, is read against the level
         below through the dot kernel, K vectors per call, and state i's
-        entry of P_k alpha is the read of its row in matrix k.  Only at b = 1
-        is m(sigma) the plan's value as ``evaluate_plan`` adds it (the read
-        is ``caps(weights, 1)``); further from the leaves it adds its
-        products in another order, within the slack of ``cutoffs`` at level
-        b (:func:`_rounding_slack`), and enumeration values the plans a read
-        cannot rule out again (``revalue``).  The table holds K^b vectors of
-        d floats, built per call, not kept with the view.
+        entry of P_k alpha is the read of its row in matrix k.  That read
+        adds the row's products in :func:`_row_sums`' order, and a zero
+        entry adds an exact 0, so each vector is bit for bit the one
+        :func:`_suffix_groups` builds along the same sigma.
         """
         K, d, dot = len(self._index), len(self.start), self._dot
         table = [self.lookahead[1]]  # level 1, one chunk of K vectors
@@ -592,6 +598,42 @@ class _FloatView(_ValueView):
             reads = [list(chain.from_iterable(map(dot, repeat(row), table))) for row in dense]
             vectors = chain.from_iterable(zip(*map(reads.__getitem__, places)) for places in self._index)
             table = list(zip(*[vectors] * K))  # in chunks of K
+        return table
+
+    def suffix_values(self, b: int):
+        """``(read, table)`` for enumeration, b >= 1 steps from the end:
+        ``read(weights, table)`` is the list of the reads weights . alpha
+        over the vectors alpha of ``table``, in chunks of K, one dot kernel
+        call per chunk.
+
+        At b = 1, and where the suffix groups do not cover level b, the
+        table is :meth:`suffix_table`, and read m(sigma) is the
+        approximate value of plan sigma, in plan order.  Only at b = 1 is
+        m(sigma) the plan's value as ``evaluate_plan`` adds it (the read is
+        ``caps(weights, 1)``).  Where the groups cover level b >= 2, the
+        table holds the vectors of G[b], of every k, padded with copies of
+        the first to a multiple of K, at most K^b vectors, and no suffix
+        table is built.  Every suffix vector is at most, entry by entry, a
+        vector of G[b] that is itself a suffix vector built by the same
+        sums (G keeps a vector that dominates each one it drops, and
+        rounding is monotone), and a read of nonnegative weights is monotone
+        in the vector, so the largest read is the largest over the suffix
+        table, the same float.  Above b = 1 the reads only filter: the
+        largest is within the slack of ``cutoffs`` at level b of every
+        plan's value (:func:`_rounding_slack`), and enumeration values the
+        plans it cannot rule out again (``revalue``).  A suffix table holds
+        K^b vectors of d floats, built per call, not kept with the view;
+        G is built once per instance and shared with the walk of
+        :func:`_search`.
+        """
+        if 2 <= b < len(self.G):
+            K = len(self._index)
+            vectors = [beta for group in self.G[b] for beta in group]
+            vectors += vectors[:1] * (-len(vectors) % K)
+            table = list(zip(*[iter(vectors)] * K))  # in chunks of K
+        else:
+            table = self.suffix_table(b)
+        dot = self._dot
         return lambda weights, table: list(chain.from_iterable(map(dot, repeat(weights), table))), table
 
     def revalue(self, weights, b: int) -> list:
@@ -898,24 +940,27 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     smallest plan attaining it.
 
     Refuses to start if K^N exceeds ``budget`` (default 10^8), before any
-    backend or table is built.  The walk meets a table of suffix vectors in
-    the middle (Horowitz & Sahni 1974), at b = max(N // 2, 1) steps from
-    the end: an odometer applies the first N - b steps of each plan
-    forward, and each population it reaches reads the values of its K^b
-    suffixes off the table (``suffix_values``), not through ``caps``.  The
-    table holds K^b vectors, at most sqrt(budget) where N >= 2, built per
-    call and dropped on return.  Exact reads are the plans' values, d
-    integers of K^b packed fields (:meth:`_IntegerView.suffix_values`
-    gives their size in bytes).  Float reads with b >= 2 add their
-    products in another order than :func:`~timemachine.core.evaluate_plan`,
-    within the rounding slack of ``cutoffs`` at level b: a population
-    whose largest read is at most the cutoff of the best value so far
-    holds no plan that beats it, and is skipped.  Any other is valued again as ``evaluate_plan``
-    adds (``revalue``), and only those values are compared, so every float
-    value is the sequential one, bit for bit.  No recursion or nesting
-    grows with N.  A population's first maximum is taken only if it beats
-    the best value strictly, so the plan is the first maximum in plan
-    order, that of a depth-first scan.  ``nodes_explored`` is sum_(r=1..N)
+    backend, table or suffix group is built.  The walk meets the suffix
+    vectors in the middle (Horowitz & Sahni 1974), at b = max(N // 2, 1)
+    steps from the end: an odometer applies the first N - b steps of each
+    plan forward, and each population it reaches is read once
+    (``suffix_values``), not through ``caps``.  Exact reads are the values
+    of its K^b suffixes, off d integers of K^b packed fields
+    (:meth:`_IntegerView.suffix_values` gives their size in bytes), built
+    per call and dropped on return; that is at most sqrt(budget) vectors
+    where N >= 2.  Float reads at b = 1 are the plans' values.  Float
+    reads with b >= 2 add their products in another order than
+    :func:`~timemachine.core.evaluate_plan`, within the rounding slack of
+    ``cutoffs`` at level b: a population whose largest read is at most the
+    cutoff of the best value so far holds no plan that beats it, and is
+    skipped.  That largest read is taken over the vectors of G[b] where the
+    suffix groups cover level b, else over a table of all K^b suffix
+    vectors built per call.  Any other population is valued again as
+    ``evaluate_plan`` adds (``revalue``), and only those values are
+    compared, so every float value is the sequential one, bit for bit.  No
+    recursion or nesting grows with N.  A population's first maximum is
+    taken only if it beats the best value strictly, so the plan is the
+    first maximum in plan order, that of a depth-first scan.  ``nodes_explored`` is sum_(r=1..N)
     K^r, every node of the plan tree below the root, and ``nodes_pruned``
     is 0.
     """

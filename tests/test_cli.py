@@ -253,6 +253,22 @@ class TestBench:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and repr(line) in err
 
+    @pytest.mark.parametrize("earlier", [None, "earlier results\n"])
+    def test_missing_instance_leaves_out_untouched(self, sat_instance, tmp_path, capsys, earlier):
+        # a line fails after an earlier one ran: the CSV is written only
+        # once every line has run, so --out is neither created nor overwritten
+        suite = tmp_path / "suite.txt"
+        suite.write_text(f"{sat_instance.name} bnb\nmissing.json enum\n")
+        out = tmp_path / "bench.csv"
+        if earlier is not None:
+            out.write_text(earlier)
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 1
+        assert "missing.json" in capsys.readouterr().err
+        if earlier is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == earlier
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

@@ -152,10 +152,11 @@ class TestEnumerate:
         views = counting(monkeypatch, solvers, "_view")
         view_class = solvers._FloatView if mode == "float" else solvers._IntegerView
         tables = counting(monkeypatch, view_class, "suffix_values")
+        groups = counting(monkeypatch, solvers, "_suffix_groups")
         inst = random_instance(Random(1701), 3, 3, 4, mode=mode)
         with pytest.raises(BudgetExceededError):
             enumerate_solve(inst, budget=3**4 - 1)
-        assert (views, tables) == ([], [])
+        assert (views, tables, groups) == ([], [], [])
         enumerate_solve(inst, budget=3**4)
         assert (len(views), len(tables)) == (1, 1)
 
@@ -1834,9 +1835,10 @@ class TestDotKernels:
 
 
 class TestFloatSuffixReads:
-    """Float enumeration reads every plan's value approximately off suffix
-    vectors b = max(N // 2, 1) steps from the end, skips the populations
-    whose reads the rounding slack rules out, and values the rest again as
+    """Float enumeration reads each population b = max(N // 2, 1) steps
+    from the end off suffix vectors, those of the suffix groups G[b] where
+    they cover level b, skips the populations whose largest read the
+    rounding slack rules out, and values the rest again as
     ``evaluate_plan`` adds; its answers are the sequential scan's, bit for
     bit."""
 
@@ -1900,7 +1902,8 @@ class TestFloatSuffixReads:
             inst = rng.choice(makes)(d, K, N)
             view = solvers._view(inst)
             b = max(N // 2, 1)
-            read, table = view.suffix_values(b)
+            # the reads of every suffix vector, off the full table
+            read, table = view.suffix_values(b)[0], view.suffix_table(b)
             suffixes.add(b)
             for prefix in product(range(K), repeat=N - b):
                 weights = view.start
@@ -1914,6 +1917,76 @@ class TestFloatSuffixReads:
                     if b == 1:  # a read one step from the end is the value
                         assert m.hex() == v.hex()
         assert suffixes == {1, 2, 3, 4}
+
+    def test_largest_read_over_the_groups_equals_the_largest_over_the_table(self):
+        # where the suffix groups cover level b >= 2, a population's filter
+        # value is its largest read over G[b]: the largest over all K^b
+        # suffix vectors, bit for bit, at every covered level
+        rng = Random(7405)
+        makes = {
+            "random": lambda d, K, N: random_instance(rng, d, K, N, "float"),
+            "tie-heavy": lambda d, K, N: tie_heavy_instance(rng, d, K, N, "float"),
+            "sparse": lambda d, K, N: random_sparse_float_instance(rng, d, K, N),
+            "wide": lambda d, K, N: wide_float_instance(rng, d, K, N),
+            "tiny": lambda d, K, N: wide_float_instance(rng, d, K, N, tiny=True),
+        }
+        compared, kinds, levels = 0, set(), set()
+        for d, K, N in self.shapes(rng, 450, (1, 8), (1, 5), (2, 9)):
+            kind = rng.choice(sorted(makes))
+            inst = makes[kind](d, K, N)
+            view = solvers._view(inst)
+            for b in range(2, len(view.G)):
+                size = sum(map(len, view.G[b]))
+                assert size <= K**b
+                read, groups = view.suffix_values(b)
+                assert len(groups) == -(-size // K)
+                table = view.suffix_table(b)
+                for prefix in product(range(K), repeat=N - b):
+                    weights = view.start
+                    for k in prefix:
+                        weights = view.apply(weights, k)
+                    assert max(read(weights, groups)).hex() == max(read(weights, table)).hex()
+                    compared += 1
+                kinds.add(kind)
+                levels.add(b)
+        assert kinds == set(makes) and levels == set(range(2, 10))
+        assert compared > 15_000
+
+    def test_enumeration_and_branch_and_bound_build_the_groups_once(self, monkeypatch):
+        groups = counting(monkeypatch, solvers, "_suffix_groups")
+        inst = random_instance(Random(7406), 5, 4, 8, "float")
+        enumerate_solve(inst)
+        branch_and_bound_solve(inst)
+        assert len(groups) == 1
+
+    @pytest.mark.parametrize("K, N", [(4, 4), (4, 6), (4, 8), (3, 7)])
+    def test_each_population_reads_the_groups_in_chunks_of_K(self, monkeypatch, K, N):
+        inst = random_instance(Random(7407 + N), 5, K, N, "float")
+        view, b = solvers._view(inst), N // 2
+        assert 2 <= b < len(view.G)
+        dots, per_population = [], []
+        dot = view._dot
+        monkeypatch.setattr(view, "_dot", lambda w, Q: dots.append(Q) or dot(w, Q))
+        original = solvers._FloatView.suffix_values
+
+        def suffix_values(view, b):
+            read, table = original(view, b)
+
+            def counted(weights, table):
+                before = len(dots)
+                values = read(weights, table)
+                per_population.append(len(dots) - before)
+                return values
+
+            return counted, table
+
+        monkeypatch.setattr(solvers._FloatView, "suffix_values", suffix_values)
+        result = enumerate_solve(inst)
+        size = sum(map(len, view.G[b]))
+        assert size < K**b
+        assert per_population == [-(-size // K)] * K ** (N - b)
+        value, plan, explored, _ = enum_reference(inst)
+        assert (result.value.hex(), result.plan, result.nodes_explored) == (value.hex(), plan, explored)
 
     def test_one_kernel_shape_and_only_apply_kernels(self, monkeypatch):
         built = counting(monkeypatch, solvers, "_float_kernel")
