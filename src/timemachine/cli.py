@@ -317,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the walk of branch and bound and the decision recurses once per plan step
         print("error: horizon N is too deep for the recursive search", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # a fault not named above, e.g. a corrupted artifact's KeyError
+    except Exception as exc:  # any other fault, reported on one line, not as a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -317,8 +317,11 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
 def artifact_from_document(doc: InstanceDocument) -> ReductionArtifact:
     """Rebuild a (formula-less) reduction artifact from a loaded document.
 
-    Raises InstanceFormatError unless the state table names both signed
-    states of every variable, the states an assignment is decoded from.
+    Raises InstanceFormatError unless the instance has the reduction's
+    shape, K = 7m + 2 matrices and d = 3 + 3n + m states for some m >= 1
+    clauses and n >= 1 variables, the matrix table names ``"S"`` and
+    ``"F"``, and the state table names both signed states of every
+    variable, the states an assignment is decoded from.
     """
     if doc.reduction_meta is None:
         raise InstanceFormatError("instance document carries no reduction_meta")
@@ -330,7 +333,13 @@ def artifact_from_document(doc: InstanceDocument) -> ReductionArtifact:
         p=meta.p,
         formula=None,
     )
-    for i in range(artifact.num_vars):
+    m, n = artifact.num_clauses, artifact.num_vars
+    d, K = doc.instance.d, doc.instance.K
+    _require(m >= 1 and K == 7 * m + 2, f"a reduction has K = 7m + 2 matrices, m >= 1, got K = {K}")
+    _require(n >= 1 and d == 3 + 3 * n + m, f"a reduction has d = 3 + 3n + m states, n >= 1, got d = {d}")
+    for name in ("S", "F"):
+        _require(name in artifact.matrix_table, f"reduction_meta matrix_table has no {name!r}")
+    for i in range(n):
         for name in (f"x{i}+", f"x{i}-"):
             _require(name in artifact.state_table, f"reduction_meta state_table has no {name!r}")
     return artifact

@@ -66,12 +66,11 @@ a backend lives until its instance dies or another instance is checked.
   constants, the first time a search applies the matrix, once per
   instance, in time linear in the nonzeros.  Its child bounds come from one
   dot-product kernel per ``(d, K)`` shape, compiled once per process, and
-  so do enumeration's reads, off G or off suffix vectors it builds through
-  the same kernel.  The walk compares its bounds above the leaves with a
-  rounding slack (``cutoffs``), and enumeration its largest reads, so that
-  no bound or read, off ``caps``, off ``G`` or off a suffix vector, sits
-  below the float value of a plan under it (:func:`_rounding_slack` has
-  the proof).
+  so do enumeration's reads, off G or off Q[1].  The walk compares its
+  bounds above the leaves with a rounding slack (``cutoffs``), and
+  enumeration its largest reads, so that no bound or read, off ``caps``
+  or off ``G``, sits below the float value of a plan under it
+  (:func:`_rounding_slack` has the proof).
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
@@ -95,27 +94,25 @@ for bit on any CPython.
 A child whose occupied states all have relaxed value exactly 1 gets
 exactly the full mass as its bound, with no special case.
 
-Enumeration meets in the middle (Horowitz & Sahni 1974) at b = max(N //
-2, 1), in both modes: an odometer applies the first N - b steps of each
-plan forward, and each population it reaches is read once, off the
-suffix vectors P_sigma e_target of Smallwood & Sondik (1973) of b steps
-(``suffix_values``).  Exact values are associative, so exact reads are
-the plans' values: per state, one integer packs the state's entries of
-all K^b vectors, and one big-integer dot product per forward population
-yields K^b exact plan values.  That table holds at most sqrt(K^N) vectors
-where N >= 2, and K where N = 1; it is built per call and dropped on
-return.  Float reads go through the dot kernel, K vectors per call.  At
-b = 1 they are the plans' values, read off Q[1].  At b >= 2 they add
-their products in another order than
-:func:`~timemachine.core.evaluate_plan` does, so they only filter: a
-population whose largest read is at most the cutoff of the best value so
-far (``cutoffs`` at level b) holds no plan that beats it, and any other
-is valued again (``revalue``), through the apply kernels and the leaf
-values above, in the same order as ``evaluate_plan``.  Only the largest
-read counts there, and where the suffix groups cover level b it is read
-off the vectors of G[b], all k, which hold the maximal suffix vectors and
-number at most K^b; the K^b table is built only where they do not.  No
-recursion grows with N.
+Enumeration meets in the middle (Horowitz & Sahni 1974): an odometer
+applies the first N - b steps of each plan forward, and each population it
+reaches is read once, off the suffix vectors P_sigma e_target of Smallwood
+& Sondik (1973) of b steps (``suffix_values``).  Exact enumeration meets at
+b = max(N // 2, 1).  Exact values are associative, so exact reads are the
+plans' values: per state, one integer packs the state's entries of all K^b
+vectors, and one big-integer dot product per forward population yields K^b
+exact plan values.  That table holds at most sqrt(K^N) vectors where N >=
+2, and K where N = 1; it is built per call and dropped on return.  Float
+enumeration meets at the deepest level 2 <= b <= max(N // 2, 1) that the
+suffix groups cover, else at b = 1, and reads through the dot kernel, K
+vectors per call.  At b = 1 the reads are the plans' values, off Q[1].  At
+b >= 2 they are read off the vectors of G[b], all k, which hold the
+maximal suffix vectors, add their products in another order than
+:func:`~timemachine.core.evaluate_plan` does, and only filter: a population
+whose largest read is at most the cutoff of the best value so far
+(``cutoffs`` at level b) holds no plan that beats it, and any other is
+valued again (``revalue``), through the apply kernels and the leaf values
+above, in the same order as ``evaluate_plan``.  No recursion grows with N.
 
 Branch and bound and the threshold decision are one depth-first walk,
 :func:`_search`; the solvers set only its incumbents.  It visits children
@@ -344,28 +341,18 @@ def _rounding_slack(terms: int, levels: int) -> Tuple[float, float]:
       vector of G[s][k], one more sum, so at least (1 - u)^(d(s+1)) v too,
       for every plan (k, sigma) that finishes w: the walk applies the steps
       before w through the same kernels as the plan's value.
-    * Where G does not cover level s, enumeration's largest read is at
-      least the read ``c`` = w . alpha_sigma of each plan sigma of s steps
-      that finishes w (here v = w . P_sigma e_target), off the full table.
-      Level 1 of the suffix vectors is Q[1], read off the 0/1 level U[0]:
-      each product is an entry times 0 or 1 and each addition adds a zero,
-      so it is exact.  Each further level reads a dense row against the
-      vectors below through the dot kernel, and ``c`` reads w against
-      alpha_sigma: one sum of d nonnegative products each, where a zero
-      entry adds an exact 0.  So alpha_sigma is at least (1 -
-      u)^(d(s-1)) P_sigma e_target, as rounding is monotone, and ``c`` is at
-      least (1 - u)^(ds) v, so at least (1 - u)^(d(s+1)) v as well.
 
     So the value is at most c (1 + u)^(ds) / (1 - u)^(d(s+1)) <= c (1 +
     gamma_m), with m = d(2s + 1) and gamma_m = m u / (1 - m u) (Higham,
     Lemma 3.1), and gamma_m <= 2 m u = F - 1 while m u <= 1/2.  A product
     that underflows errs by up to 2^-1075 absolutely instead (a sum never
     does, and a product with an exact 0 or 1 never errs).  The value takes
-    at most s d^2 products, a bound ``c`` at most (s + 1) d^2 and a read
-    ``c`` at most (s - 1) d^2 + d; entries are at most 1 and rows sum to at
-    most 1 + ROW_SUM_TOL, so each such error reaches the value or ``c``
-    scaled by at most 2, and F <= 2 scales those of ``c`` once more: A = 16
-    (s + 1) d^2 2^-1075 covers them.  Both conditions hold while N (d u +
+    at most s d^2 products, and a bound or a read ``c`` at most s d^2 + d
+    <= (s + 1) d^2: s levels of :func:`_row_sums` build Q[s] or G[s], and
+    one more sum reads it.  Entries are at most 1 and rows sum to at most
+    1 + ROW_SUM_TOL, so each such error reaches the value or ``c`` scaled
+    by at most 2, and F <= 2 scales those of ``c`` once more: A = 16 (s +
+    1) d^2 2^-1075 covers them.  Both conditions hold while N (d u +
     ROW_SUM_TOL) <= 1/8, true of every instance a search can finish.  F = 1
     + m 2^-52 and A are exact floats.
     """
@@ -532,11 +519,9 @@ class _FloatView(_ValueView):
     the first time it runs and shared by every view of that shape.  It fixes
     the addition order, so leaf values match ``evaluate_plan`` bit for bit.
     Enumeration's reads (``suffix_values``) go through the same kernel, K
-    vectors per call, and so does the build of a suffix table
-    (``suffix_table``), so no other kernel shape is compiled.  Where the
-    suffix groups cover enumeration's level b >= 2, a population reads the
-    vectors of G[b], the groups the walk reads too, built once per
-    instance, and no suffix table is built.
+    vectors per call, so no other kernel shape is compiled.  They are read
+    off Q[1], or off the vectors of G[b], the groups the walk reads too,
+    built once per instance; no float path builds all K^b suffix vectors.
     ``suffix_caps`` adds each product of a group's vector with ``fsum``,
     which rounds once per product and once per sum on every CPython.
 
@@ -573,68 +558,41 @@ class _FloatView(_ValueView):
     def caps(self, weights, r: int, last=None) -> list:
         return self._dot(weights, self.lookahead[r])
 
-    def suffix_table(self, b: int) -> list:
-        """The K^b suffix vectors alpha_sigma = P_sigma e_target of the
-        plans sigma that finish a population with b >= 1 steps left, in plan
-        order and in chunks of K.
-
-        Level 1 is Q[1], which holds alpha_k = P_k e_target exactly.  Each
-        further level is P_k alpha over the vectors alpha of the level below,
-        k first: every distinct row, made dense, is read against the level
-        below through the dot kernel, K vectors per call, and state i's
-        entry of P_k alpha is the read of its row in matrix k.  That read
-        adds the row's products in :func:`_row_sums`' order, and a zero
-        entry adds an exact 0, so each vector is bit for bit the one
-        :func:`_suffix_groups` builds along the same sigma.
-        """
-        K, d, dot = len(self._index), len(self.start), self._dot
-        table = [self.lookahead[1]]  # level 1, one chunk of K vectors
-        dense = [[0.0] * d for _ in self._rows] if b > 1 else []
-        for row, entries in zip(self._rows, dense):
-            for j, c in row:
-                entries[j] = c
-        for _ in range(b - 1):
-            # per distinct row, its reads against every vector of the level below
-            reads = [list(chain.from_iterable(map(dot, repeat(row), table))) for row in dense]
-            vectors = chain.from_iterable(zip(*map(reads.__getitem__, places)) for places in self._index)
-            table = list(zip(*[vectors] * K))  # in chunks of K
-        return table
-
     def suffix_values(self, b: int):
-        """``(read, table)`` for enumeration, b >= 1 steps from the end:
-        ``read(weights, table)`` is the list of the reads weights . alpha
-        over the vectors alpha of ``table``, in chunks of K, one dot kernel
-        call per chunk.
+        """``(read, level)`` for enumeration, which asks to meet b >= 1
+        steps from the end: it meets ``level`` steps from the end, and
+        ``read(weights)`` is the list of the reads of a population with
+        ``level`` steps left, one dot kernel call per K vectors.
 
-        At b = 1, and where the suffix groups do not cover level b, the
-        table is :meth:`suffix_table`, and read m(sigma) is the
-        approximate value of plan sigma, in plan order.  Only at b = 1 is
-        m(sigma) the plan's value as ``evaluate_plan`` adds it (the read is
-        ``caps(weights, 1)``).  Where the groups cover level b >= 2, the
-        table holds the vectors of G[b], of every k, padded with copies of
-        the first to a multiple of K, at most K^b vectors, and no suffix
-        table is built.  Every suffix vector is at most, entry by entry, a
-        vector of G[b] that is itself a suffix vector built by the same
-        sums (G keeps a vector that dominates each one it drops, and
-        rounding is monotone), and a read of nonnegative weights is monotone
-        in the vector, so the largest read is the largest over the suffix
-        table, the same float.  Above b = 1 the reads only filter: the
-        largest is within the slack of ``cutoffs`` at level b of every
-        plan's value (:func:`_rounding_slack`), and enumeration values the
-        plans it cannot rule out again (``revalue``).  A suffix table holds
-        K^b vectors of d floats, built per call, not kept with the view;
-        G is built once per instance and shared with the walk of
-        :func:`_search`.
+        ``level`` is the deepest level 2 <= level <= b that the suffix
+        groups cover, and the reads are weights . beta over the vectors
+        beta of G[level], of every k, padded with copies of the first to a
+        multiple of K.  Every suffix vector P_sigma e_target of ``level``
+        steps is at most, entry by entry, a vector of G[level] that is
+        itself a suffix vector built by the same sums (G keeps a vector
+        that dominates each one it drops, and rounding is monotone), and a
+        read of nonnegative weights is monotone in the vector, so the
+        largest read is the largest over all K^level suffix vectors, the
+        same float.  These reads only filter: the largest is within the
+        slack of ``cutoffs`` at ``level`` of every plan's value
+        (:func:`_rounding_slack`), and enumeration values the plans it
+        cannot rule out again (``revalue``).
+
+        Where the groups cover no such level (K * K above
+        ``_GAMMA_VECTORS``, or b = 1, which builds no G), ``level`` is 1
+        and the reads are ``caps(weights, 1)``, the plans' values in plan
+        order as ``evaluate_plan`` adds them.
         """
-        if 2 <= b < len(self.G):
+        level = min(b, len(self.G) - 1) if b > 1 else 1
+        if level > 1:
             K = len(self._index)
-            vectors = [beta for group in self.G[b] for beta in group]
+            vectors = [beta for group in self.G[level] for beta in group]
             vectors += vectors[:1] * (-len(vectors) % K)
             table = list(zip(*[iter(vectors)] * K))  # in chunks of K
         else:
-            table = self.suffix_table(b)
+            level, table = 1, [self.lookahead[1]]
         dot = self._dot
-        return lambda weights, table: list(chain.from_iterable(map(dot, repeat(weights), table))), table
+        return lambda weights: list(chain.from_iterable(map(dot, repeat(weights), table))), level
 
     def revalue(self, weights, b: int) -> list:
         """The values of the K^b plans that finish population ``weights``,
@@ -735,10 +693,10 @@ class _IntegerView(_ValueView):
         return list(self._readers[r](sum(map(mul, weights, self.columns[r])).to_bytes(size, "little")))
 
     def suffix_values(self, b: int):
-        """``(read, table)`` for enumeration, b steps from the end:
-        ``read(weights, table)`` is the tuple of the values of the K^b plans
-        that finish a population with b steps left, in plan order, at level
-        b's scale.
+        """``(read, b)`` for enumeration, b steps from the end:
+        ``read(weights)`` is the tuple of the values of the K^b plans that
+        finish a population with b steps left, in plan order, at level b's
+        scale.
 
         The value of suffix sigma from w is w . V_sigma, with V_sigma = P_k
         V_rest for sigma = (k, rest), in integers at scale L^b.  So per
@@ -762,7 +720,7 @@ class _IntegerView(_ValueView):
         for level in range(b):  # K^level fields per matrix at the level built so far
             table = self._pack(_row_sums(self._rows, table), len(self._index) ** level * width)
         read = _field_reader(fields)
-        return lambda weights, table: read(sum(map(mul, weights, table)).to_bytes(size, "little")), table
+        return lambda weights: read(sum(map(mul, weights, table)).to_bytes(size, "little")), b
 
     @cached_property
     def memo_keys(self) -> list:
@@ -941,28 +899,29 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
 
     Refuses to start if K^N exceeds ``budget`` (default 10^8), before any
     backend, table or suffix group is built.  The walk meets the suffix
-    vectors in the middle (Horowitz & Sahni 1974), at b = max(N // 2, 1)
-    steps from the end: an odometer applies the first N - b steps of each
-    plan forward, and each population it reaches is read once
-    (``suffix_values``), not through ``caps``.  Exact reads are the values
+    vectors in the middle (Horowitz & Sahni 1974), b steps from the end,
+    at the level ``suffix_values`` chooses when asked for b = max(N // 2,
+    1): an odometer applies the first N - b steps of each plan forward, and
+    each population it reaches is read once, not through ``caps``.  Exact
+    enumeration meets at b = max(N // 2, 1), and its reads are the values
     of its K^b suffixes, off d integers of K^b packed fields
     (:meth:`_IntegerView.suffix_values` gives their size in bytes), built
     per call and dropped on return; that is at most sqrt(budget) vectors
-    where N >= 2.  Float reads at b = 1 are the plans' values.  Float
-    reads with b >= 2 add their products in another order than
+    where N >= 2.  Float enumeration meets at the deepest level 2 <= b <=
+    max(N // 2, 1) that the suffix groups cover, else at b = 1, where the
+    reads are the plans' values.  Float reads with b >= 2, off the vectors
+    of G[b], add their products in another order than
     :func:`~timemachine.core.evaluate_plan`, within the rounding slack of
     ``cutoffs`` at level b: a population whose largest read is at most the
     cutoff of the best value so far holds no plan that beats it, and is
-    skipped.  That largest read is taken over the vectors of G[b] where the
-    suffix groups cover level b, else over a table of all K^b suffix
-    vectors built per call.  Any other population is valued again as
-    ``evaluate_plan`` adds (``revalue``), and only those values are
-    compared, so every float value is the sequential one, bit for bit.  No
-    recursion or nesting grows with N.  A population's first maximum is
-    taken only if it beats the best value strictly, so the plan is the
-    first maximum in plan order, that of a depth-first scan.  ``nodes_explored`` is sum_(r=1..N)
-    K^r, every node of the plan tree below the root, and ``nodes_pruned``
-    is 0.
+    skipped.  Any other population is valued again as ``evaluate_plan``
+    adds (``revalue``), and only those values are compared, so every float
+    value is the sequential one, bit for bit.  No recursion or nesting
+    grows with N.  A population's first maximum is taken only if it beats
+    the best value strictly, so the plan is the first maximum in plan
+    order, that of a depth-first scan, whichever b the walk meets at.
+    ``nodes_explored`` is sum_(r=1..N) K^r, every node of the plan tree
+    below the root, and ``nodes_pruned`` is 0.
     """
     _sparse_rows(inst)  # the check first: K**N fails at K = 0, N < 0
     K, N = inst.K, inst.N
@@ -976,8 +935,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
     view = _view(inst)
     if N == 0:
         return SolveResult(view.to_value(view.start[inst.target]), (), 0, 0, "enum")
-    b = max(N // 2, 1)
-    read, table = view.suffix_values(b)
+    read, b = view.suffix_values(max(N // 2, 1))
     revalue = view.revalue if b > 1 else None  # None where reads are the values
     apply, forward = view.apply, N - b
 
@@ -996,7 +954,7 @@ def enumerate_solve(inst: Instance, budget: int = DEFAULT_ENUMERATION_BUDGET) ->
             path.append(0)
         else:
             weights = populations[-1][k]
-            values = read(weights, table)
+            values = read(weights)
             value = max(values)
             if value > cutoff:
                 if revalue is not None:

@@ -187,6 +187,27 @@ def enum_reference(inst):
     return view.to_value(best_value, 1), best_plan, explored, 0
 
 
+def float_suffix_table_read(view, b):
+    """A function taking a float population with ``b`` steps left to its
+    reads of all K^b suffix vectors P_sigma e_target, in plan order,
+    through the float view's dot kernel, K vectors per call: the reads of
+    the full table that float enumeration's reads off the suffix groups
+    must match.  Each vector is built along its own sigma, last matrix
+    first, by ``solvers._row_sums`` from the 0/1 vector of the target, as
+    ``solvers._suffix_groups`` builds the vectors it keeps or drops, so at
+    b = 1 they are Q[1] and the reads are the plans' values."""
+    K, d = len(view._index), len(view.start)
+    table = []
+    for sigma in product(range(K), repeat=b):
+        alpha = tuple(int(i == view._target) for i in range(d))
+        for k in reversed(sigma):
+            sums = solvers._row_sums(view._rows, alpha)
+            alpha = tuple(map(sums.__getitem__, view._index[k]))
+        table.append(alpha)
+    chunks = list(zip(*[iter(table)] * K))
+    return lambda weights: [m for chunk in chunks for m in view._dot(weights, chunk)]
+
+
 def raw_clause_satisfied(raw_clause, assignment):
     """Standard literal semantics: (var, +1) is true when the variable is +."""
     return any(assignment[var] == polarity for var, polarity in raw_clause)

@@ -385,7 +385,40 @@ BAD_REDUCTION_META = [
     ("matrix indices shifted by 1000", lambda meta: meta.update(matrix_table=_shift(meta["matrix_table"], 1000))),
     ("matrix index is K", lambda meta: meta["matrix_table"].update(F=9)),
     ("matrix index is negative", lambda meta: meta["matrix_table"].update(S=-1)),
+    ("matrix_table lacks S", lambda meta: meta.update(matrix_table=_without(meta["matrix_table"], "S"))),
+    ("matrix_table lacks F", lambda meta: meta.update(matrix_table=_without(meta["matrix_table"], "F"))),
 ]
+
+
+def _add_state(doc):
+    """One more state, d = 14, which no matrix or start weight reaches."""
+    doc["d"] += 1
+    doc["start"].append("0/1")
+    for rows in doc["matrices"]:
+        rows.append([[doc["d"] - 1, "1/1"]])
+
+
+# (name, mutation of the document): reduction_meta intact, the instance not
+# of the shape of a reduction of m = 1 clause over n = 3 variables
+BAD_REDUCTION_SHAPE = [
+    ("extra matrix, K = 10", lambda doc: doc.update(
+        K=10, matrices=doc["matrices"] + doc["matrices"][-1:], labels=doc["labels"] + [None],
+    )),
+    ("extra state, d = 14", _add_state),
+]
+
+
+def _decode_reports_one_error_line(payload, tmp_path, capsys):
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(payload))
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text("0 2 1\n")
+    assert main(["decode", str(inst_path), str(plan_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 class TestMalformedReductionMeta:
@@ -408,16 +441,16 @@ class TestMalformedReductionMeta:
     def test_cli_decode_reports_one_error_line(self, name, mutate, tmp_path, capsys):
         payload = _reduction_base()
         mutate(payload["reduction_meta"])
-        inst_path = tmp_path / "bad.json"
-        inst_path.write_text(json.dumps(payload))
-        plan_path = tmp_path / "plan.txt"
-        plan_path.write_text("0 2 1\n")
-        assert main(["decode", str(inst_path), str(plan_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert len(captured.err.splitlines()) == 1
-        assert "Traceback" not in captured.err
+        _decode_reports_one_error_line(payload, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name, mutate", BAD_REDUCTION_SHAPE, ids=[c[0] for c in BAD_REDUCTION_SHAPE])
+    def test_instance_not_of_the_reduction_shape_is_refused(self, name, mutate, tmp_path, capsys):
+        payload = _reduction_base()
+        mutate(payload)
+        doc = read_instance(io.StringIO(json.dumps(payload)))  # a valid instance
+        with pytest.raises(InstanceFormatError, match="a reduction has"):
+            artifact_from_document(doc)
+        _decode_reports_one_error_line(payload, tmp_path, capsys)
 
 
 class TestPlanFiles:

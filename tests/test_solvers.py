@@ -51,6 +51,7 @@ from helpers import (
     beam_reference,
     enum_reference,
     exec_float_kernel,
+    float_suffix_table_read,
     matrix_power,
     planted_formula,
     random_exact_distribution,
@@ -163,24 +164,29 @@ class TestEnumerate:
     @pytest.mark.parametrize("mode", ["float", "exact"])
     @pytest.mark.parametrize("N", [1, 2, 5, 6])
     def test_each_forward_population_is_read_once(self, monkeypatch, mode, N):
-        # the walk meets the table at b = max(N // 2, 1) in both modes and
-        # reads each of the K^(N - b) populations N - b steps in once
+        # the walk asks to meet at max(N // 2, 1), meets at the level b
+        # suffix_values returns (the one asked for in exact mode) and reads
+        # each of the K^(N - b) populations N - b steps in once
         view_class = solvers._FloatView if mode == "float" else solvers._IntegerView
-        original, reads = view_class.suffix_values, []
+        original, levels, reads = view_class.suffix_values, [], []
 
         def suffix_values(view, b):
-            read, table = original(view, b)
+            read, level = original(view, b)
+            levels.append((b, level))
 
-            def counted(weights, table):
-                reads.append(b)
-                return read(weights, table)
+            def counted(weights):
+                reads.append(level)
+                return read(weights)
 
-            return counted, table
+            return counted, level
 
         monkeypatch.setattr(view_class, "suffix_values", suffix_values)
         inst = random_instance(Random(1702), 4, 3, N, mode=mode)
         result = enumerate_solve(inst)
-        b = max(N // 2, 1)
+        [(asked, b)] = levels
+        assert asked == max(N // 2, 1) and 1 <= b <= asked
+        if mode == "exact":
+            assert b == asked
         assert reads == [b] * 3 ** (N - b)
         got = (result.value, result.plan, result.nodes_explored, result.nodes_pruned)
         assert got == enum_reference(inst)
@@ -1815,8 +1821,8 @@ class TestDotKernels:
             inst = random_instance(Random(seed), 5, 3, 3, mode="float")
             branch_and_bound_solve(inst)
             assert solvers._dot_kernel.cache_info().misses == 1
-        # enumeration builds and reads its suffix vectors (b = 3) through
-        # the kernel of the instance's shape too
+        # enumeration reads the suffix groups (b = 3) through the kernel
+        # of the instance's shape too
         enumerate_solve(random_instance(Random(7202), 5, 3, 6, mode="float"))
         assert solvers._dot_kernel.cache_info().misses == 1
         enumerate_solve(random_instance(Random(7204), 6, 3, 3, mode="float"))
@@ -1835,12 +1841,13 @@ class TestDotKernels:
 
 
 class TestFloatSuffixReads:
-    """Float enumeration reads each population b = max(N // 2, 1) steps
-    from the end off suffix vectors, those of the suffix groups G[b] where
-    they cover level b, skips the populations whose largest read the
-    rounding slack rules out, and values the rest again as
-    ``evaluate_plan`` adds; its answers are the sequential scan's, bit for
-    bit."""
+    """Float enumeration reads each population b steps from the end, at
+    the deepest level 2 <= b <= max(N // 2, 1) that the suffix groups
+    cover, off the vectors of G[b], skips the populations whose largest
+    read the rounding slack rules out, and values the rest again as
+    ``evaluate_plan`` adds; where G covers no such level it reads the
+    plans' values at b = 1.  Its answers are the sequential scan's, bit
+    for bit."""
 
     @staticmethod
     def check(inst):
@@ -1903,13 +1910,13 @@ class TestFloatSuffixReads:
             view = solvers._view(inst)
             b = max(N // 2, 1)
             # the reads of every suffix vector, off the full table
-            read, table = view.suffix_values(b)[0], view.suffix_table(b)
+            read = float_suffix_table_read(view, b)
             suffixes.add(b)
             for prefix in product(range(K), repeat=N - b):
                 weights = view.start
                 for k in prefix:
                     weights = view.apply(weights, k)
-                reads = list(read(weights, table))
+                reads = list(read(weights))
                 assert len(reads) == K**b
                 for suffix, m in zip(product(range(K), repeat=b), reads):
                     v = evaluate_plan(inst, prefix + suffix)
@@ -1918,7 +1925,7 @@ class TestFloatSuffixReads:
                         assert m.hex() == v.hex()
         assert suffixes == {1, 2, 3, 4}
 
-    def test_largest_read_over_the_groups_equals_the_largest_over_the_table(self):
+    def test_largest_read_over_the_groups_equals_the_largest_over_the_table(self, monkeypatch):
         # where the suffix groups cover level b >= 2, a population's filter
         # value is its largest read over G[b]: the largest over all K^b
         # suffix vectors, bit for bit, at every covered level
@@ -1935,17 +1942,22 @@ class TestFloatSuffixReads:
             kind = rng.choice(sorted(makes))
             inst = makes[kind](d, K, N)
             view = solvers._view(inst)
+            dot, groups = view._dot, []  # the chunks each read of G[b] passes the dot kernel
+            monkeypatch.setattr(view, "_dot", lambda w, Q: groups.append(Q) or dot(w, Q))
             for b in range(2, len(view.G)):
                 size = sum(map(len, view.G[b]))
                 assert size <= K**b
-                read, groups = view.suffix_values(b)
-                assert len(groups) == -(-size // K)
-                table = view.suffix_table(b)
+                read, level = view.suffix_values(b)
+                assert level == b
+                table = float_suffix_table_read(view, b)
                 for prefix in product(range(K), repeat=N - b):
                     weights = view.start
                     for k in prefix:
                         weights = view.apply(weights, k)
-                    assert max(read(weights, groups)).hex() == max(read(weights, table)).hex()
+                    groups.clear()
+                    largest = max(read(weights))
+                    assert len(groups) == -(-size // K)
+                    assert largest.hex() == max(table(weights)).hex()
                     compared += 1
                 kinds.add(kind)
                 levels.add(b)
@@ -1970,15 +1982,15 @@ class TestFloatSuffixReads:
         original = solvers._FloatView.suffix_values
 
         def suffix_values(view, b):
-            read, table = original(view, b)
+            read, level = original(view, b)
 
-            def counted(weights, table):
+            def counted(weights):
                 before = len(dots)
-                values = read(weights, table)
+                values = read(weights)
                 per_population.append(len(dots) - before)
                 return values
 
-            return counted, table
+            return counted, level
 
         monkeypatch.setattr(solvers._FloatView, "suffix_values", suffix_values)
         result = enumerate_solve(inst)
@@ -1988,12 +2000,51 @@ class TestFloatSuffixReads:
         value, plan, explored, _ = enum_reference(inst)
         assert (result.value.hex(), result.plan, result.nodes_explored) == (value.hex(), plan, explored)
 
+    @pytest.mark.parametrize(
+        "d, K, N, level",
+        [(5, 5, 6, 2), (5, 8, 6, 2), (4, 9, 4, 1), (3, 9, 5, 1), (5, 5, 3, 1), (4, 9, 3, 1), (4, 6, 2, 1)],
+    )
+    def test_meeting_level_is_the_deepest_the_groups_cover(self, monkeypatch, d, K, N, level):
+        # asked for b = max(N // 2, 1), enumeration meets where G stops below
+        # it (K = 5, 8: G covers level 2 only), at b = 1 where G is empty
+        # (K = 9: K * K > 64), and at b = 1 without building G where N <= 3
+        groups = counting(monkeypatch, solvers, "_suffix_groups")
+        inst = random_instance(Random(7420), d, K, N, "float")
+        view = solvers._view(inst)
+        dots, levels, per_population = [], [], []
+        dot = view._dot
+        monkeypatch.setattr(view, "_dot", lambda w, Q: dots.append(Q) or dot(w, Q))
+        original = solvers._FloatView.suffix_values
+
+        def suffix_values(view, b):
+            read, chosen = original(view, b)
+            levels.append((b, chosen))
+
+            def counted(weights):
+                before = len(dots)
+                values = read(weights)
+                per_population.append(len(dots) - before)
+                return values
+
+            return counted, chosen
+
+        monkeypatch.setattr(solvers._FloatView, "suffix_values", suffix_values)
+        result = enumerate_solve(inst)
+        assert levels == [(max(N // 2, 1), level)]
+        assert len(groups) == int(N > 3)
+        if N > 3:  # the deepest level G covers
+            assert len(view.G) - 1 == (level if K < 9 else 0)
+        chunks = -(-sum(map(len, view.G[level])) // K) if level > 1 else 1
+        assert per_population == [chunks] * K ** (N - level)
+        value, plan, explored, _ = enum_reference(inst)
+        assert (result.value.hex(), result.plan, result.nodes_explored) == (value.hex(), plan, explored)
+
     def test_one_kernel_shape_and_only_apply_kernels(self, monkeypatch):
         built = counting(monkeypatch, solvers, "_float_kernel")
         revalued = counting(monkeypatch, solvers._FloatView, "revalue")
         solvers._dot_kernel.cache_clear()
         inst = random_instance(Random(7404), 8, 4, 8, "float")
-        enumerate_solve(inst)  # b = 4: 256 suffix vectors of 8 entries
+        enumerate_solve(inst)  # b = 4: 11 vectors of G[4], of 8 entries
         assert solvers._dot_kernel.cache_info().misses == 1
         # the apply kernels, one per matrix, and no other
         assert [len(rows) for rows, in built] == [8] * 4
