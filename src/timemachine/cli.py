@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -175,8 +176,23 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# The decimal exponents an alpha may be written with.  Fraction builds
+# 10**exponent, which at 1e100000000 takes minutes, so a wider one is
+# refused before any number is built; no alpha in [0, 1] needs one.
+ALPHA_EXPONENT_LIMIT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def _parse_alpha(text: str) -> Fraction:
     """The alpha as written; decide_threshold converts it for a float instance."""
+    written = _EXPONENT.search(text)
+    if written is not None:
+        digits = written.group(1).replace("_", "").lstrip("0") or "0"
+        if len(digits) > len(str(ALPHA_EXPONENT_LIMIT)) or int(digits) > ALPHA_EXPONENT_LIMIT:
+            raise ValueError(
+                f"alpha {text!r} has a decimal exponent outside "
+                f"[-{ALPHA_EXPONENT_LIMIT}, {ALPHA_EXPONENT_LIMIT}]"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

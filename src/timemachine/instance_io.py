@@ -1,21 +1,26 @@
 """File formats: instance documents (JSON), plan files, and DIMACS CNF.
 
-Instance files are versioned JSON documents.  Version 2, the one written,
-stores each matrix row as a list of ``[column, value]`` pairs for its
-nonzero entries, in increasing column order; zero entries are omitted, so
-a float ``-0.0`` entry reads back as ``0.0``.  Version 1, still read, stores
-each row densely, ``d`` values long.  Exact-mode numbers travel as
-"num/den" strings in lowest terms so fixtures are bit-stable across
-implementations; float-mode numbers are plain decimal literals (Python's
-shortest round-trip repr).  Reading re-validates every instance invariant.
+Instance files are versioned JSON documents.  Version 3, the one written,
+lists in ``"rows"`` each distinct matrix row that is not a unit row once,
+as ``[column, value]`` pairs for its nonzero entries in increasing column
+order; zero entries are omitted, so a float ``-0.0`` entry reads back as
+``0.0``.  ``"matrices"[k]`` lists only the rows matrix k moves, as
+``[i, row id]`` pairs in increasing ``i``; every row not listed is the
+unit row ``e_i`` (its one nonzero entry a 1 at column i).  Version 2,
+still read, stores each of the ``d`` rows of every matrix as such a pair
+list; version 1, also read, stores each row densely, ``d`` values long.
+Exact-mode numbers travel as "num/den" strings in lowest terms so
+fixtures are bit-stable across implementations; float-mode numbers are
+plain decimal literals (Python's shortest round-trip repr).  Reading
+re-validates every instance invariant.
 
-Reduction instances share row objects between matrices (they have d + 1
-distinct rows), so the writer formats each distinct number and each
-distinct row once, from the nonzero pairs of the instance check that the
-rest of the library shares, and the reader parses each distinct number
-text once and decodes identical rows to one shared tuple, which lets
-:func:`~timemachine.core.validate_instance` check each of them once.  Both
-ways cost time in the number of nonzero entries, not in d * d * K.
+Reduction instances have d + 1 distinct rows, most of them unit rows, so
+the writer formats each distinct number and each distinct row once, from
+the nonzero pairs of the instance check that the rest of the library
+shares, and writes a pair per moved row.  The reader parses each distinct
+number text once and decodes identical rows to one shared tuple, every
+unit row ``e_j`` to the one tuple it builds for it, which lets
+:func:`~timemachine.core.validate_instance` check each of them once.
 
 Plan files are a single line of whitespace-separated 0-based matrix
 indices; lines starting with '#' are comments.
@@ -48,8 +53,8 @@ from .core import (
 )
 from .reduction import RawLiteral, ReductionArtifact, formula_digest
 
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 
 PathOrFile = Union[str, "io.TextIOBase"]
 
@@ -111,25 +116,44 @@ def _memo_exact_parser():
     return parse
 
 
-def _sparse_row_reader(d: int, mode: str, parse):
-    """Decoder of version-2 rows into dense tuples.  Identical rows, keyed on
+# Each mode's zero and one, shared by the rows the reader builds, so that
+# comparing those rows to a unit row meets equal entries by identity.
+_ZERO_ONE = {EXACT: (Fraction(0), Fraction(1)), FLOAT: (0.0, 1.0)}
+
+
+def _unit_rows(d: int, mode: str) -> tuple:
+    """The ``d`` unit rows ``e_i`` as tuples, in the mode's own numbers."""
+    zero, one = _ZERO_ONE[mode]
+    dense = [zero] * d
+    units = []
+    for i in range(d):
+        dense[i] = one
+        units.append(tuple(dense))
+        dense[i] = zero
+    return tuple(units)
+
+
+def _sparse_row_reader(d: int, mode: str, parse, units: Optional[tuple] = None):
+    """Decoder of sparse rows into dense tuples.  Identical rows, keyed on
     their raw pairs, decode to one shared tuple, and only the first of them
-    has its values parsed; the structure is checked on every row."""
+    has its values parsed; the structure is checked on every row.  Given
+    the unit rows, a row equal to ``e_j`` decodes to ``units[j]``.  A
+    malformed row is named ``f"{where} {i}"``."""
     value_types = (str,) if mode == EXACT else (int, float)
-    zero = Fraction(0) if mode == EXACT else 0.0
+    zero = _ZERO_ONE[mode][0]
     decoded: Dict[tuple, tuple] = {}
 
-    def read_row(raw, k: int, i: int) -> tuple:
+    def read_row(raw, where: str, i: int) -> tuple:
         if type(raw) is not list:
-            raise InstanceFormatError(f"matrix {k} row {i} must be a list of [column, value] pairs")
+            raise InstanceFormatError(f"{where} {i} must be a list of [column, value] pairs")
         last = -1
         for pair in raw:
             if type(pair) is not list or len(pair) != 2:
-                raise InstanceFormatError(f"matrix {k} row {i}: {pair!r} is not a [column, value] pair")
+                raise InstanceFormatError(f"{where} {i}: {pair!r} is not a [column, value] pair")
             j, value = pair
             if type(j) is not int or not last < j < d:
                 raise InstanceFormatError(
-                    f"matrix {k} row {i}: column {j!r} is not an integer in [0, {d}) "
+                    f"{where} {i}: column {j!r} is not an integer in [0, {d}) "
                     "above the column before it"
                 )
             if type(value) not in value_types:
@@ -141,10 +165,49 @@ def _sparse_row_reader(d: int, mode: str, parse):
             dense = [zero] * d
             for j, value in raw:
                 dense[j] = parse(value)
-            row = decoded[key] = tuple(dense)
+            row = tuple(dense)
+            if units is not None and row.count(zero) == d - 1:
+                unit = units[next(j for j, _ in raw if dense[j])]
+                if row == unit:
+                    row = unit
+            decoded[key] = row
         return row
 
     return read_row
+
+
+def _moved_rows_reader(rows_raw, d: int, mode: str, parse):
+    """Decoder of version-3 matrices.  Each ``"rows"`` entry is checked and
+    decoded once; a matrix's ``[i, row id]`` pairs place those rows, and
+    every row it does not list is the unit row ``e_i``, one tuple per i
+    shared by every matrix."""
+    _require(type(rows_raw) is list, '"rows" must be a list of [column, value] pair lists')
+    units = _unit_rows(d, mode)
+    read_row = _sparse_row_reader(d, mode, parse, units)
+    shared = [read_row(raw, '"rows" entry', r) for r, raw in enumerate(rows_raw)]
+    count = len(shared)
+
+    def read_matrix(grid, k: int) -> tuple:
+        _require(type(grid) is list, f"matrix {k} must be a list of [row, row id] pairs")
+        rows = list(units)
+        last = -1
+        for pair in grid:
+            if type(pair) is not list or len(pair) != 2:
+                raise InstanceFormatError(f"matrix {k}: {pair!r} is not a [row, row id] pair")
+            i, r = pair
+            if type(i) is not int or not last < i < d:
+                raise InstanceFormatError(
+                    f"matrix {k}: row {i!r} is not an integer in [0, {d}) above the row before it"
+                )
+            if type(r) is not int or not 0 <= r < count:
+                raise InstanceFormatError(
+                    f"matrix {k} row {i}: row id {r!r} is not an integer in [0, {count})"
+                )
+            rows[i] = shared[r]
+            last = i
+        return tuple(rows)
+
+    return read_matrix
 
 
 @dataclass(frozen=True)
@@ -174,15 +237,23 @@ def write_instance(
     path_or_file: PathOrFile,
     reduction_meta: Optional[ReductionMeta] = None,
 ) -> None:
-    """Serialize an instance as a version-2 document (losslessly, up to the
-    sign of a float zero: write-then-read round-trips).  Raises ValueError
-    with an invalid instance's first violation, whose document
-    :func:`read_instance` would reject."""
+    """Serialize an instance as a version-3 document (losslessly, up to the
+    sign of a float zero: write-then-read round-trips).  Each distinct row
+    object that some matrix moves is written once, in ``"rows"``, and each
+    matrix lists only the rows it moves, as ``[i, row id]`` pairs; it
+    leaves row i in place when that row is the unit row ``e_i``, whose only
+    nonzero entry is a 1 at column i.  Raises ValueError with an invalid
+    instance's first violation, whose document :func:`read_instance` would
+    reject."""
     rows, index = _sparse_rows(instance)
     mode = instance.numeric_mode
     # each distinct exact number formatted once; 1 and Fraction(1) share a text
     scalar = lru_cache(maxsize=None)(partial(format_scalar, mode=EXACT)) if mode == EXACT else float
-    pairs = [[[j, scalar(x)] for j, x in row] for row in rows]
+    # the place at which each row is a unit row, -1 where it is none
+    unit_at = [row[0][0] if len(row) == 1 and row[0][1] == 1 else -1 for row in rows]
+    moved = [[(i, p) for i, p in enumerate(places) if unit_at[p] != i] for places in index]
+    # row id of each distinct row object that some matrix moves, in order of first use
+    ids = {p: r for r, p in enumerate(dict.fromkeys(p for places in moved for _, p in places))}
     doc = {
         "format_version": FORMAT_VERSION,
         "numeric_mode": mode,
@@ -191,7 +262,8 @@ def write_instance(
         "N": instance.N,
         "target": instance.target,
         "start": [scalar(w) for w in instance.start.weights],
-        "matrices": [list(map(pairs.__getitem__, places)) for places in index],
+        "rows": [[[j, scalar(x)] for j, x in rows[p]] for p in ids],
+        "matrices": [[[i, ids[p]] for i, p in places] for places in moved],
     }
     if any(m.label is not None for m in instance.matrices):
         doc["labels"] = [m.label for m in instance.matrices]
@@ -231,7 +303,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
-    """Parse and fully re-validate an instance document (version 1 or 2)."""
+    """Parse and fully re-validate an instance document (version 1, 2 or 3)."""
     fh, owned = _open(path_or_file, "r")
     try:
         try:
@@ -263,14 +335,22 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
     _require(isinstance(start_raw, list) and len(start_raw) == d, f"start must be a length-{d} array")
     start = Distribution(tuple(parse(x) for x in start_raw))
 
-    if version == 1:
-
-        def read_row(raw, k: int, i: int) -> tuple:
-            _require(isinstance(raw, list) and len(raw) == d, f"matrix {k} row {i} must have {d} entries")
-            return tuple(parse(x) for x in raw)
-
+    if version == 3:
+        read_matrix = _moved_rows_reader(doc.get("rows"), d, mode, parse)
     else:
-        read_row = _sparse_row_reader(d, mode, parse)
+        if version == 1:
+
+            def read_row(raw, where: str, i: int) -> tuple:
+                _require(isinstance(raw, list) and len(raw) == d, f"{where} {i} must have {d} entries")
+                return tuple(parse(x) for x in raw)
+
+        else:
+            read_row = _sparse_row_reader(d, mode, parse)
+
+        def read_matrix(grid, k: int) -> tuple:
+            _require(isinstance(grid, list) and len(grid) == d, f"matrix {k} must have {d} rows")
+            where = f"matrix {k} row"
+            return tuple(read_row(raw, where, i) for i, raw in enumerate(grid))
 
     matrices_raw = doc["matrices"]
     _require(isinstance(matrices_raw, list) and len(matrices_raw) == K, f"matrices must hold {K} entries")
@@ -279,8 +359,7 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
         _require(isinstance(labels, list) and len(labels) == K, f"labels must be a length-{K} array")
     matrices = []
     for k, grid in enumerate(matrices_raw):
-        _require(isinstance(grid, list) and len(grid) == d, f"matrix {k} must have {d} rows")
-        rows = tuple(read_row(row, k, i) for i, row in enumerate(grid))
+        rows = read_matrix(grid, k)
         label = labels[k] if labels is not None else None
         _require(label is None or isinstance(label, str), f"label {k} must be a string or null")
         matrices.append(StochasticMatrix(rows, label=label))

@@ -131,7 +131,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from math import ceil, fsum, gcd, inf, nextafter
+from math import ceil, fsum, gcd, inf, log10, nextafter
 from operator import floordiv, ge, itemgetter, mul, pos
 from struct import Struct
 from types import CodeType, FunctionType
@@ -1110,6 +1110,15 @@ def beam_search(inst: Instance, width: int) -> SolveResult:
     return SolveResult(view.to_value(value, 1), plan, explored, dropped, "beam")
 
 
+def _short_repr(x: Scalar) -> str:
+    """``repr(x)``, or for an int or Fraction whose repr runs past some 80
+    digits its order of magnitude, as ``about 1e400``."""
+    if isinstance(x, float) or max(abs(x.numerator), x.denominator).bit_length() <= 256:
+        return repr(x)
+    exponent = round(log10(abs(x.numerator)) - log10(x.denominator))
+    return f"about {'-' if x < 0 else ''}1e{exponent}"
+
+
 def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan]]:
     """Is there a length-N plan with value >= alpha?  Returns (yes/no, witness).
 
@@ -1143,7 +1152,7 @@ def decide_threshold(inst: Instance, alpha: Scalar) -> Tuple[bool, Optional[Plan
         except OverflowError:
             raise ValueError("alpha must lie in [0, 1], got one beyond the float range") from None
     if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+        raise ValueError(f"alpha must lie in [0, 1], got {_short_repr(alpha)}")
 
     N = inst.N
     view = _view(inst, _SupportView if exact and alpha == 1 and N else None)

@@ -371,9 +371,9 @@ def random_instance(rng: Random, d: int, K: int, N: int, mode: str = "float") ->
     )
 
 
-def instance_v1_text(instance: Instance, reduction_meta=None) -> str:
-    """The instance as a version-1 document: every matrix row written densely,
-    d numbers long, in the layout the library wrote before version 2."""
+def _older_version(instance: Instance, reduction_meta, version: int, row_text) -> dict:
+    """The written document with every matrix row, in matrix order, given
+    as ``row_text(row, scalar)``, in place of the shared rows."""
     buf = io.StringIO()
     write_instance(instance, buf, reduction_meta=reduction_meta)
     doc = json.loads(buf.getvalue())
@@ -382,9 +382,32 @@ def instance_v1_text(instance: Instance, reduction_meta=None) -> str:
     def scalar(x):
         return format_scalar(x, mode) if mode == "exact" else float(x)
 
-    doc["format_version"] = 1
-    doc["matrices"] = [[[scalar(x) for x in row] for row in m.rows] for m in instance.matrices]
+    doc["format_version"] = version
+    del doc["rows"]
+    doc["matrices"] = [[row_text(row, scalar) for row in m.rows] for m in instance.matrices]
+    return doc
+
+
+def instance_v1_text(instance: Instance, reduction_meta=None) -> str:
+    """The instance as a version-1 document: every matrix row written densely,
+    d numbers long, in the layout the library wrote before version 2."""
+    doc = _older_version(
+        instance, reduction_meta, 1, lambda row, scalar: [scalar(x) for x in row]
+    )
     return json.dumps(doc, indent=2) + "\n"
+
+
+def instance_v2_text(instance: Instance, reduction_meta=None) -> str:
+    """The instance as a version-2 document, the text the library wrote
+    before version 3: all d rows of every matrix, each as ``[column, value]``
+    pairs for its nonzero entries."""
+    doc = _older_version(
+        instance,
+        reduction_meta,
+        2,
+        lambda row, scalar: [[j, scalar(x)] for j, x in enumerate(row) if x],
+    )
+    return json.dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

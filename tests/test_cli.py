@@ -291,6 +291,26 @@ class TestUsageErrors:
         assert err.startswith("error: ") and "alpha" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "alpha, words",
+        [
+            ("1e100000000", "decimal exponent outside"),
+            ("1e5000", "decimal exponent outside"),
+            ("1e400", "about 1e400"),
+        ],
+    )
+    def test_alpha_with_a_large_exponent_is_one_short_error_line(self, tmp_path, capsys, alpha, words):
+        from timemachine import Instance, StochasticMatrix, write_instance
+
+        inst_path = tmp_path / "exact.json"
+        identity = StochasticMatrix.identity(2)
+        write_instance(Instance(matrices=(identity,), N=2, numeric_mode="exact"), str(inst_path))
+        assert main(["decide", str(inst_path), "--alpha", alpha]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err
+        assert len(err.splitlines()) == 1
+        assert len(err) < 100
+
     def test_enum_budget_at_deep_horizon_exits_2(self, tmp_path, capsys):
         from timemachine import Instance, StochasticMatrix, write_instance
 

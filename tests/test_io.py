@@ -31,6 +31,7 @@ from timemachine.cli import main
 from helpers import (
     all_patterns_formula,
     instance_v1_text,
+    instance_v2_text,
     planted_formula,
     random_instance,
     random_sparse_float_instance,
@@ -141,8 +142,8 @@ class TestInstanceRoundtrip:
     def test_version_mismatch_rejected(self):
         art = encode_reduction(single_clause_formula())
         payload = json.loads(roundtrip_text(art.instance))
-        # version 2 is read; true and 1.0 are not the integer 1
-        for version in (3, True, 1.0, "2"):
+        # version 3 is read; true and 1.0 are not the integer 1
+        for version in (4, True, 1.0, "2"):
             payload["format_version"] = version
             with pytest.raises(InstanceFormatError, match="format_version"):
                 read_instance(io.StringIO(json.dumps(payload)))
@@ -159,13 +160,25 @@ class TestInstanceRoundtrip:
             read_instance(io.StringIO(json.dumps(payload)))
 
     def test_invariant_violations_rejected_on_read_v2(self):
-        payload = json.loads(roundtrip_text(Instance(
+        payload = json.loads(instance_v2_text(Instance(
             matrices=(StochasticMatrix.identity(2, "float"),),
             N=1,
             numeric_mode="float",
         )))
         assert payload["format_version"] == 2
         payload["matrices"][0][0] = [[0, 0.7], [1, 0.7]]
+        with pytest.raises(InstanceFormatError, match="invalid instance"):
+            read_instance(io.StringIO(json.dumps(payload)))
+
+    def test_invariant_violations_rejected_on_read_v3(self):
+        payload = json.loads(roundtrip_text(Instance(
+            matrices=(StochasticMatrix.identity(2, "float"),),
+            N=1,
+            numeric_mode="float",
+        )))
+        assert payload["format_version"] == 3
+        payload["rows"] = [[[0, 0.7], [1, 0.7]]]
+        payload["matrices"][0] = [[0, 0]]
         with pytest.raises(InstanceFormatError, match="invalid instance"):
             read_instance(io.StringIO(json.dumps(payload)))
 
@@ -203,20 +216,54 @@ class TestInstanceRoundtrip:
         ]
 
 
+def _meta_of(art):
+    """The reduction_meta of the artifact's document, as read back."""
+    buf = io.StringIO()
+    write_artifact(art, buf)
+    return read_instance(io.StringIO(buf.getvalue())).reduction_meta
+
+
 class TestWrittenBytes:
     """Documents written from the instance check's sparse rows, pinned by
-    the sha256 of their text as the dense writer produced it."""
+    the sha256 of their text."""
 
     def test_all_patterns_artifact(self):
         buf = io.StringIO()
         write_artifact(encode_reduction(all_patterns_formula()), buf)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        assert digest == "43ebaaabd84aadf521dde654383c6b6a858303bef2d49287b463686b4abfcdb1"
+        assert digest == "967522a1b63fe044516a057d625a5f00cce8ada6dc6b02b8edcb64931b35cdde"
 
     def test_float_instance_with_signed_zeros(self):
         inst = random_sparse_float_instance(Random(7400), 6, 3, 4)
         digest = hashlib.sha256(roundtrip_text(inst).encode()).hexdigest()
+        assert digest == "1b99e625f73783726bff35a9b2c36cf80ce1b05bc317aa9b2f26c87ea82f0662"
+
+    def test_v2_helper_writes_the_version_2_bytes(self):
+        """The test-side version-2 text is byte for byte what the library
+        wrote as version 2, pinned by the digests it had then."""
+        art = encode_reduction(all_patterns_formula())
+        digest = hashlib.sha256(instance_v2_text(art.instance, _meta_of(art)).encode()).hexdigest()
+        assert digest == "43ebaaabd84aadf521dde654383c6b6a858303bef2d49287b463686b4abfcdb1"
+        inst = random_sparse_float_instance(Random(7400), 6, 3, 4)
+        digest = hashlib.sha256(instance_v2_text(inst).encode()).hexdigest()
         assert digest == "691c1f8795a9903a88154b8912aa41b1ceceec262ed0dc7c74a5d5d3e5021282"
+
+
+class TestDocumentSize:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_float_document_grows_by_at_most_one_pair_per_row(self, seed):
+        inst = random_instance(Random(seed), 5, 4, 3, mode="float")
+        v3 = roundtrip_text(inst)
+        pairs = [pair for matrix in json.loads(v3)["matrices"] for pair in matrix]
+        # each pair as ", [i, id]", and the "rows" key once
+        grown = sum(len(json.dumps(pair)) + 2 for pair in pairs) + len(', "rows": []')
+        assert len(v3) <= len(instance_v2_text(inst)) + grown
+
+    def test_all_patterns_document_is_under_half_of_version_2(self):
+        art = encode_reduction(all_patterns_formula())
+        meta = _meta_of(art)
+        v3, v2 = roundtrip_text(art.instance, meta), instance_v2_text(art.instance, meta)
+        assert len(v3) < len(v2) / 2
 
 
 class TestSparseFormat:
@@ -227,7 +274,7 @@ class TestSparseFormat:
             start=Distribution((0.0, 1.0, 0.0)),
             numeric_mode="float",
         )
-        payload = json.loads(roundtrip_text(inst))
+        payload = json.loads(instance_v2_text(inst))
         assert payload["format_version"] == 2
         assert payload["start"] == [0.0, 1.0, 0.0]
         assert payload["matrices"] == [[[[0, 0.25], [2, 0.75]], [[1, 1.0]], [[1, 0.5], [2, 0.5]]]]
@@ -235,6 +282,41 @@ class TestSparseFormat:
         assert read_back == inst
         # the omitted -0.0 comes back as 0.0
         assert str(read_back.matrices[0].rows[2][0]) == "0.0"
+
+    def test_unit_rows_are_left_implicit(self):
+        split, e1 = (0.25, 0.0, 0.75), (0.0, 1.0, 0.0)
+        inst = Instance(
+            matrices=(
+                StochasticMatrix((split, e1, e1)),
+                StochasticMatrix((e1, split, (0.0, 0.0, 1.0))),
+            ),
+            N=1,
+            numeric_mode="float",
+        )
+        payload = json.loads(roundtrip_text(inst))
+        assert payload["format_version"] == 3
+        # e1 is a unit row at place 1 only; each row object is listed once
+        assert payload["rows"] == [[[0, 0.25], [2, 0.75]], [[1, 1.0]]]
+        assert payload["matrices"] == [[[0, 0], [2, 1]], [[0, 1], [1, 0]]]
+        read_back = read_instance(io.StringIO(json.dumps(payload))).instance
+        assert read_back == inst
+        # every e_1 read, listed or implicit, is one tuple
+        rows = read_back.matrices[0].rows + read_back.matrices[1].rows
+        assert rows[1] is rows[2] is rows[3]
+
+    def test_listed_unit_rows_read_as_the_shared_tuple(self):
+        # e_1 written three ways: with a "2/2" entry, with a zero pair, and
+        # left implicit at place 1
+        payload = {
+            "format_version": 3, "numeric_mode": "exact", "d": 2, "K": 2, "N": 1, "target": 1,
+            "start": ["1/1", "0/1"],
+            "rows": [[[1, "2/2"]], [[0, "0/1"], [1, "1/1"]]],
+            "matrices": [[[0, 0]], [[0, 1]]],
+        }
+        inst = read_instance(io.StringIO(json.dumps(payload))).instance
+        rows = [row for m in inst.matrices for row in m.rows]
+        assert rows[0] == (0, 1)
+        assert len({id(row) for row in rows}) == 1
 
     def test_identical_rows_share_one_tuple(self):
         art = encode_reduction(all_patterns_formula())
@@ -259,48 +341,56 @@ def _equivalence_cases():
 
 
 class TestVersionEquivalence:
-    """A version-1 and a version-2 document of one instance read back as
-    equal instances, on which the solvers give the same answers."""
+    """Version-1, version-2 and version-3 documents of one instance read
+    back as equal instances, on which the solvers give the same answers."""
 
     @pytest.mark.parametrize("inst, alpha", _equivalence_cases())
-    def test_v1_and_v2_reads_agree(self, inst, alpha):
-        v1 = read_instance(io.StringIO(instance_v1_text(inst))).instance
-        v2 = read_instance(io.StringIO(roundtrip_text(inst))).instance
-        assert v1 == v2 == inst
-        bnb = [branch_and_bound_solve(x) for x in (v1, v2)]
-        assert [(r.value, r.plan, r.nodes_explored, r.nodes_pruned) for r in bnb[:1]] == [
-            (r.value, r.plan, r.nodes_explored, r.nodes_pruned) for r in bnb[1:]
+    def test_v1_v2_and_v3_reads_agree(self, inst, alpha):
+        texts = (instance_v1_text(inst), instance_v2_text(inst), roundtrip_text(inst))
+        assert [json.loads(text)["format_version"] for text in texts] == [1, 2, 3]
+        reads = [read_instance(io.StringIO(text)).instance for text in texts]
+        assert reads[0] == reads[1] == reads[2] == inst
+        bnb = [
+            (r.value, r.plan, r.nodes_explored, r.nodes_pruned)
+            for r in map(branch_and_bound_solve, reads)
         ]
+        assert bnb[0] == bnb[1] == bnb[2]
         if alpha is None:
-            alpha = bnb[0].value
-        assert decide_threshold(v1, alpha) == decide_threshold(v2, alpha)
-        assert decide_threshold(v1, alpha)[0]
+            alpha = bnb[0][0]
+        decisions = [decide_threshold(x, alpha) for x in reads]
+        assert decisions[0] == decisions[1] == decisions[2]
+        assert decisions[0][0]
 
     def test_reduction_meta_reads_the_same(self):
         art = encode_reduction(single_clause_formula())
-        buf = io.StringIO()
-        write_artifact(art, buf)
-        meta = read_instance(io.StringIO(buf.getvalue())).reduction_meta
-        v1 = read_instance(io.StringIO(instance_v1_text(art.instance, meta)))
-        assert v1.reduction_meta == meta
-        assert v1.instance == art.instance
+        meta = _meta_of(art)
+        for text in (instance_v1_text, instance_v2_text):
+            older = read_instance(io.StringIO(text(art.instance, meta)))
+            assert older.reduction_meta == meta
+            assert older.instance == art.instance
+
+
+def _exact_instance():
+    shift = StochasticMatrix(((Fraction(0), Fraction(1), Fraction(0)),) * 3)
+    return Instance(
+        matrices=(StochasticMatrix.identity(3), shift), N=2, numeric_mode="exact"
+    )
+
+
+def _float_instance():
+    shift = StochasticMatrix(((0.0, 1.0, 0.0),) * 3)
+    return Instance(
+        matrices=(StochasticMatrix.identity(3, "float"), shift), N=2, numeric_mode="float"
+    )
 
 
 def _exact_base():
     """A small exact version-2 document; matrix 1 row 0 is [[1, "1/1"]]."""
-    shift = StochasticMatrix(((Fraction(0), Fraction(1), Fraction(0)),) * 3)
-    inst = Instance(
-        matrices=(StochasticMatrix.identity(3), shift), N=2, numeric_mode="exact"
-    )
-    return json.loads(roundtrip_text(inst))
+    return json.loads(instance_v2_text(_exact_instance()))
 
 
 def _float_base():
-    shift = StochasticMatrix(((0.0, 1.0, 0.0),) * 3)
-    inst = Instance(
-        matrices=(StochasticMatrix.identity(3, "float"), shift), N=2, numeric_mode="float"
-    )
-    return json.loads(roundtrip_text(inst))
+    return json.loads(instance_v2_text(_float_instance()))
 
 
 # (name, base document, replacement for matrix 1 row 0)
@@ -334,7 +424,9 @@ MALFORMED_V2 = [
 class TestMalformedV2:
     @pytest.mark.parametrize("base", [_exact_base, _float_base])
     def test_unmutated_bases_read(self, base):
-        read_instance(io.StringIO(json.dumps(base())))
+        payload = base()
+        assert payload["format_version"] == 2
+        read_instance(io.StringIO(json.dumps(payload)))
 
     @pytest.mark.parametrize("name, base, row", MALFORMED_V2, ids=[c[0] for c in MALFORMED_V2])
     def test_read_instance_raises_format_error(self, name, base, row):
@@ -347,16 +439,105 @@ class TestMalformedV2:
     def test_cli_reports_one_error_line(self, name, base, row, tmp_path, capsys):
         payload = base()
         payload["matrices"][1][0] = row
-        inst_path = tmp_path / "bad.json"
-        inst_path.write_text(json.dumps(payload))
-        plan_path = tmp_path / "plan.txt"
-        plan_path.write_text("0 1\n")
-        assert main(["simulate", str(inst_path), str(plan_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert len(captured.err.splitlines()) == 1
-        assert "Traceback" not in captured.err
+        _simulate_reports_one_error_line(payload, tmp_path, capsys)
+
+
+def _simulate_reports_one_error_line(payload, tmp_path, capsys):
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(payload))
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text("0 1\n")
+    assert main(["simulate", str(inst_path), str(plan_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+def _exact_v3():
+    """The exact base as a version-3 document: matrix 0 moves no row, and
+    matrix 1 moves rows 0 and 2 to rows entry 0, [[1, "1/1"]]."""
+    return json.loads(roundtrip_text(_exact_instance()))
+
+
+def _float_v3():
+    return json.loads(roundtrip_text(_float_instance()))
+
+
+def _set(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+def _moves(*pairs):
+    return lambda doc: doc["matrices"].__setitem__(1, list(pairs))
+
+
+def _shared(row):
+    return lambda doc: doc["rows"].__setitem__(0, row)
+
+
+# (name, base document, mutation); d = 3, one "rows" entry
+MALFORMED_V3 = [
+    ("rows missing", _exact_v3, lambda doc: doc.pop("rows")),
+    ("rows is null", _exact_v3, _set("rows", None)),
+    ("rows is an object", _exact_v3, _set("rows", {"0": [[1, "1/1"]]})),
+    ("rows is a string", _exact_v3, _set("rows", "[[[1, \"1/1\"]]]")),
+    ("matrix is an object", _exact_v3, lambda doc: doc["matrices"].__setitem__(1, {"0": 0})),
+    ("matrix is a v2 row list", _exact_v3, _moves([[1, "1/1"]], [[1, "1/1"]], [[1, "1/1"]])),
+    ("row id is out of range", _exact_v3, _moves([0, 1])),
+    ("row id is negative", _exact_v3, _moves([0, -1])),
+    ("row id is a bool", _exact_v3, _moves([0, False])),
+    ("row id is a float", _exact_v3, _moves([0, 0.0])),
+    ("row id is a string", _exact_v3, _moves([0, "0"])),
+    ("row index is d", _exact_v3, _moves([3, 0])),
+    ("row index is negative", _exact_v3, _moves([-1, 0])),
+    ("row index is a bool", _exact_v3, _moves([False, 0])),
+    ("row index is a float", _exact_v3, _moves([0.0, 0])),
+    ("row index repeated", _exact_v3, _moves([0, 0], [0, 0])),
+    ("row index descending", _exact_v3, _moves([2, 0], [0, 0])),
+    ("pair too short", _exact_v3, _moves([0])),
+    ("pair too long", _exact_v3, _moves([0, 0, 0])),
+    ("pair is a string", _exact_v3, _moves("0 0")),
+    ("rows entry is a string", _exact_v3, _shared("1 1/1")),
+    ("rows entry is a dense v1 row", _exact_v3, _shared(["0/1", "1/1", "0/1"])),
+    ("rows entry column is d", _exact_v3, _shared([[3, "1/1"]])),
+    ("rows entry column descending", _exact_v3, _shared([[2, "1/2"], [1, "1/2"]])),
+    ("rows entry pair too long", _exact_v3, _shared([[1, "1/1", 0]])),
+    ("rows entry value has a zero denominator", _exact_v3, _shared([[1, "1/0"]])),
+    ("rows entry mass is not 1", _exact_v3, _shared([[1, "1/2"]])),
+    ("unused rows entry is malformed", _exact_v3, lambda doc: doc["rows"].append([[1]])),
+    ("float rows entry value is a string", _float_v3, _shared([[1, "1/1"]])),
+    ("float rows entry value is a bool", _float_v3, _shared([[1, True]])),
+]
+
+
+class TestMalformedV3:
+    @pytest.mark.parametrize("base", [_exact_v3, _float_v3])
+    def test_unmutated_bases_read(self, base):
+        payload = base()
+        assert payload["format_version"] == 3
+        assert payload["matrices"] == [[], [[0, 0], [2, 0]]]
+        read_instance(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("name, base, mutate", MALFORMED_V3, ids=[c[0] for c in MALFORMED_V3])
+    def test_read_instance_raises_format_error(self, name, base, mutate):
+        payload = base()
+        mutate(payload)
+        with pytest.raises(InstanceFormatError):
+            read_instance(io.StringIO(json.dumps(payload)))
+
+    @pytest.mark.parametrize("name, base, mutate", MALFORMED_V3, ids=[c[0] for c in MALFORMED_V3])
+    def test_cli_reports_one_error_line(self, name, base, mutate, tmp_path, capsys):
+        payload = base()
+        mutate(payload)
+        _simulate_reports_one_error_line(payload, tmp_path, capsys)
+
+    def test_malformed_pair_names_its_matrix(self):
+        payload = _exact_v3()
+        _moves([0, 0], [0, 0])(payload)
+        with pytest.raises(InstanceFormatError, match="^matrix 1: row 0 "):
+            read_instance(io.StringIO(json.dumps(payload)))
 
 
 def _reduction_base():
@@ -390,21 +571,29 @@ BAD_REDUCTION_META = [
 ]
 
 
+def _reduction_base_v2():
+    """The single-clause reduction as a version-2 document."""
+    art = encode_reduction(single_clause_formula())
+    return json.loads(instance_v2_text(art.instance, _meta_of(art)))
+
+
 def _add_state(doc):
     """One more state, d = 14, which no matrix or start weight reaches."""
     doc["d"] += 1
     doc["start"].append("0/1")
-    for rows in doc["matrices"]:
-        rows.append([[doc["d"] - 1, "1/1"]])
+    if doc["format_version"] == 2:
+        for rows in doc["matrices"]:
+            rows.append([[doc["d"] - 1, "1/1"]])
 
 
-# (name, mutation of the document): reduction_meta intact, the instance not
+# (name, base document, mutation): reduction_meta intact, the instance not
 # of the shape of a reduction of m = 1 clause over n = 3 variables
 BAD_REDUCTION_SHAPE = [
-    ("extra matrix, K = 10", lambda doc: doc.update(
+    ("extra matrix, K = 10", _reduction_base, lambda doc: doc.update(
         K=10, matrices=doc["matrices"] + doc["matrices"][-1:], labels=doc["labels"] + [None],
     )),
-    ("extra state, d = 14", _add_state),
+    ("extra state, d = 14", _reduction_base_v2, _add_state),
+    ("extra state, d = 14, version 3", _reduction_base, _add_state),
 ]
 
 
@@ -443,9 +632,11 @@ class TestMalformedReductionMeta:
         mutate(payload["reduction_meta"])
         _decode_reports_one_error_line(payload, tmp_path, capsys)
 
-    @pytest.mark.parametrize("name, mutate", BAD_REDUCTION_SHAPE, ids=[c[0] for c in BAD_REDUCTION_SHAPE])
-    def test_instance_not_of_the_reduction_shape_is_refused(self, name, mutate, tmp_path, capsys):
-        payload = _reduction_base()
+    @pytest.mark.parametrize(
+        "name, base, mutate", BAD_REDUCTION_SHAPE, ids=[c[0] for c in BAD_REDUCTION_SHAPE]
+    )
+    def test_instance_not_of_the_reduction_shape_is_refused(self, name, base, mutate, tmp_path, capsys):
+        payload = base()
         mutate(payload)
         doc = read_instance(io.StringIO(json.dumps(payload)))  # a valid instance
         with pytest.raises(InstanceFormatError, match="a reduction has"):

@@ -481,6 +481,20 @@ class TestDecideThreshold:
             decide_threshold(identity_instance(), Fraction(3, 2))
 
     @pytest.mark.parametrize(
+        "alpha, shown",
+        [
+            (10**5000, "about 1e5000"),
+            (-Fraction(10**5000, 3), "about -1e5000"),
+            (Fraction(1, 10**400) + 1, "about 1e0"),
+        ],
+        ids=["int", "negative", "near one"],
+    )
+    def test_huge_alpha_named_by_its_magnitude(self, alpha, shown):
+        with pytest.raises(ValueError) as info:
+            decide_threshold(identity_instance(), alpha)
+        assert str(info.value) == f"alpha must lie in [0, 1], got {shown}"
+
+    @pytest.mark.parametrize(
         "alpha",
         [Fraction(10**400), -Fraction(10**400), 10**400],
         ids=["fraction", "negative", "int"],
