@@ -16,11 +16,11 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .core import EXACT, _distributions, _plan_states, _value
 from .instance_io import (
-    InstanceFormatError,
     artifact_from_document,
     format_scalar,
     parse_dimacs,
@@ -312,10 +312,13 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# the parser, built by the first main call and reused by every later one
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -326,7 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"verification disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
-    except (InstanceFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InstanceFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -26,6 +26,13 @@ that an exact start led by a Fraction moves through the instance's integer
 form (:class:`_IntegerForm`), built once from them and shared with the
 exact search backend, so no Fraction is built until a caller reads a
 weight.
+
+Most rows of a reduction instance are unit rows ``e_i``.  This module is
+the one owner of both decisions about them: :func:`_unit_rows` builds
+them, in each mode's shared 0 and 1 (``_ZERO_ONE``), for the constructors,
+the encoder and the file reader; and :func:`_moved_places` lists, once
+per instance object, the rows each matrix moves, every row but ``e_i``,
+for the integer form, the support backend and the writer.
 """
 
 from __future__ import annotations
@@ -63,6 +70,24 @@ def scalar_mode_error(x: Scalar, mode: str) -> Optional[str]:
     return None
 
 
+# Each mode's zero and one, shared by every unit row, so that comparing
+# such rows meets equal entries by identity.
+_ZERO_ONE = {EXACT: (Fraction(0), Fraction(1)), FLOAT: (0.0, 1.0)}
+
+
+def _unit_row(d: int, i: int, mode: str) -> tuple:
+    """The unit row ``e_i`` of length ``d`` in the mode's own numbers.  Any
+    mode but exact gets floats, so that an instance tagged with an unknown
+    mode still constructs and its check can name the mode."""
+    zero, one = _ZERO_ONE.get(mode, _ZERO_ONE[FLOAT])
+    return (zero,) * i + (one,) + (zero,) * (d - i - 1)
+
+
+def _unit_rows(d: int, mode: str) -> tuple:
+    """The ``d`` unit rows ``e_i`` as tuples, in the mode's own numbers."""
+    return tuple(_unit_row(d, i, mode) for i in range(d))
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A population state: one weight per genotype, nonnegative, total mass 1."""
@@ -80,11 +105,7 @@ class Distribution:
         """Point mass on ``index`` in a ``d``-state system."""
         if not 0 <= index < d:
             raise ValueError(f"index {index} out of range for d={d}")
-        if mode == EXACT:
-            one, zero = Fraction(1), Fraction(0)
-        else:
-            one, zero = 1.0, 0.0
-        return cls(tuple(one if i == index else zero for i in range(d)))
+        return cls(_unit_row(d, index, mode))
 
 
 @dataclass(frozen=True)
@@ -107,12 +128,7 @@ class StochasticMatrix:
 
     @classmethod
     def identity(cls, d: int, mode: str = EXACT, label: Optional[str] = None) -> "StochasticMatrix":
-        if mode == EXACT:
-            one, zero = Fraction(1), Fraction(0)
-        else:
-            one, zero = 1.0, 0.0
-        rows = tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-        return cls(rows, label=label)
+        return cls(_unit_rows(d, mode), label=label)
 
 
 @dataclass(frozen=True)
@@ -310,6 +326,17 @@ def _derived(inst: Instance, form):
     return derived
 
 
+def _moved_places(inst: Instance, rows, index) -> list:
+    """Per matrix, the ``(i, p)`` of each row i that it moves, as a dict
+    from i to p in increasing i, with p the row's place in ``rows``.  Every
+    row is moved but the unit row ``e_i``, whose one nonzero pair is
+    ``(i, 1)``.  Read through :func:`_derived`, so made once per instance
+    object.  A dict of ints is not tracked by the garbage collector, where
+    a list of pairs would add a tracked tuple per moved row."""
+    unit_at = [row[0][0] if len(row) == 1 and row[0][1] == 1 else -1 for row in rows]
+    return [{i: p for i, p in enumerate(places) if unit_at[p] != i} for places in index]
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check every instance invariant and name each violation found.
 
@@ -344,9 +371,9 @@ class _IntegerForm:
     with r steps left is a multiple of L^r, and weight x stands for
     Fraction(x, D).
 
-    ``moved[k]`` is ``(whole, split)``, the rows matrix k moves (all but
-    the unit rows e_i): ``(i, j)`` for a row sending all of state i to j,
-    ``(i, row)`` for a row with several coefficients.
+    ``moved[k]`` is ``(whole, split)``, the rows matrix k moves, as
+    :func:`_moved_places` lists them: ``(i, j)`` for a row sending all of
+    state i to j, ``(i, row)`` for a row with several coefficients.
     """
 
     def __init__(self, inst: Instance, entries, index):
@@ -360,13 +387,13 @@ class _IntegerForm:
         # per distinct row, the column of its one entry, None if it has several
         single = [row[0][0] if len(row) == 1 else None for row in rows]
         self.moved = []
-        for places in index:
+        for places in _derived(inst, _moved_places):
             whole, split = [], []
-            for i, p in enumerate(places):
+            for i, p in places.items():
                 j = single[p]
                 if j is None:
                     split.append((i, rows[p]))
-                elif j != i:
+                else:
                     whole.append((i, j))
             self.moved.append((whole, split))
 

@@ -17,10 +17,15 @@ re-validates every instance invariant.
 Reduction instances have d + 1 distinct rows, most of them unit rows, so
 the writer formats each distinct number and each distinct row once, from
 the nonzero pairs of the instance check that the rest of the library
-shares, and writes a pair per moved row.  The reader parses each distinct
-number text once and decodes identical rows to one shared tuple, every
-unit row ``e_j`` to the one tuple it builds for it, which lets
-:func:`~timemachine.core.validate_instance` check each of them once.
+shares, and writes a pair per moved row, as
+:func:`~timemachine.core._moved_places` lists them.  The reader parses
+each distinct number text once and decodes identical rows to one shared
+tuple, every unit row ``e_j`` to the one tuple
+:func:`~timemachine.core._unit_rows` builds for it, which lets
+:func:`~timemachine.core.validate_instance` check each of them once.  It
+refuses a document whose ``d * d`` or ``K * d`` exceeds ``MAX_ENTRIES``
+before it builds any row, since those are what reading builds whatever
+the document lists.
 
 Plan files are a single line of whitespace-separated 0-based matrix
 indices; lines starting with '#' are comments.
@@ -43,18 +48,25 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .core import (
     EXACT,
     FLOAT,
+    _ZERO_ONE,
     Distribution,
     Instance,
     Plan,
     Scalar,
     StochasticMatrix,
+    _derived,
+    _moved_places,
     _sparse_rows,
+    _unit_rows,
     validate_instance,
 )
 from .reduction import RawLiteral, ReductionArtifact, formula_digest
 
 FORMAT_VERSION = 3
 READABLE_VERSIONS = (1, 2, 3)
+# The most entries a document may ask for in d * d (its unit rows, built
+# whatever it lists) or in K * d (its row places); a larger one is refused.
+MAX_ENTRIES = 10**7
 
 PathOrFile = Union[str, "io.TextIOBase"]
 
@@ -114,23 +126,6 @@ def _memo_exact_parser():
         return value
 
     return parse
-
-
-# Each mode's zero and one, shared by the rows the reader builds, so that
-# comparing those rows to a unit row meets equal entries by identity.
-_ZERO_ONE = {EXACT: (Fraction(0), Fraction(1)), FLOAT: (0.0, 1.0)}
-
-
-def _unit_rows(d: int, mode: str) -> tuple:
-    """The ``d`` unit rows ``e_i`` as tuples, in the mode's own numbers."""
-    zero, one = _ZERO_ONE[mode]
-    dense = [zero] * d
-    units = []
-    for i in range(d):
-        dense[i] = one
-        units.append(tuple(dense))
-        dense[i] = zero
-    return tuple(units)
 
 
 def _sparse_row_reader(d: int, mode: str, parse, units: Optional[tuple] = None):
@@ -240,20 +235,23 @@ def write_instance(
     """Serialize an instance as a version-3 document (losslessly, up to the
     sign of a float zero: write-then-read round-trips).  Each distinct row
     object that some matrix moves is written once, in ``"rows"``, and each
-    matrix lists only the rows it moves, as ``[i, row id]`` pairs; it
-    leaves row i in place when that row is the unit row ``e_i``, whose only
-    nonzero entry is a 1 at column i.  Raises ValueError with an invalid
-    instance's first violation, whose document :func:`read_instance` would
-    reject."""
-    rows, index = _sparse_rows(instance)
+    matrix lists only the rows it moves, as ``[i, row id]`` pairs, read off
+    :func:`~timemachine.core._moved_places`: it leaves row i in place when
+    that row is the unit row ``e_i``, whose only nonzero entry is a 1 at
+    column i.  Raises ValueError, before the file is opened, for an
+    instance whose document :func:`read_instance` would reject: with an
+    invalid instance's first violation, or naming a matrix whose label is
+    neither a str nor None."""
+    rows, _ = _sparse_rows(instance)
+    moved = _derived(instance, _moved_places)
+    for k, matrix in enumerate(instance.matrices):
+        if matrix.label is not None and not isinstance(matrix.label, str):
+            raise ValueError(f"matrix {k}: label {matrix.label!r} must be a string or None")
     mode = instance.numeric_mode
     # each distinct exact number formatted once; 1 and Fraction(1) share a text
     scalar = lru_cache(maxsize=None)(partial(format_scalar, mode=EXACT)) if mode == EXACT else float
-    # the place at which each row is a unit row, -1 where it is none
-    unit_at = [row[0][0] if len(row) == 1 and row[0][1] == 1 else -1 for row in rows]
-    moved = [[(i, p) for i, p in enumerate(places) if unit_at[p] != i] for places in index]
     # row id of each distinct row object that some matrix moves, in order of first use
-    ids = {p: r for r, p in enumerate(dict.fromkeys(p for places in moved for _, p in places))}
+    ids = {p: r for r, p in enumerate(dict.fromkeys(p for places in moved for p in places.values()))}
     doc = {
         "format_version": FORMAT_VERSION,
         "numeric_mode": mode,
@@ -263,7 +261,7 @@ def write_instance(
         "target": instance.target,
         "start": [scalar(w) for w in instance.start.weights],
         "rows": [[[j, scalar(x)] for j, x in rows[p]] for p in ids],
-        "matrices": [[[i, ids[p]] for i, p in places] for places in moved],
+        "matrices": [[[i, ids[p]] for i, p in places.items()] for places in moved],
     }
     if any(m.label is not None for m in instance.matrices):
         doc["labels"] = [m.label for m in instance.matrices]
@@ -334,6 +332,7 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
     start_raw = doc["start"]
     _require(isinstance(start_raw, list) and len(start_raw) == d, f"start must be a length-{d} array")
     start = Distribution(tuple(parse(x) for x in start_raw))
+    _require(max(d, K) * d <= MAX_ENTRIES, f"document too large: d * d or K * d exceeds {MAX_ENTRIES}")
 
     if version == 3:
         read_matrix = _moved_rows_reader(doc.get("rows"), d, mode, parse)

@@ -36,12 +36,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     EXACT,
+    _ZERO_ONE,
     Distribution,
     Instance,
     Plan,
     StochasticMatrix,
     _check_plan_indices,
     _plan_states,
+    _unit_rows,
     _value,
     evaluate_plan,
 )
@@ -287,10 +289,8 @@ def encode_reduction(formula: CnfFormula) -> ReductionArtifact:
     for j in range(m):
         state_table[f"c{j}"] = clause_state(j)
 
-    zero, one = Fraction(0), Fraction(1)
-    unit_rows = [tuple(one if c == j else zero for c in range(d)) for j in range(d)]
-
-    split_row = [zero] * d
+    unit_rows = _unit_rows(d, EXACT)
+    split_row = [_ZERO_ONE[EXACT][0]] * d
     for i in range(n):
         split_row[x_base(i)] = p
     for j in range(m):

@@ -137,7 +137,8 @@ from struct import Struct
 from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar, _derived, _IntegerForm, _sparse_rows
+from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar
+from .core import _derived, _IntegerForm, _moved_places, _sparse_rows
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -783,8 +784,8 @@ class _SupportView:
     {target}, and a child's support is the image of its parent's under the
     matrix's support relation (Eppstein's subset construction).  So a
     population is the bitmask of its support, and ``apply`` ORs the
-    successor masks of the occupied rows that the matrix moves, a row being
-    moved unless it is the unit row e_i.
+    successor masks of the occupied rows that the matrix moves, as
+    :func:`~timemachine.core._moved_places` lists them.
 
     Swapping adjacent matrices whose support relations commute leaves every
     final support unchanged.  So the lexicographically first plan of value
@@ -816,10 +817,8 @@ class _SupportView:
         # the one successor of a row that has one, else None
         row_maps = [row[0][0] if len(row) == 1 else None for row in entries]
         self.rows, self.moved, moved_rows, maps = [], [], [], []
-        for places in index:
-            successors = list(map(row_masks.__getitem__, places))
-            moved = [i for i, m in enumerate(successors) if m != 1 << i]
-            self.rows.append(successors)
+        for places, moved in zip(index, map(list, _derived(inst, _moved_places))):
+            self.rows.append(list(map(row_masks.__getitem__, places)))
             self.moved.append(sum(1 << i for i in moved))
             moved_rows.append(moved)
             # a matrix whose every row has one successor maps states to states

@@ -353,3 +353,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == "error: KeyError: 'x0+'\n"
         assert captured.out == ""
+
+
+class TestParser:
+    def test_three_calls_build_one_parser(self, sat_instance, tmp_path, capsys):
+        from timemachine import cli
+
+        cli._parser.cache_clear()
+        plan_path = tmp_path / "best.plan"
+        assert main(["solve", str(sat_instance), "--method", "bnb", "--out", str(plan_path)]) == 0
+        assert main(["frobnicate"]) == 1
+        assert main(["simulate", str(sat_instance), str(plan_path)]) == 0
+        assert capsys.readouterr().out.endswith("1/1\n")
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)

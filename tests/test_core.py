@@ -10,7 +10,10 @@ from timemachine import (
     ReductionArtifact,
     StochasticMatrix,
     apply,
+    decide_threshold,
     evaluate_plan,
+    mdp_value_table,
+    read_instance,
     trajectory,
     validate_instance,
     write_instance,
@@ -18,12 +21,17 @@ from timemachine import (
 from timemachine.reduction import decode_assignment, encode_reduction, satisfying_plan
 
 from helpers import (
+    all_patterns_formula,
     chain_value_oracle,
     dense_apply_reference,
     dense_trajectory_reference,
+    instance_v1_text,
+    instance_v2_text,
+    planted_formula,
     random_instance,
     random_sparse_float_instance,
     single_clause_formula,
+    tie_heavy_instance,
 )
 
 
@@ -521,3 +529,124 @@ class TestExactPlanStates:
         points = trajectory(inst, plan)
         assert len(points) == 3001
         assert all(typed(p.weights) == typed(start) for p in points)
+
+
+def brute_moved_places(inst):
+    """Per matrix, ``(i, p)`` for each row i that differs by value from the
+    dense unit row e_i, with p the row's place in the instance check's rows."""
+    from timemachine import core
+
+    _, index = core._sparse_rows(inst)
+    d = inst.d
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return [
+        [(i, index[k][i]) for i, row in enumerate(m.rows) if row != units[i]]
+        for k, m in enumerate(inst.matrices)
+    ]
+
+
+def _moved_place_cases():
+    rng = Random(2027)
+    built = [
+        random_instance(rng, 4, 3, 2, mode="float"),
+        random_instance(rng, 4, 3, 2, mode="exact"),
+        random_sparse_float_instance(rng, 5, 3, 2),
+        tie_heavy_instance(rng, 5, 4, 2, mode="exact"),
+        tie_heavy_instance(rng, 5, 4, 2, mode="float"),
+        encode_reduction(all_patterns_formula()).instance,
+        encode_reduction(planted_formula(rng, 5, 5)[1]).instance,
+        identity_instance(d=4, K=3, mode="exact"),
+        identity_instance(d=4, K=3, mode="float"),
+        # rows equal to e_1 and e_0 but built apart from any unit row
+        Instance(
+            (StochasticMatrix(((0.5, 0.5), (0.0, 1.0))), StochasticMatrix(((1.0, 0.0), (1.0, 0.0)))),
+            N=1,
+            numeric_mode="float",
+        ),
+        # a one-entry float row within the row-sum tolerance of e_1 is moved
+        Instance((StochasticMatrix(((1.0, 0.0), (0.0, 1.0 - 1e-12))),), N=1, numeric_mode="float"),
+        Instance(
+            (StochasticMatrix(((Fraction(2, 2), 0), (Fraction(1, 3), Fraction(2, 3)))),),
+            N=1,
+            numeric_mode="exact",
+        ),
+    ]
+    cases = list(built)
+    for inst in built:
+        buf = io.StringIO()
+        write_instance(inst, buf)
+        for text in (buf.getvalue(), instance_v1_text(inst), instance_v2_text(inst)):
+            cases.append(read_instance(io.StringIO(text)).instance)
+    # a version-3 document that lists the unit row e_1 at place 1
+    cases.append(
+        read_instance(
+            io.StringIO(
+                '{"format_version": 3, "numeric_mode": "exact", "d": 2, "K": 1, "N": 1,'
+                ' "target": 0, "start": ["1/1", "0/1"], "rows": [[[1, "1/1"]], [[1, "1/1"]]],'
+                ' "matrices": [[[0, 0], [1, 1]]]}'
+            )
+        ).instance
+    )
+    return cases
+
+
+class TestMovedPlaces:
+    """``core._moved_places`` lists, per matrix, every row but the unit
+    rows e_i, whichever object holds them."""
+
+    @pytest.mark.parametrize("inst", _moved_place_cases())
+    def test_matches_a_dense_comparison(self, inst):
+        from timemachine import core
+
+        moved = core._derived(inst, core._moved_places)
+        assert [list(places.items()) for places in moved] == brute_moved_places(inst)
+
+    def test_made_once_per_instance(self, monkeypatch):
+        from timemachine import core, instance_io, solvers
+
+        calls = []
+
+        def counted(inst, rows, index, made=core._moved_places):
+            calls.append(inst)
+            return made(inst, rows, index)
+
+        for module in (core, solvers, instance_io):
+            monkeypatch.setattr(module, "_moved_places", counted)
+        assignment, formula = planted_formula(Random(2028), 4, 4)
+        inst = encode_reduction(formula).instance
+        mdp_value_table(inst)
+        attained, plan = decide_threshold(inst, 1)
+        assert attained
+        assert evaluate_plan(inst, plan) == 1
+        write_instance(inst, io.StringIO())
+        assert calls == [inst]
+
+
+class TestUnitRows:
+    """Unit distributions and identity matrices hold each mode's own 0
+    and 1; any mode but exact builds floats."""
+
+    @pytest.mark.parametrize(
+        "mode, zero, one",
+        [("exact", Fraction(0), Fraction(1)), ("float", 0.0, 1.0), ("fuzzy", 0.0, 1.0)],
+    )
+    def test_values_and_types(self, mode, zero, one):
+        expected = [[(type(one), one if i == j else zero) for j in range(3)] for i in range(3)]
+        for i in range(3):
+            assert typed(Distribution.unit(3, i, mode).weights) == expected[i]
+        assert [typed(row) for row in StochasticMatrix.identity(3, mode).rows] == expected
+
+    def test_default_mode_is_exact(self):
+        assert typed(Distribution.unit(2, 1).weights) == [(Fraction, 0), (Fraction, 1)]
+        assert typed(StochasticMatrix.identity(1).rows[0]) == [(Fraction, 1)]
+
+    def test_unknown_mode_constructs_and_is_reported(self):
+        inst = Instance((StochasticMatrix.identity(2, "fuzzy"),), N=1, numeric_mode="fuzzy")
+        assert typed(inst.start.weights) == [(float, 1.0), (float, 0.0)]
+        assert validate_instance(inst).violations == (
+            "numeric_mode must be 'exact' or 'float', got 'fuzzy'",
+        )
+
+    def test_out_of_range_index_raises(self):
+        with pytest.raises(ValueError, match="index 2 out of range for d=2"):
+            Distribution.unit(2, 2)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 from random import Random
 
@@ -27,6 +28,7 @@ from timemachine import (
 )
 
 from timemachine.cli import main
+from timemachine.instance_io import MAX_ENTRIES
 
 from helpers import (
     all_patterns_formula,
@@ -214,6 +216,32 @@ class TestInstanceRoundtrip:
         assert [m.label for m in doc.instance.matrices] == [
             m.label for m in art.instance.matrices
         ]
+
+
+class TestLabels:
+    """The writer refuses a label the reader would reject, before it opens
+    the file."""
+
+    @staticmethod
+    def labeled(*labels):
+        return Instance(
+            matrices=tuple(StochasticMatrix.identity(2, label=label) for label in labels),
+            N=1,
+            numeric_mode="exact",
+        )
+
+    @pytest.mark.parametrize("label", [7, float("nan"), ("S",)])
+    def test_bad_label_raises_and_writes_no_file(self, label, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match=r"^matrix 1: label .* must be a string or None$"):
+            write_instance(self.labeled("S", label), str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [("S", None), (None, None), ("", "F")])
+    def test_string_and_none_labels_roundtrip(self, labels, tmp_path):
+        path = str(tmp_path / "ok.json")
+        write_instance(self.labeled(*labels), path)
+        assert tuple(m.label for m in read_instance(path).instance.matrices) == labels
 
 
 def _meta_of(art):
@@ -538,6 +566,42 @@ class TestMalformedV3:
         _moves([0, 0], [0, 0])(payload)
         with pytest.raises(InstanceFormatError, match="^matrix 1: row 0 "):
             read_instance(io.StringIO(json.dumps(payload)))
+
+
+def _identity_v3(d, K, mode="exact"):
+    """A version-3 identity document: K matrices that list no row."""
+    zero, one = ("0/1", "1/1") if mode == "exact" else (0.0, 1.0)
+    return {
+        "format_version": 3, "numeric_mode": mode, "d": d, "K": K, "N": 1, "target": 0,
+        "start": [one] + [zero] * (d - 1), "rows": [], "matrices": [[] for _ in range(K)],
+    }
+
+
+class TestSizeBudget:
+    """A document whose d * d or K * d exceeds MAX_ENTRIES is refused
+    before any row is built, whatever its own size."""
+
+    @pytest.mark.parametrize("d, K", [(20_000, 1), (1_000, 10_001)])
+    def test_too_large_is_refused_quickly(self, d, K, tmp_path, capsys):
+        assert max(d * d, K * d) > MAX_ENTRIES
+        payload = _identity_v3(d, K)
+        text = json.dumps(payload)
+        started = time.perf_counter()
+        with pytest.raises(InstanceFormatError, match="document too large"):
+            read_instance(io.StringIO(text))
+        assert time.perf_counter() - started < 0.5
+        _simulate_reports_one_error_line(payload, tmp_path, capsys)
+
+    def test_within_the_budget_reads(self):
+        inst = read_instance(io.StringIO(json.dumps(_identity_v3(2_000, 1, "float")))).instance
+        assert (inst.d, inst.K) == (2_000, 1)
+        assert inst.matrices[0].rows[1999][1999] == 1.0
+
+    def test_m60_reduction_reads(self):
+        _, formula = planted_formula(Random(2060), 17, 60)
+        inst = encode_reduction(formula).instance
+        assert (inst.d, inst.K) == (114, 422)
+        assert read_instance(io.StringIO(roundtrip_text(inst))).instance == inst
 
 
 def _reduction_base():
