@@ -21,7 +21,11 @@ shared freely across threads.
 The library reads an instance's rows only through :func:`_sparse_rows`,
 which keeps the check of the last instance object and its nonzero
 ``(column, entry)`` pairs, so validating, solving, evaluating and writing
-one object scan it once.  Plan states move through those pairs, except
+one object scan it once.  Builders that know which rows they placed, the
+encoder and the version-3 reader, construct through
+:func:`_placed_instance`, which fills that slot itself: it checks each
+distinct row once and visits no row place, so their instances are never
+scanned.  Plan states move through those pairs, except
 that an exact start led by a Fraction moves through the instance's integer
 form (:class:`_IntegerForm`), built once from them and shared with the
 exact search backend, so no Fraction is built until a caller reads a
@@ -32,7 +36,8 @@ the one owner of both decisions about them: :func:`_unit_rows` builds
 them, in each mode's shared 0 and 1 (``_ZERO_ONE``), for the constructors,
 the encoder and the file reader; and :func:`_moved_places` lists, once
 per instance object, the rows each matrix moves, every row but ``e_i``,
-for the integer form, the support backend and the writer.
+for the integer form, the support backend and the writer.  A builder's
+instance gets that list from the rows it placed.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import isfinite, lcm
+from operator import is_
 from typing import List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
@@ -117,10 +124,13 @@ class StochasticMatrix:
     label: Optional[str] = None
 
     def __post_init__(self):
-        # keep already-tuple rows as-is so encoders can share row objects
-        object.__setattr__(
-            self, "rows", tuple(r if isinstance(r, tuple) else tuple(r) for r in self.rows)
-        )
+        # keep already-tuple rows as-is so encoders can share row objects;
+        # the common case, a tuple of tuples, is tested at C level
+        rows = self.rows
+        if type(rows) is not tuple or not all(map(isinstance, rows, repeat(tuple))):
+            object.__setattr__(
+                self, "rows", tuple(r if isinstance(r, tuple) else tuple(r) for r in rows)
+            )
 
     @property
     def dim(self) -> int:
@@ -220,20 +230,13 @@ def _row_violations(row: Sequence[Scalar], mode: str, d: int) -> Tuple[List[str]
     return out, tuple(pairs)
 
 
-def _checked_rows(inst: Instance) -> Tuple[List[str], list, list]:
-    """One scan of every instance invariant: ``(violations, rows, index)``.
-
-    ``violations`` are those :func:`validate_instance` reports, in its
-    order.  ``rows`` holds the nonzero ``(column, entry)`` pairs of each
-    distinct row object, in order of first appearance; ``index[k][i]`` is
-    the position in ``rows`` of row i of matrix k.  Each distinct row
-    object is checked once, and its violations are reported at every place
-    it occurs.  ``rows`` and ``index`` describe the instance only when
-    there is no violation.
-    """
+def _header_violations(inst: Instance) -> List[str]:
+    """The violations of everything but the matrices' rows, in the order
+    :func:`validate_instance` reports them: the mode tag alone if it is not
+    a mode, else K, N, d, the target and the start."""
     mode = inst.numeric_mode
-    if mode not in (EXACT, FLOAT):
-        return [f"numeric_mode must be '{EXACT}' or '{FLOAT}', got {mode!r}"], [], []
+    if mode not in _MODE_TYPES:
+        return [f"numeric_mode must be '{EXACT}' or '{FLOAT}', got {mode!r}"]
     out: List[str] = []
     if inst.K < 1:
         out.append("instance must contain at least one matrix")
@@ -256,7 +259,25 @@ def _checked_rows(inst: Instance) -> Tuple[List[str], list, list]:
             bad_start = True
     if not bad_start:
         _check_mass(inst.start.weights, mode, "start", out)
+    return out
 
+
+def _checked_rows(inst: Instance) -> Tuple[List[str], list, list]:
+    """One scan of every instance invariant: ``(violations, rows, index)``.
+
+    ``violations`` are those :func:`validate_instance` reports, in its
+    order.  ``rows`` holds the nonzero ``(column, entry)`` pairs of each
+    distinct row object, in order of first appearance; ``index[k][i]`` is
+    the position in ``rows`` of row i of matrix k.  Each distinct row
+    object is checked once, and its violations are reported at every place
+    it occurs.  ``rows`` and ``index`` describe the instance only when
+    there is no violation.
+    """
+    out = _header_violations(inst)
+    mode = inst.numeric_mode
+    if mode not in _MODE_TYPES:
+        return out, [], []
+    d = inst.d
     position = {}  # id(row) -> its place in rows; the instance keeps every row alive
     rows, found, index = [], [], []
     for k, matrix in enumerate(inst.matrices):
@@ -330,11 +351,125 @@ def _moved_places(inst: Instance, rows, index) -> list:
     """Per matrix, the ``(i, p)`` of each row i that it moves, as a dict
     from i to p in increasing i, with p the row's place in ``rows``.  Every
     row is moved but the unit row ``e_i``, whose one nonzero pair is
-    ``(i, 1)``.  Read through :func:`_derived`, so made once per instance
-    object.  A dict of ints is not tracked by the garbage collector, where
-    a list of pairs would add a tracked tuple per moved row."""
-    unit_at = [row[0][0] if len(row) == 1 and row[0][1] == 1 else -1 for row in rows]
+    ``(i, 1)``.  Read through :func:`_derived`, so made at most once per
+    instance object, and never for one :func:`_placed_instance` built,
+    which has them from the rows placed.  A dict of ints is not tracked by
+    the garbage collector, where a list of pairs would add a tracked tuple
+    per moved row."""
+    unit_at = list(map(_unit_column, rows))
     return [{i: p for i, p in enumerate(places) if unit_at[p] != i} for places in index]
+
+
+def _unit_column(pairs) -> int:
+    """i if the nonzero ``pairs`` of a row are those of the unit row
+    ``e_i``, ``((i, 1),)``; -1 if they are not a unit row's."""
+    return pairs[0][0] if len(pairs) == 1 and pairs[0][1] == 1 else -1
+
+
+def _placed_instance(
+    units: tuple,
+    mode: str,
+    N: int,
+    start: Distribution,
+    target: int,
+    labels: Sequence[Optional[str]],
+    placed: Sequence[dict],
+) -> Instance:
+    """The instance whose matrix k holds ``placed[k][i]`` at each row i that
+    ``placed[k]`` lists, in increasing i, and the unit row ``units[i]`` at
+    every other, with ``units`` the rows :func:`_unit_rows` builds for
+    ``mode`` and ``labels[k]`` the label of matrix k.
+
+    For builders that know which rows they placed, the encoder and the
+    version-3 reader: it fills the slot with what :func:`_checked_rows` and
+    :func:`_moved_places` would give (:func:`_placed_rows`), without
+    visiting every row place.  It fills nothing if it finds a violation,
+    so the instance's first check runs :func:`_checked_rows` and names
+    every violation as it would for any other instance.
+    """
+    global _slot
+    matrices = []
+    kept = True  # every matrix holds the row objects placed
+    for label, rows_at in zip(labels, placed):
+        rows = list(units)
+        for i, row in rows_at.items():
+            rows[i] = row
+        rows = tuple(rows)
+        matrix = StochasticMatrix(rows, label)
+        kept = kept and matrix.rows is rows
+        matrices.append(matrix)
+    inst = Instance(tuple(matrices), N, start, target, mode)
+    found = _placed_rows(inst, units, placed) if kept else None
+    if found is not None:
+        _slot = (weakref.ref(inst, _forget), [], *found)
+    return inst
+
+
+def _placed_rows(inst: Instance, units: tuple, placed: Sequence[dict]) -> Optional[tuple]:
+    """``(rows, index, built)`` for the slot of an instance that
+    :func:`_placed_instance` built: the rows and index :func:`_checked_rows`
+    gives and the :func:`_moved_places` lists, or None if the instance has
+    a violation.  Time linear in d and in the rows placed, plus C-level
+    passes over the d * d entries of the unit rows and a C-level copy of d
+    places per matrix.
+
+    A row object first appears at its first listed place or, for a unit row
+    e_i, at the first matrix that leaves row i unlisted, whichever comes
+    first; a unit row no place holds is not in ``rows``.  Each distinct row
+    is checked once: the unit rows together, by the identity of their
+    entries with the mode's shared 0 and 1, and any other row by
+    :func:`_row_violations`, as is every unit row if one of them was
+    built from other numbers.
+    """
+    mode, d = inst.numeric_mode, inst.d
+    if len(units) != d or _header_violations(inst):
+        return None
+    first = {}  # id(row) -> (k, i, row) at the first place that holds it
+    for k, rows_at in enumerate(placed):
+        for i, row in rows_at.items():
+            first.setdefault(id(row), (k, i, row))
+    listed = set(range(d))  # the rows that every matrix so far lists
+    for k, rows_at in enumerate(placed):
+        for i in listed.difference(rows_at):  # row i left in place for the first time
+            unit = units[i]
+            seen = first.get(id(unit))
+            if seen is None or seen[:2] > (k, i):
+                first[id(unit)] = (k, i, unit)
+        listed.intersection_update(rows_at)
+        if not listed:
+            break
+
+    # the unit rows hold the mode's shared 0 and 1, as the d * d identity
+    # read row by row: a 1, then d 0s and a 1 after it, d - 1 times
+    zero, one = _ZERO_ONE[mode]
+    identity = chain((one,), chain.from_iterable(repeat((*repeat(zero, d), one), d - 1)))
+    shared = set(map(len, units)) == {d} and all(map(is_, chain.from_iterable(units), identity))
+    unit_of = {id(unit): j for j, unit in enumerate(units)} if shared else {}
+    position, rows = {}, []
+    for _, _, row in sorted(first.values()):  # no two share a place, so no rows compare
+        j = unit_of.get(id(row))
+        if j is not None:
+            pairs = ((j, one),)
+        else:
+            violations, pairs = _row_violations(row, mode, d)
+            if violations:
+                return None
+        position[id(row)] = len(rows)
+        rows.append(pairs)
+
+    unit_at = list(map(_unit_column, rows))
+    unit_places = [position.get(id(unit), -1) for unit in units]  # -1: listed everywhere
+    index, moved = [], []
+    for rows_at in placed:
+        places = unit_places.copy()
+        moves = {}
+        for i, row in rows_at.items():
+            p = places[i] = position[id(row)]
+            if unit_at[p] != i:
+                moves[i] = p
+        index.append(tuple(places))
+        moved.append(moves)
+    return rows, index, {_moved_places: moved}
 
 
 def validate_instance(inst: Instance) -> ValidationReport:

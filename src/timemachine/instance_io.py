@@ -12,7 +12,9 @@ list; version 1, also read, stores each row densely, ``d`` values long.
 Exact-mode numbers travel as "num/den" strings in lowest terms so
 fixtures are bit-stable across implementations; float-mode numbers are
 plain decimal literals (Python's shortest round-trip repr).  Reading
-re-validates every instance invariant.
+re-validates every instance invariant.  Every integer read from text, each
+side of "num/den", a plan index or a DIMACS count or literal, is ASCII
+decimal digits after an optional sign, nothing else ``int()`` accepts.
 
 Reduction instances have d + 1 distinct rows, most of them unit rows, so
 the writer formats each distinct number and each distinct row once, from
@@ -21,11 +23,14 @@ shares, and writes a pair per moved row, as
 :func:`~timemachine.core._moved_places` lists them.  The reader parses
 each distinct number text once and decodes identical rows to one shared
 tuple, every unit row ``e_j`` to the one tuple
-:func:`~timemachine.core._unit_rows` builds for it, which lets
-:func:`~timemachine.core.validate_instance` check each of them once.  It
-refuses a document whose ``d * d`` or ``K * d`` exceeds ``MAX_ENTRIES``
-before it builds any row, since those are what reading builds whatever
-the document lists.
+:func:`~timemachine.core._unit_rows` builds for it.  A version-3 read
+builds its instance through :func:`~timemachine.core._placed_instance`
+from the rows each matrix lists, so the instance check reads each
+distinct row once and visits no row place, as it does for a reduction;
+version 1 and 2 reads are checked place by place.  The reader refuses a
+document whose ``d * d`` or ``K * d`` exceeds ``MAX_ENTRIES`` before it
+builds any row, since those are what reading builds whatever the document
+lists, and the writer refuses to write one.
 
 Plan files are a single line of whitespace-separated 0-based matrix
 indices; lines starting with '#' are comments.
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -56,6 +62,7 @@ from .core import (
     StochasticMatrix,
     _derived,
     _moved_places,
+    _placed_instance,
     _sparse_rows,
     _unit_rows,
     validate_instance,
@@ -84,13 +91,27 @@ def format_scalar(x: Scalar, mode: str) -> str:
     return repr(float(x))
 
 
+# An integer token: ASCII decimal digits after an optional sign.  int()
+# alone would also take underscores, surrounding whitespace and the digits
+# of other scripts.
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+
+
+def _parse_int(token: str) -> int:
+    """``token`` as an int.  Raises ValueError, with the token's repr as
+    its message, unless it matches ``_INTEGER``."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(repr(token))
+    return int(token)
+
+
 def parse_exact_scalar(text) -> Fraction:
     if not isinstance(text, str):
         raise InstanceFormatError(f"exact number must be a \"num/den\" string, got {text!r}")
     num, sep, den = text.partition("/")
     try:
-        numerator = int(num)
-        denominator = int(den) if sep else 1
+        numerator = _parse_int(num)
+        denominator = _parse_int(den) if sep else 1
     except ValueError as exc:
         raise InstanceFormatError(f"bad rational {text!r}") from exc
     if denominator == 0:
@@ -171,20 +192,20 @@ def _sparse_row_reader(d: int, mode: str, parse, units: Optional[tuple] = None):
     return read_row
 
 
-def _moved_rows_reader(rows_raw, d: int, mode: str, parse):
-    """Decoder of version-3 matrices.  Each ``"rows"`` entry is checked and
-    decoded once; a matrix's ``[i, row id]`` pairs place those rows, and
-    every row it does not list is the unit row ``e_i``, one tuple per i
-    shared by every matrix."""
+def _moved_rows_reader(rows_raw, units: tuple, mode: str, parse):
+    """Decoder of version-3 matrices into the rows each places, a dict
+    from row i to its row in increasing i.  Each ``"rows"`` entry is
+    checked and decoded once, a unit row ``e_j`` to ``units[j]``; every row
+    a matrix does not list is the unit row ``e_i``."""
     _require(type(rows_raw) is list, '"rows" must be a list of [column, value] pair lists')
-    units = _unit_rows(d, mode)
+    d = len(units)
     read_row = _sparse_row_reader(d, mode, parse, units)
     shared = [read_row(raw, '"rows" entry', r) for r, raw in enumerate(rows_raw)]
     count = len(shared)
 
-    def read_matrix(grid, k: int) -> tuple:
+    def read_matrix(grid, k: int) -> dict:
         _require(type(grid) is list, f"matrix {k} must be a list of [row, row id] pairs")
-        rows = list(units)
+        rows = {}
         last = -1
         for pair in grid:
             if type(pair) is not list or len(pair) != 2:
@@ -200,7 +221,7 @@ def _moved_rows_reader(rows_raw, d: int, mode: str, parse):
                 )
             rows[i] = shared[r]
             last = i
-        return tuple(rows)
+        return rows
 
     return read_matrix
 
@@ -238,10 +259,19 @@ def write_instance(
     matrix lists only the rows it moves, as ``[i, row id]`` pairs, read off
     :func:`~timemachine.core._moved_places`: it leaves row i in place when
     that row is the unit row ``e_i``, whose only nonzero entry is a 1 at
-    column i.  Raises ValueError, before the file is opened, for an
-    instance whose document :func:`read_instance` would reject: with an
-    invalid instance's first violation, or naming a matrix whose label is
-    neither a str nor None."""
+    column i.  Both come from the instance check, which for an instance
+    that :func:`~timemachine.reduction.encode_reduction` or a version-3
+    :func:`read_instance` built was made as it was built, each distinct row
+    checked once and no row place visited.
+
+    Raises ValueError, before the file is opened, for an instance whose
+    document :func:`read_instance` would reject: first if its ``d * d`` or
+    ``K * d`` exceeds ``MAX_ENTRIES`` (before the instance is checked),
+    then with an invalid instance's first violation, or naming a matrix
+    whose label is neither a str nor None."""
+    too_large = _size_error(instance.d, instance.K)
+    if too_large is not None:
+        raise ValueError(too_large)
     rows, _ = _sparse_rows(instance)
     moved = _derived(instance, _moved_places)
     for k, matrix in enumerate(instance.matrices):
@@ -295,6 +325,15 @@ def write_artifact(artifact: ReductionArtifact, path_or_file: PathOrFile) -> Non
     write_instance(artifact.instance, path_or_file, reduction_meta=meta)
 
 
+def _size_error(d: int, K: int) -> Optional[str]:
+    """Why a document of d states and K matrices is too large to read, or
+    None if it is not: reading builds ``d * d`` entries for the unit rows
+    and ``K * d`` row places, whatever the document lists."""
+    if max(d, K) * d > MAX_ENTRIES:
+        return f"document too large: d * d or K * d exceeds {MAX_ENTRIES}"
+    return None
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InstanceFormatError(message)
@@ -332,10 +371,12 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
     start_raw = doc["start"]
     _require(isinstance(start_raw, list) and len(start_raw) == d, f"start must be a length-{d} array")
     start = Distribution(tuple(parse(x) for x in start_raw))
-    _require(max(d, K) * d <= MAX_ENTRIES, f"document too large: d * d or K * d exceeds {MAX_ENTRIES}")
+    too_large = _size_error(d, K)
+    _require(too_large is None, too_large)
 
     if version == 3:
-        read_matrix = _moved_rows_reader(doc.get("rows"), d, mode, parse)
+        units = _unit_rows(d, mode)
+        read_matrix = _moved_rows_reader(doc.get("rows"), units, mode, parse)
     else:
         if version == 1:
 
@@ -356,16 +397,24 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
     labels = doc.get("labels")
     if labels is not None:
         _require(isinstance(labels, list) and len(labels) == K, f"labels must be a length-{K} array")
+    else:
+        labels = [None] * K
     matrices = []
     for k, grid in enumerate(matrices_raw):
-        rows = read_matrix(grid, k)
-        label = labels[k] if labels is not None else None
+        matrices.append(read_matrix(grid, k))
+        label = labels[k]
         _require(label is None or isinstance(label, str), f"label {k} must be a string or null")
-        matrices.append(StochasticMatrix(rows, label=label))
 
-    instance = Instance(
-        matrices=tuple(matrices), N=N, start=start, target=target, numeric_mode=mode
-    )
+    if version == 3:  # checked as built, each distinct row once
+        instance = _placed_instance(units, mode, N, start, target, labels, matrices)
+    else:
+        instance = Instance(
+            matrices=tuple(map(StochasticMatrix, matrices, labels)),
+            N=N,
+            start=start,
+            target=target,
+            numeric_mode=mode,
+        )
     report = validate_instance(instance)
     if not report.ok:
         raise InstanceFormatError("invalid instance: " + "; ".join(report.violations))
@@ -453,7 +502,7 @@ def read_plan(path_or_file: PathOrFile) -> Plan:
     if not data_lines:
         return ()
     try:
-        return tuple(int(tok) for tok in data_lines[0].split())
+        return tuple(map(_parse_int, data_lines[0].split()))
     except ValueError as exc:
         raise ValueError(f"plan file holds a non-integer token: {exc}") from exc
 
@@ -481,7 +530,7 @@ def parse_dimacs(text: str) -> Tuple[int, List[List[RawLiteral]]]:
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed header {stripped!r}")
             try:
-                num_vars, num_clauses = int(fields[2]), int(fields[3])
+                num_vars, num_clauses = _parse_int(fields[2]), _parse_int(fields[3])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: malformed header {stripped!r}") from exc
             if num_vars < 0 or num_clauses < 0:
@@ -491,7 +540,7 @@ def parse_dimacs(text: str) -> Tuple[int, List[List[RawLiteral]]]:
             raise ValueError(f"line {lineno}: clause data before 'p cnf' header")
         for token in stripped.split():
             try:
-                literal = int(token)
+                literal = _parse_int(token)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: non-integer token {token!r}") from exc
             if literal == 0:

@@ -40,8 +40,8 @@ from .core import (
     Distribution,
     Instance,
     Plan,
-    StochasticMatrix,
     _check_plan_indices,
+    _placed_instance,
     _plan_states,
     _unit_rows,
     _value,
@@ -289,44 +289,47 @@ def encode_reduction(formula: CnfFormula) -> ReductionArtifact:
     for j in range(m):
         state_table[f"c{j}"] = clause_state(j)
 
+    # per matrix, the rows it moves in increasing row order; every other
+    # row is its unit row
     unit_rows = _unit_rows(d, EXACT)
     split_row = [_ZERO_ONE[EXACT][0]] * d
     for i in range(n):
         split_row[x_base(i)] = p
     for j in range(m):
         split_row[clause_state(j)] = p
-    start_matrix = StochasticMatrix(
-        tuple(tuple(split_row) if z == start_state else unit_rows[death] for z in range(d)),
-        label="S",
-    )
+    start_moves = {z: unit_rows[death] for z in range(d) if z != death}
+    start_moves[start_state] = tuple(split_row)
 
-    final_rows = []
     back_home = {tally} | {x_signed(i, s) for i in range(n) for s in (MINUS, PLUS)}
-    for z in range(d):
-        final_rows.append(unit_rows[start_state] if z in back_home else unit_rows[death])
-    final_matrix = StochasticMatrix(tuple(final_rows), label="F")
+    final_moves = {
+        z: unit_rows[start_state if z in back_home else death] for z in range(d) if z != death
+    }
 
-    matrices = [start_matrix, final_matrix]
+    placed = [start_moves, final_moves]
+    labels = ["S", "F"]
     matrix_table: Dict[str, int] = {"S": 0, "F": 1}
     for j, clause in enumerate(formula.clauses):
+        forbidden = clause.forbidden
         for signs in product((MINUS, PLUS), repeat=3):
-            if signs == clause.forbidden:
+            if signs == forbidden:
                 continue
             moves = {start_state: death, clause_state(j): tally}
             for (var, _), sign in zip(clause.literals, signs):
                 moves[x_base(var)] = x_signed(var, sign)
                 moves[x_signed(var, -sign)] = death
-            rows = tuple(unit_rows[moves.get(z, z)] for z in range(d))
             label = clause_matrix_label(j, signs)
-            matrix_table[label] = len(matrices)
-            matrices.append(StochasticMatrix(rows, label=label))
+            matrix_table[label] = len(placed)
+            placed.append({z: unit_rows[moves[z]] for z in sorted(moves) if moves[z] != z})
+            labels.append(label)
 
-    instance = Instance(
-        matrices=tuple(matrices),
-        N=m + 2,
-        start=Distribution.unit(d, start_state, EXACT),
-        target=start_state,
-        numeric_mode=EXACT,
+    instance = _placed_instance(
+        unit_rows,
+        EXACT,
+        m + 2,
+        Distribution.unit(d, start_state, EXACT),
+        start_state,
+        labels,
+        placed,
     )
     return ReductionArtifact(instance, state_table, matrix_table, p, formula=formula)
 

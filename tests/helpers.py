@@ -32,7 +32,7 @@ from timemachine import (
     mdp_value_table,
     write_instance,
 )
-from timemachine import solvers
+from timemachine import core, solvers
 from timemachine.instance_io import format_scalar
 
 
@@ -471,3 +471,21 @@ def random_raw_clauses(rng: Random, num_vars: int, num_clauses: int):
         ]
         clauses.append(clause)
     return clauses
+
+
+# ---------------------------------------------------------------------------
+# instances built sparse
+
+
+def assert_filled_as_checked(inst):
+    """The prepared slot holds ``inst`` as the builder that just built it
+    filled it, and that fill is what the full check and the moved-place
+    scan give: the same violations (none), distinct rows with their entry
+    objects' types, index, and moved rows in the same order."""
+    slot = core._slot
+    assert slot[0] is not None and slot[0]() is inst, "the builder filled no slot"
+    violations, rows, index = core._checked_rows(inst)
+    assert (slot[1], slot[2], slot[3]) == (violations, rows, index) == ([], rows, index)
+    assert repr(slot[2]) == repr(rows)
+    moved = core._moved_places(inst, rows, index)
+    assert [list(m.items()) for m in slot[4][core._moved_places]] == [list(m.items()) for m in moved]

@@ -18,18 +18,24 @@ from timemachine import (
     validate_instance,
     write_instance,
 )
+from timemachine import core
 from timemachine.reduction import decode_assignment, encode_reduction, satisfying_plan
 
 from helpers import (
     all_patterns_formula,
+    assert_filled_as_checked,
     chain_value_oracle,
     dense_apply_reference,
     dense_trajectory_reference,
     instance_v1_text,
     instance_v2_text,
     planted_formula,
+    random_exact_distribution,
+    random_exact_matrix,
+    random_float_distribution,
     random_instance,
     random_sparse_float_instance,
+    random_sparse_float_weights,
     single_clause_formula,
     tie_heavy_instance,
 )
@@ -604,22 +610,166 @@ class TestMovedPlaces:
     def test_made_once_per_instance(self, monkeypatch):
         from timemachine import core, instance_io, solvers
 
-        calls = []
+        calls, fills = [], []
 
         def counted(inst, rows, index, made=core._moved_places):
             calls.append(inst)
             return made(inst, rows, index)
 
+        def counted_fill(inst, units, placed, fill=core._placed_rows):
+            fills.append(inst)
+            return fill(inst, units, placed)
+
         for module in (core, solvers, instance_io):
             monkeypatch.setattr(module, "_moved_places", counted)
+        monkeypatch.setattr(core, "_placed_rows", counted_fill)
         assignment, formula = planted_formula(Random(2028), 4, 4)
         inst = encode_reduction(formula).instance
-        mdp_value_table(inst)
-        attained, plan = decide_threshold(inst, 1)
-        assert attained
-        assert evaluate_plan(inst, plan) == 1
-        write_instance(inst, io.StringIO())
-        assert calls == [inst]
+        # the same matrices, built by hand: checked and scanned on first use
+        twin = Instance(inst.matrices, inst.N, inst.start, inst.target, inst.numeric_mode)
+        for built in (inst, twin):
+            mdp_value_table(built)
+            attained, plan = decide_threshold(built, 1)
+            assert attained
+            assert evaluate_plan(built, plan) == 1
+            write_instance(built, io.StringIO())
+        # the encoder's fill lists the reduction's moved rows, and no scan
+        # makes them again
+        assert fills == [inst]
+        assert calls == [twin]
+
+
+def _reductions():
+    rng = Random(2029)
+    formulas = [single_clause_formula(), all_patterns_formula()]
+    for n, m in ((4, 4), (5, 5), (6, 8), (7, 9)):
+        formulas.append(planted_formula(rng, n, m)[1])
+    return formulas
+
+
+def random_placement(rng, d, K, mode, units=None):
+    """Random arguments of ``core._placed_instance``: per matrix, some rows
+    in increasing order, each a row from a small pool shared by the
+    matrices, or a unit row, of its own column or another."""
+    if units is None:
+        units = core._unit_rows(d, mode)
+    if mode == "exact":
+        pool = list(random_exact_matrix(rng, d).rows)
+    else:
+        pool = [random_sparse_float_weights(rng, d, signed_zeros=True) for _ in range(d)]
+    del pool[rng.randint(1, d) :]
+    placed = []
+    for _ in range(K):
+        listed = sorted(rng.sample(range(d), rng.randint(0, d)))
+        placed.append(
+            {i: rng.choice(pool) if rng.random() < 0.5 else units[rng.randrange(d)] for i in listed}
+        )
+    start = (random_exact_distribution if mode == "exact" else random_float_distribution)(rng, d)
+    labels = [rng.choice((None, f"L{k}")) for k in range(K)]
+    return units, mode, rng.randint(0, 3), start, rng.randrange(d), labels, placed
+
+
+def _with_row(rows_at, i, row):
+    """``rows_at`` with ``row`` placed at row i, in increasing row order."""
+    return dict(sorted({**rows_at, i: row}.items()))
+
+
+def _rebuilt_unit(units, j, zero):
+    """``units`` with e_j rebuilt from ``zero`` and a copy of its 1."""
+    row = tuple(zero if i != j else type(units[j][j])(units[j][j]) for i in range(len(units)))
+    return units[:j] + (row,) + units[j + 1 :]
+
+
+def _mutated(rng, mode, mutation):
+    """Arguments of ``core._placed_instance`` with one seeded fault, or a
+    change that the fill must see through."""
+    d, K = rng.randint(2, 5), rng.randint(1, 4)
+    units = core._unit_rows(d, mode)
+    if mutation in ("fresh zeros", "int zero"):  # new zero objects, or an int 0
+        zero = 0 if mutation == "int zero" else Fraction(0) if mode == "exact" else float("0")
+        units = _rebuilt_unit(units, rng.randrange(d), zero)
+    units, mode, N, start, target, labels, placed = random_placement(rng, d, K, mode, units)
+    k, i = rng.randrange(K), rng.randrange(d)
+    if mutation == "invalid row":
+        half = Fraction(1, 2) if mode == "exact" else 0.5
+        placed[k] = _with_row(placed[k], i, (half,) + units[0][1:])
+    elif mutation == "int entry":  # a float row with an int zero
+        placed[k] = _with_row(placed[k], i, (1.0,) + (0,) * (d - 1))
+    elif mutation == "list row":
+        placed[k] = _with_row(placed[k], i, list(units[0]))
+    elif mutation == "negative horizon":
+        N = -1
+    return units, mode, N, start, target, labels, placed
+
+
+class TestPlacedInstance:
+    """``core._placed_instance`` builds the instance its builder placed and
+    fills the prepared slot with what the full check gives, checking each
+    distinct row once and no place; on any violation it fills nothing, and
+    the full check names every violation as for an instance built by hand."""
+
+    @pytest.mark.parametrize("formula", _reductions())
+    def test_reduction_is_filled_as_checked(self, formula):
+        assert_filled_as_checked(encode_reduction(formula).instance)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_random_placements_are_filled_as_checked(self, mode):
+        rng = Random(f"placed/{mode}")
+        for _ in range(300):
+            args = random_placement(rng, rng.randint(1, 6), rng.randint(1, 4), mode)
+            inst = core._placed_instance(*args)
+            assert_filled_as_checked(inst)
+            units, _, _, _, _, labels, placed = args
+            for matrix, label, rows_at in zip(inst.matrices, labels, placed):
+                assert matrix.label == label
+                assert all(row is rows_at.get(i, units[i]) for i, row in enumerate(matrix.rows))
+
+    @pytest.mark.parametrize(
+        "mode, mutation, valid",
+        [
+            ("exact", "invalid row", False),
+            ("float", "invalid row", False),
+            ("float", "int entry", False),
+            ("exact", "negative horizon", False),
+            ("float", "negative horizon", False),
+            ("exact", "list row", True),
+            ("float", "list row", True),
+            ("exact", "fresh zeros", True),
+            ("float", "fresh zeros", True),
+            ("exact", "int zero", True),
+            ("float", "int zero", None),  # invalid where a place holds the rebuilt row
+        ],
+    )
+    def test_seeded_mutations(self, mode, mutation, valid):
+        rng = Random(f"placed/{mode}/{mutation}")
+        outcomes = set()
+        for _ in range(60):
+            args = _mutated(rng, mode, mutation)
+            core._slot = (None,)
+            inst = core._placed_instance(*args)
+            violations = core._checked_rows(inst)[0]
+            outcomes.add(not violations)
+            if violations or mutation == "list row":
+                # nothing filled: the first check is the full one, and it
+                # reports what it reports for the same matrices built by hand
+                assert core._slot == (None,)
+                twin = Instance(inst.matrices, inst.N, inst.start, inst.target, inst.numeric_mode)
+                assert validate_instance(inst).violations == tuple(violations)
+                assert validate_instance(twin).violations == tuple(violations)
+            else:
+                assert_filled_as_checked(inst)
+        assert outcomes == ({True, False} if valid is None else {valid})
+
+
+class TestStochasticMatrixRows:
+    def test_tuple_rows_are_kept_and_list_rows_converted(self):
+        row = (0.5, 0.5)
+        rows = (row, (0.0, 1.0))
+        assert StochasticMatrix(rows).rows is rows
+        assert StochasticMatrix(rows).rows[0] is row
+        mixed = StochasticMatrix([row, [0.0, 1.0]])
+        assert type(mixed.rows) is tuple and mixed.rows[0] is row
+        assert mixed.rows[1] == (0.0, 1.0) and type(mixed.rows[1]) is tuple
 
 
 class TestUnitRows:

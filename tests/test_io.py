@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import time
 from fractions import Fraction
 from random import Random
@@ -28,10 +29,11 @@ from timemachine import (
 )
 
 from timemachine.cli import main
-from timemachine.instance_io import MAX_ENTRIES
+from timemachine.instance_io import MAX_ENTRIES, parse_exact_scalar
 
 from helpers import (
     all_patterns_formula,
+    assert_filled_as_checked,
     instance_v1_text,
     instance_v2_text,
     planted_formula,
@@ -86,6 +88,59 @@ class TestDimacs:
     def test_malformed_header(self):
         with pytest.raises(ValueError, match="malformed header"):
             parse_dimacs("p sat 2 1\n1 0\n")
+
+    @pytest.mark.parametrize("header", ["p cnf 1_0 1", "p cnf 3 \u0661", "p cnf \uff13 1", "p cnf 3 1.0"])
+    def test_header_counts_are_ascii_digits(self, header):
+        with pytest.raises(ValueError, match=re.escape(f"line 1: malformed header {header!r}")):
+            parse_dimacs(header + "\n1 2 3 0\n")
+
+    @pytest.mark.parametrize("token", ["-\u0663", "1_0", "\uff13", "+-1", "0x1"])
+    def test_literals_are_ascii_digits(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: non-integer token {token!r}")):
+            parse_dimacs(f"p cnf 20 1\n{token} 0\n")
+
+    def test_signs_are_read(self):
+        assert parse_dimacs("p cnf +2 1\n+1 -2 0\n") == (2, [[(0, 1), (1, -1)]])
+
+    def test_cli_reduce_reports_one_error_line(self, tmp_path, capsys):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text("p cnf 1_0 1\n1 2 3 0\n")
+        assert main(["reduce", "--cnf", str(cnf), "--out", str(tmp_path / "out.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: malformed header 'p cnf 1_0 1'\n"
+
+
+class TestExactNumbers:
+    """Each side of "num/den" is ASCII decimal digits after an optional sign."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [" 1_0/1_0", "1_0/1_0", "\u0661/1", "1/\uff12", " 1/2", "1/2 ", "1/", "/2", "+/1", "1/2/3"],
+    )
+    def test_anything_else_is_refused(self, text):
+        with pytest.raises(InstanceFormatError, match=re.escape(f"bad rational {text!r}")):
+            parse_exact_scalar(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1/2", Fraction(1, 2)),
+            ("+3/6", Fraction(1, 2)),
+            ("1/-2", Fraction(-1, 2)),
+            ("0010/0020", Fraction(1, 2)),
+            ("7", 7),
+        ],
+    )
+    def test_signed_ascii_digits_read(self, text, value):
+        assert parse_exact_scalar(text) == value
+
+    def test_document_number_with_underscores_is_one_error_line(self, tmp_path, capsys):
+        payload = _exact_v3()
+        payload["start"] = ["1_0/1_0", "0/1", "0/1"]
+        with pytest.raises(InstanceFormatError, match="bad rational '1_0/1_0'"):
+            read_instance(io.StringIO(json.dumps(payload)))
+        _simulate_reports_one_error_line(payload, tmp_path, capsys)
 
 
 class TestInstanceRoundtrip:
@@ -294,6 +349,30 @@ class TestDocumentSize:
         assert len(v3) < len(v2) / 2
 
 
+def _implicit_unit_rows_instance():
+    """A float instance in which e_1 is the unit row at place 1 only."""
+    split, e1 = (0.25, 0.0, 0.75), (0.0, 1.0, 0.0)
+    return Instance(
+        matrices=(
+            StochasticMatrix((split, e1, e1)),
+            StochasticMatrix((e1, split, (0.0, 0.0, 1.0))),
+        ),
+        N=1,
+        numeric_mode="float",
+    )
+
+
+def _listed_unit_rows_v3():
+    """A version-3 document that writes e_1 three ways: with a "2/2" entry,
+    with a zero pair, and left implicit at place 1."""
+    return {
+        "format_version": 3, "numeric_mode": "exact", "d": 2, "K": 2, "N": 1, "target": 1,
+        "start": ["1/1", "0/1"],
+        "rows": [[[1, "2/2"]], [[0, "0/1"], [1, "1/1"]]],
+        "matrices": [[[0, 0]], [[0, 1]]],
+    }
+
+
 class TestSparseFormat:
     def test_rows_hold_only_nonzero_pairs(self):
         inst = Instance(
@@ -312,15 +391,7 @@ class TestSparseFormat:
         assert str(read_back.matrices[0].rows[2][0]) == "0.0"
 
     def test_unit_rows_are_left_implicit(self):
-        split, e1 = (0.25, 0.0, 0.75), (0.0, 1.0, 0.0)
-        inst = Instance(
-            matrices=(
-                StochasticMatrix((split, e1, e1)),
-                StochasticMatrix((e1, split, (0.0, 0.0, 1.0))),
-            ),
-            N=1,
-            numeric_mode="float",
-        )
+        inst = _implicit_unit_rows_instance()
         payload = json.loads(roundtrip_text(inst))
         assert payload["format_version"] == 3
         # e1 is a unit row at place 1 only; each row object is listed once
@@ -333,15 +404,7 @@ class TestSparseFormat:
         assert rows[1] is rows[2] is rows[3]
 
     def test_listed_unit_rows_read_as_the_shared_tuple(self):
-        # e_1 written three ways: with a "2/2" entry, with a zero pair, and
-        # left implicit at place 1
-        payload = {
-            "format_version": 3, "numeric_mode": "exact", "d": 2, "K": 2, "N": 1, "target": 1,
-            "start": ["1/1", "0/1"],
-            "rows": [[[1, "2/2"]], [[0, "0/1"], [1, "1/1"]]],
-            "matrices": [[[0, 0]], [[0, 1]]],
-        }
-        inst = read_instance(io.StringIO(json.dumps(payload))).instance
+        inst = read_instance(io.StringIO(json.dumps(_listed_unit_rows_v3()))).instance
         rows = [row for m in inst.matrices for row in m.rows]
         assert rows[0] == (0, 1)
         assert len({id(row) for row in rows}) == 1
@@ -708,6 +771,135 @@ class TestMalformedReductionMeta:
         _decode_reports_one_error_line(payload, tmp_path, capsys)
 
 
+def _v3_documents():
+    """Every version-3 document of a valid instance that these tests read,
+    as (name, text)."""
+    cases = _equivalence_cases()
+    docs = [(f"equivalence {i}", roundtrip_text(inst)) for i, (inst, _) in enumerate(cases)]
+    art = encode_reduction(all_patterns_formula())
+    docs += [
+        ("all patterns", roundtrip_text(art.instance, _meta_of(art))),
+        ("single clause", json.dumps(_reduction_base())),
+        ("implicit unit rows", roundtrip_text(_implicit_unit_rows_instance())),
+        ("listed unit rows", json.dumps(_listed_unit_rows_v3())),
+        ("signed zeros", roundtrip_text(random_sparse_float_instance(Random(7400), 6, 3, 4))),
+        ("exact base", json.dumps(_exact_v3())),
+        ("float base", json.dumps(_float_v3())),
+        ("identity", json.dumps(_identity_v3(40, 3))),
+        ("float identity", json.dumps(_identity_v3(40, 3, "float"))),
+    ]
+    for name, base, mutate in BAD_REDUCTION_SHAPE:
+        payload = base()
+        if payload["format_version"] == 3:
+            mutate(payload)
+            docs.append((name, json.dumps(payload)))
+    return docs
+
+
+def _set_moved_rows(row):
+    """Matrix 1 of the exact or float base moves rows 0 and 2: both become
+    ``row``, one shared entry in version 3 and two equal rows in version 2."""
+
+    def mutate(doc):
+        if doc["format_version"] == 3:
+            doc["rows"][0] = row
+        else:
+            doc["matrices"][1][0] = doc["matrices"][1][2] = row
+
+    return mutate
+
+
+# (name, base instance, mutation of its version-2 and version-3 documents);
+# each leaves a well-formed document of an invalid instance
+INVALID_INSTANCES = [
+    ("moved row of mass 3/2", _exact_instance, _set_moved_rows([[0, "1/2"], [1, "1/1"]])),
+    ("moved row of mass 0.7", _float_instance, _set_moved_rows([[1, 0.7]])),
+    ("negative horizon", _exact_instance, _set("N", -1)),
+    ("start of mass 1/2", _exact_instance, _set("start", ["1/2", "0/1", "0/1"])),
+    ("target out of range", _float_instance, _set("target", 3)),
+]
+
+
+class TestPlacedRead:
+    """A version-3 read fills the instance check from the rows each matrix
+    lists, equal to the full check, and falls back to the full check on an
+    invalid instance, with the same message a version-2 read gives."""
+
+    @pytest.mark.parametrize("name, text", _v3_documents(), ids=[c[0] for c in _v3_documents()])
+    def test_read_is_filled_as_checked(self, name, text):
+        assert json.loads(text)["format_version"] == 3
+        assert_filled_as_checked(read_instance(io.StringIO(text)).instance)
+
+    @pytest.mark.parametrize(
+        "name, base, mutate", INVALID_INSTANCES, ids=[c[0] for c in INVALID_INSTANCES]
+    )
+    def test_invalid_instance_is_named_as_in_version_2(self, name, base, mutate):
+        errors = []
+        for text in (instance_v2_text(base()), roundtrip_text(base())):
+            payload = json.loads(text)
+            mutate(payload)
+            with pytest.raises(InstanceFormatError) as err:
+                read_instance(io.StringIO(json.dumps(payload)))
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("invalid instance: ")
+
+    def test_moved_row_of_mass_3_2_message(self):
+        payload = _exact_v3()
+        _set_moved_rows([[0, "1/2"], [1, "1/1"]])(payload)
+        with pytest.raises(InstanceFormatError) as err:
+            read_instance(io.StringIO(json.dumps(payload)))
+        assert str(err.value) == (
+            "invalid instance: matrix 1 row 0: mass 3/2 != 1; matrix 1 row 2: mass 3/2 != 1"
+        )
+
+
+def _identity_instance(d, K):
+    matrices = tuple(StochasticMatrix.identity(d, "float") for _ in range(K))
+    return Instance(matrices, 1, numeric_mode="float")
+
+
+class TestWriterSizeLimit:
+    """The writer refuses, before it checks the instance or opens the file,
+    an instance whose document the reader would refuse for its size."""
+
+    @pytest.mark.parametrize("d, K", [(3, 1), (2, 5)])
+    def test_one_entry_over_the_limit_is_refused(self, d, K, monkeypatch, tmp_path):
+        from timemachine import core, instance_io
+
+        limit = max(d, K) * d - 1
+        monkeypatch.setattr(instance_io, "MAX_ENTRIES", limit)
+        inst = _identity_instance(d, K)
+        core._slot = (None,)
+        checks = []
+        monkeypatch.setattr(core, "_checked_rows", checks.append)
+        path = tmp_path / "big.json"
+        with pytest.raises(ValueError, match=rf"^document too large: d \* d or K \* d exceeds {limit}$"):
+            write_instance(inst, str(path))
+        assert not path.exists()
+        assert checks == []
+
+    @pytest.mark.parametrize("d, K", [(3, 1), (2, 5)])
+    def test_at_the_limit_round_trips(self, d, K, monkeypatch):
+        from timemachine import instance_io
+
+        monkeypatch.setattr(instance_io, "MAX_ENTRIES", max(d, K) * d)
+        inst = _identity_instance(d, K)
+        assert read_instance(io.StringIO(roundtrip_text(inst))).instance == inst
+
+    def test_reduce_reports_one_error_line(self, monkeypatch, tmp_path, capsys):
+        from timemachine import instance_io
+
+        monkeypatch.setattr(instance_io, "MAX_ENTRIES", 13 * 13 - 1)  # one clause: d = 13, K = 9
+        cnf, out = tmp_path / "one.cnf", tmp_path / "one.json"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        assert main(["reduce", "--cnf", str(cnf), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: document too large: d * d or K * d exceeds {13 * 13 - 1}\n"
+        assert not out.exists()
+
+
 class TestPlanFiles:
     def test_roundtrip_with_comment(self, tmp_path):
         path = str(tmp_path / "plan.txt")
@@ -728,3 +920,20 @@ class TestPlanFiles:
     def test_non_integer_token_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):
             read_plan(io.StringIO("0 x 1\n"))
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff13", "\u0663", "0x1", "+-2"])
+    def test_only_ascii_digit_tokens_read(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"non-integer token: {token!r}")):
+            read_plan(io.StringIO(f"0 {token} +2\n"))
+
+    def test_signed_tokens_read(self):
+        assert read_plan(io.StringIO("0 +2 3\n")) == (0, 2, 3)
+
+    def test_cli_reports_one_error_line(self, tmp_path, capsys):
+        inst_path, plan_path = tmp_path / "one.json", tmp_path / "plan.txt"
+        write_artifact(encode_reduction(single_clause_formula()), str(inst_path))
+        plan_path.write_text("0 1_0 1\n")
+        assert main(["simulate", str(inst_path), str(plan_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: plan file holds a non-integer token: '1_0'\n"

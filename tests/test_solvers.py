@@ -2143,11 +2143,14 @@ class TestPreparedInstance:
         assert len(checks) == 3
 
     def test_one_check_serves_reading_solving_evaluating_and_writing(self, monkeypatch):
+        clear_slot()
+        checks = counting(monkeypatch, core, "_checked_rows")
+        fills = counting(monkeypatch, core, "_placed_rows")
         buf = io.StringIO()
         write_artifact(encode_reduction(single_clause_formula()), buf)
         buf.seek(0)
-        clear_slot()
-        checks = counting(monkeypatch, core, "_checked_rows")
+        # the encoder's fill is the written instance's one check
+        assert (len(fills), len(checks)) == (1, 0)
         doc = read_instance(buf)
         inst = doc.instance
         assert validate_instance(inst).ok
@@ -2157,7 +2160,8 @@ class TestPreparedInstance:
         assert attained and evaluate_plan(inst, plan) == 1
         decode_assignment(artifact_from_document(doc), plan)
         write_instance(inst, io.StringIO())
-        assert len(checks) == 1
+        # the version-3 reader's fill is the read instance's one check
+        assert (len(fills), len(checks)) == (2, 0)
 
     def test_alternating_objects_are_checked_each_time_by_every_caller(self, monkeypatch):
         a = random_instance(Random(7308), 4, 3, 4, mode="float")
