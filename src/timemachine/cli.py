@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .core import EXACT, _distributions, _plan_states, _value
 from .instance_io import (
+    _INTEGER,
     artifact_from_document,
     format_scalar,
     parse_dimacs,
@@ -71,6 +72,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _integer(token: str) -> int:
+    """An integer option, read as the files read integers: ASCII digits
+    after an optional sign."""
+    if _INTEGER.fullmatch(token) is None:
+        raise argparse.ArgumentTypeError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="timemachine",
@@ -86,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="maximize plan value on an instance")
     p.add_argument("instance", help="instance file")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--beam-width", type=int, default=DEFAULT_BEAM_WIDTH, help="beam only")
+    p.add_argument("--beam-width", type=_integer, default=DEFAULT_BEAM_WIDTH, help="beam only")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_integer,
         default=DEFAULT_ENUMERATION_BUDGET,
         help="enumeration budget on K^N (enum only)",
     )
@@ -158,13 +167,9 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _run_method(inst, method: str, beam_width: int, budget: int):
-    return _SOLVERS[method](inst, beam_width, budget)
-
-
 def _cmd_solve(args) -> int:
     doc = read_instance(args.instance)
-    result = _run_method(doc.instance, args.method, args.beam_width, args.budget)
+    result = _SOLVERS[args.method](doc.instance, args.beam_width, args.budget)
     mode = doc.instance.numeric_mode
     print(f"method {result.method}")
     print(f"value {format_scalar(result.value, mode)}")
@@ -253,8 +258,9 @@ def _cmd_verify_roundtrip(args) -> int:
 
 def _parse_suite_line(line: str):
     """``(path, method, beam width)`` of a suite line ``<instance> <method>``,
-    the method one of METHODS and a beam's width written ``beam:<width>``;
-    raises ValueError quoting the line if it is not of that form."""
+    the method one of METHODS and a beam's width written ``beam:<width>``,
+    an integer >= 1 in the files' grammar (``_INTEGER``); raises ValueError
+    quoting the line if it is not of that form."""
     fields = line.split()
     if len(fields) != 2:
         raise ValueError(f"suite line must be '<instance> <method>', got {line!r}")
@@ -264,8 +270,8 @@ def _parse_suite_line(line: str):
         raise ValueError(f"unknown method in suite line {line!r}; methods are {', '.join(METHODS)}")
     if not colon:
         return path, method, DEFAULT_BEAM_WIDTH
-    if not (width.isdecimal() and int(width) >= 1):
-        raise ValueError(f"beam width must be an integer >= 1 in suite line {line!r}")
+    if not (_INTEGER.fullmatch(width) and int(width) >= 1):
+        raise ValueError(f"beam width must be an integer >= 1, got {width!r}, in suite line {line!r}")
     return path, method, int(width)
 
 
@@ -288,7 +294,7 @@ def _cmd_bench(args) -> int:
             doc = documents[resolved] = read_instance(resolved)
             read_ms = (time.perf_counter() - started) * 1000.0
         started = time.perf_counter()
-        result = _run_method(doc.instance, method, width, DEFAULT_ENUMERATION_BUDGET)
+        result = _SOLVERS[method](doc.instance, width, DEFAULT_ENUMERATION_BUDGET)
         wall_ms = (time.perf_counter() - started) * 1000.0
         method_tag = f"beam:{width}" if method == "beam" else method
         results.append(

@@ -22,14 +22,15 @@ The library reads an instance's rows only through :func:`_sparse_rows`,
 which keeps the check of the last instance object and its nonzero
 ``(column, entry)`` pairs, so validating, solving, evaluating and writing
 one object scan it once.  Builders that know which rows they placed, the
-encoder and the version-3 reader, construct through
-:func:`_placed_instance`, which fills that slot itself: it checks each
-distinct row once and visits no row place, so their instances are never
-scanned.  Plan states move through those pairs, except
-that an exact start led by a Fraction moves through the instance's integer
-form (:class:`_IntegerForm`), built once from them and shared with the
-exact search backend, so no Fraction is built until a caller reads a
-weight.
+encoder and the file reader, construct through :func:`_placed_instance`,
+which fills that slot itself: it checks each distinct row once, so their
+instances are never scanned.  Plan states move through the per-instance
+form the searches apply matrices through, built once from those pairs and
+shared with the search backend: the integer form (:class:`_IntegerForm`)
+of an exact instance, so no Fraction is built until a caller reads a
+weight, and the float form (:class:`_FloatForm`), whose apply kernels,
+straight-line code per matrix, this module builds.  The public
+:func:`apply`, which takes any matrix, keeps its own dense loop.
 
 Most rows of a reduction instance are unit rows ``e_i``.  This module is
 the one owner of both decisions about them: :func:`_unit_rows` builds
@@ -45,9 +46,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import isfinite, lcm
 from operator import is_
+from types import CodeType, FunctionType
 from typing import List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
@@ -381,11 +384,13 @@ def _placed_instance(
     ``mode`` and ``labels[k]`` the label of matrix k.
 
     For builders that know which rows they placed, the encoder and the
-    version-3 reader: it fills the slot with what :func:`_checked_rows` and
-    :func:`_moved_places` would give (:func:`_placed_rows`), without
-    visiting every row place.  It fills nothing if it finds a violation,
-    so the instance's first check runs :func:`_checked_rows` and names
-    every violation as it would for any other instance.
+    reader of every format version: it fills the slot with what
+    :func:`_checked_rows` and :func:`_moved_places` would give
+    (:func:`_placed_rows`), visiting only the places listed: the moved
+    rows of a reduction or of a version-2 or version-3 document, and every
+    row of a version-1 document.  It fills nothing if it finds a
+    violation, so the instance's first check runs :func:`_checked_rows`
+    and names every violation as it would for any other instance.
     """
     global _slot
     matrices = []
@@ -484,17 +489,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(tuple(_prepared(inst)[1]))
 
 
-def _step(weights: Sequence[Scalar], rows) -> tuple:
-    """``weights`` times the matrix of sparse ``rows``: the products and order
-    of a dense loop over the rows, from the zero of the operand type."""
-    out = [weights[0] * 0] * len(weights)
-    for w, row in zip(weights, rows):
-        if w:
-            for j, t in row:
-                out[j] += w * t
-    return tuple(out)
-
-
 class _IntegerForm:
     """The integer rescaling of a valid exact instance.
 
@@ -552,8 +546,114 @@ class _IntegerForm:
         return tuple(out)
 
 
+# Terms per generated statement.  CPython compiles a chain of additions by
+# recursing once per term, which overflows at a few thousand terms, so a
+# kernel sums a long column in statements of at most this many terms.
+_KERNEL_TERMS = 200
+
+
+def _sum_lines(name: str, zero: str, terms: List[str]) -> List[str]:
+    """Generated statements setting ``name`` to zero + terms[0] + terms[1] +
+    ..., left to right, at most ``_KERNEL_TERMS`` terms per statement, each
+    starting from the last one's total."""
+    lines, total = [], zero
+    for s in range(0, len(terms) or 1, _KERNEL_TERMS):
+        lines.append(f" {name} = {' + '.join([total, *terms[s : s + _KERNEL_TERMS]])}")
+        total = name
+    return lines
+
+
+@lru_cache(maxsize=128)
+def _kernel_template(pattern: tuple) -> tuple:
+    """``(code, order)``: the code of every :func:`_float_kernel` whose
+    matrix has the sparsity ``pattern`` (per row, the columns of its
+    nonzero entries, in row order; it fixes d), and the order in which a
+    kernel's constants are picked out of its entries, row by row, and the
+    template's own constants.
+
+    The source is that of the kernel :func:`_float_kernel` describes, with
+    the float n in place of the n-th of those entries, counting from 1:
+    distinct floats that no other constant equals and that sit only in
+    products with a local, so the compiler neither merges nor folds them,
+    and each marks the one place among the code's constants where its entry
+    goes.  Dense matrices of one d share one template, compiled once per
+    process.
+    """
+    d = len(pattern)
+    columns: List[List[str]] = [[] for _ in range(d)]
+    n = 0
+    for i, row in enumerate(pattern):
+        for j in row:
+            n += 1
+            columns[j].append(f"w{i}*{n}.0")
+    lines = ["def kernel(w):", f" {''.join(f'w{i},' for i in range(d))} = w"]
+    for j, terms in enumerate(columns):
+        lines += _sum_lines(f"o{j}", "0.0", terms)
+    lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
+    module = compile("\n".join(lines), "<kernel>", "exec")
+    code = next(c for c in module.co_consts if isinstance(c, CodeType))
+    consts = enumerate(code.co_consts)  # the placeholders, then the template's own constants
+    return code, tuple(int(c) - 1 if type(c) is float and c >= 1 else n + p for p, c in consts)
+
+
+def _float_kernel(rows):
+    """A function taking a float population to its image under one matrix,
+    given the matrix's sparse ``(column, entry)`` rows in row order.
+
+    It computes each output o_j = 0.0 + w_i1*c_1 + w_i2*c_2 + ... over
+    column j's nonzero entries, in ascending row order: the products and
+    the order of a loop that adds each weight's products into ``[0.0] *
+    d``, so the results are the same bit for bit.  The loop skips zero
+    weights; here a zero weight only adds a product of +-0.0 to a sum that
+    starts at +0.0 and stays nonnegative, which changes no bit.  A column
+    is summed in statements of at most ``_KERNEL_TERMS`` terms, each
+    starting from the last one's total, so the additions keep their order
+    and no expression grows with the column.
+
+    The kernel is bound, not compiled: its code is the template of its
+    pattern (:func:`_kernel_template`) with the entries put in place of the
+    template's placeholders, each as the float's own value
+    (``float.__float__``, whatever a subclass of float overrides).  So
+    binding takes time linear in the nonzeros, and only a pattern seen for
+    the first time is compiled.  The kernel runs without builtins.
+    """
+    code, order = _kernel_template(tuple(tuple(j for j, _ in row) for row in rows))
+    entries = [float.__float__(c) for row in rows for _, c in row]
+    pool = (*entries, *code.co_consts)
+    return FunctionType(code.replace(co_consts=tuple(map(pool.__getitem__, order))), {"__builtins__": {}})
+
+
+class _FloatForm:
+    """The float form of a valid float instance: its start weights as they
+    are, each read as itself (``mass`` None), and one apply kernel per
+    matrix (:func:`_float_kernel`), which the float search backend and
+    plan evaluation share.
+
+    The kernels are bound the first time ``apply`` runs, once per
+    instance, so callers that never apply a matrix bind none.  A state
+    after a step holds +0.0, the kernels' zero, where nothing lands.
+    """
+
+    mass = None
+
+    def __init__(self, inst: Instance, rows, index):
+        self.start = inst.start.weights
+        self._rows, self._index = rows, index
+
+    @cached_property
+    def kernels(self):
+        """Per matrix, the kernel that applies it."""
+        return [_float_kernel(list(map(self._rows.__getitem__, places))) for places in self._index]
+
+    def apply(self, weights, k: int) -> tuple:
+        """``weights`` times matrix ``k``, through its kernel."""
+        return self.kernels[k](weights)
+
+
 def apply(v: Distribution, matrix: StochasticMatrix) -> Distribution:
-    """One treatment step: the row-vector product ``v @ matrix``."""
+    """One treatment step: the row-vector product ``v @ matrix``, by a
+    dense loop over the rows of nonzero weight, each output starting from
+    the zero of the operand type."""
     weights = v.weights
     d = len(weights)
     rows = matrix.rows
@@ -562,7 +662,13 @@ def apply(v: Distribution, matrix: StochasticMatrix) -> Distribution:
             f"dimension mismatch: distribution has {d} entries, "
             f"matrix is {len(rows)}x{len(rows[0]) if rows else 0}"
         )
-    return Distribution(_step(weights, [[(j, t) for j, t in enumerate(row) if t] for row in rows]))
+    out = [weights[0] * 0] * d
+    for w, row in zip(weights, rows):
+        if w:
+            for j, t in enumerate(row):
+                if t:
+                    out[j] += w * t
+    return Distribution(tuple(out))
 
 
 def _check_plan_indices(inst: Instance, plan: Sequence[int]) -> Plan:
@@ -583,8 +689,9 @@ def evaluate_plan(inst: Instance, plan: Sequence[int]) -> Scalar:
 
     The empty plan (N = 0) is legal and evaluates to ``start[target]``.
 
-    Exact values are exact.  A float value is the dense loop's sum, with
-    no clamping, so it can exceed 1 by rounding: 0/1 rows that re-add the
+    Exact values are Fractions, as the solvers return them.  A float value
+    is the sum of the apply kernels the float searches run, with no
+    clamping, so it can exceed 1 by rounding: 0/1 rows that re-add the
     same weights in another order can make it 1.0000000000000002 on a
     start of mass exactly 1.0.  The float searches return the same bits.
     """
@@ -607,29 +714,24 @@ def _plan_states(inst: Instance, plan: Sequence[int], full: bool) -> Tuple[list,
     mass D they are read at, after checking the instance and that the plan
     has N steps if ``full``, else at most N.
 
-    A nonempty plan from an exact start led by a Fraction walks the
-    integer form, ``_IntegerForm.apply`` per step, and weight x stands for
-    Fraction(x, D).  Any other walk runs the dense loop's arithmetic
-    (:func:`_step`), which leaves an int where nothing lands after an int
-    first weight, and D is None.  :func:`_value` and
-    :func:`_distributions` read the weights.
+    The walk is the instance's form, the one the searches apply matrices
+    through, one ``apply`` per step: the integer form of an exact
+    instance, whose weight x stands for Fraction(x, D), and the float form
+    of a float one, whose weights stand for themselves (D is None).  So
+    each value is the searches' own, bit for bit and by type.
+    :func:`_value` and :func:`_distributions` read the weights.
     """
-    rows, index = _sparse_rows(inst)
+    _sparse_rows(inst)
     plan = _check_plan_indices(inst, plan)
     if full and len(plan) != inst.N:
         raise ValueError(f"plan has {len(plan)} steps, instance horizon is {inst.N}")
     if len(plan) > inst.N:
         raise ValueError(f"plan has {len(plan)} steps, longer than horizon {inst.N}")
-    if plan and isinstance(inst.start.weights[0], Fraction):  # float starts hold floats
-        form = _derived(inst, _IntegerForm)
-        step, points = form.apply, [form.start]
-        for k in plan:
-            points.append(step(points[-1], k))
-        return points, form.mass
-    points = [inst.start.weights]
+    form = _derived(inst, _IntegerForm if inst.numeric_mode == EXACT else _FloatForm)
+    points = [form.start]
     for k in plan:
-        points.append(_step(points[-1], map(rows.__getitem__, index[k])))
-    return points, None
+        points.append(form.apply(points[-1], k))
+    return points, form.mass
 
 
 def _value(x, mass: Optional[int]) -> Scalar:

@@ -23,14 +23,16 @@ shares, and writes a pair per moved row, as
 :func:`~timemachine.core._moved_places` lists them.  The reader parses
 each distinct number text once and decodes identical rows to one shared
 tuple, every unit row ``e_j`` to the one tuple
-:func:`~timemachine.core._unit_rows` builds for it.  A version-3 read
-builds its instance through :func:`~timemachine.core._placed_instance`
-from the rows each matrix lists, so the instance check reads each
-distinct row once and visits no row place, as it does for a reduction;
-version 1 and 2 reads are checked place by place.  The reader refuses a
-document whose ``d * d`` or ``K * d`` exceeds ``MAX_ENTRIES`` before it
-builds any row, since those are what reading builds whatever the document
-lists, and the writer refuses to write one.
+:func:`~timemachine.core._unit_rows` builds for it; a version-1
+document's dense rows decode to one tuple per place.  Every read builds
+its instance through :func:`~timemachine.core._placed_instance` from the
+rows each matrix places other than the shared unit row ``e_i`` at row i,
+so the instance check reads each distinct row once and visits only those
+places: the moved rows of a version-2 or version-3 document, and every
+row of a version-1 document.  The reader refuses a document whose ``d *
+d`` or ``K * d`` exceeds ``MAX_ENTRIES`` before it builds any row, since
+those are what reading builds whatever the document lists, and the
+writer refuses to write one.
 
 Plan files are a single line of whitespace-separated 0-based matrix
 indices; lines starting with '#' are comments.
@@ -51,15 +53,14 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from . import core
 from .core import (
     EXACT,
     FLOAT,
     _ZERO_ONE,
     Distribution,
-    Instance,
     Plan,
     Scalar,
-    StochasticMatrix,
     _derived,
     _moved_places,
     _placed_instance,
@@ -149,12 +150,12 @@ def _memo_exact_parser():
     return parse
 
 
-def _sparse_row_reader(d: int, mode: str, parse, units: Optional[tuple] = None):
+def _sparse_row_reader(d: int, mode: str, parse, units: tuple):
     """Decoder of sparse rows into dense tuples.  Identical rows, keyed on
     their raw pairs, decode to one shared tuple, and only the first of them
-    has its values parsed; the structure is checked on every row.  Given
-    the unit rows, a row equal to ``e_j`` decodes to ``units[j]``.  A
-    malformed row is named ``f"{where} {i}"``."""
+    has its values parsed; the structure is checked on every row.  A row
+    equal to the unit row ``e_j`` decodes to ``units[j]``.  A malformed row
+    is named ``f"{where} {i}"``."""
     value_types = (str,) if mode == EXACT else (int, float)
     zero = _ZERO_ONE[mode][0]
     decoded: Dict[tuple, tuple] = {}
@@ -182,7 +183,7 @@ def _sparse_row_reader(d: int, mode: str, parse, units: Optional[tuple] = None):
             for j, value in raw:
                 dense[j] = parse(value)
             row = tuple(dense)
-            if units is not None and row.count(zero) == d - 1:
+            if row.count(zero) == d - 1:
                 unit = units[next(j for j, _ in raw if dense[j])]
                 if row == unit:
                     row = unit
@@ -238,7 +239,7 @@ class ReductionMeta:
 
 @dataclass(frozen=True)
 class InstanceDocument:
-    instance: Instance
+    instance: core.Instance
     reduction_meta: Optional[ReductionMeta] = None
 
 
@@ -249,7 +250,7 @@ def _open(path_or_file: PathOrFile, mode: str):
 
 
 def write_instance(
-    instance: Instance,
+    instance: core.Instance,
     path_or_file: PathOrFile,
     reduction_meta: Optional[ReductionMeta] = None,
 ) -> None:
@@ -260,9 +261,9 @@ def write_instance(
     :func:`~timemachine.core._moved_places`: it leaves row i in place when
     that row is the unit row ``e_i``, whose only nonzero entry is a 1 at
     column i.  Both come from the instance check, which for an instance
-    that :func:`~timemachine.reduction.encode_reduction` or a version-3
+    that :func:`~timemachine.reduction.encode_reduction` or
     :func:`read_instance` built was made as it was built, each distinct row
-    checked once and no row place visited.
+    checked once and only the places it listed visited.
 
     Raises ValueError, before the file is opened, for an instance whose
     document :func:`read_instance` would reject: first if its ``d * d`` or
@@ -374,8 +375,8 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
     too_large = _size_error(d, K)
     _require(too_large is None, too_large)
 
+    units = _unit_rows(d, mode)
     if version == 3:
-        units = _unit_rows(d, mode)
         read_matrix = _moved_rows_reader(doc.get("rows"), units, mode, parse)
     else:
         if version == 1:
@@ -385,12 +386,13 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
                 return tuple(parse(x) for x in raw)
 
         else:
-            read_row = _sparse_row_reader(d, mode, parse)
+            read_row = _sparse_row_reader(d, mode, parse, units)
 
-        def read_matrix(grid, k: int) -> tuple:
+        def read_matrix(grid, k: int) -> dict:
             _require(isinstance(grid, list) and len(grid) == d, f"matrix {k} must have {d} rows")
             where = f"matrix {k} row"
-            return tuple(read_row(raw, where, i) for i, raw in enumerate(grid))
+            rows = (read_row(raw, where, i) for i, raw in enumerate(grid))
+            return {i: row for i, row in enumerate(rows) if row is not units[i]}
 
     matrices_raw = doc["matrices"]
     _require(isinstance(matrices_raw, list) and len(matrices_raw) == K, f"matrices must hold {K} entries")
@@ -405,16 +407,7 @@ def read_instance(path_or_file: PathOrFile) -> InstanceDocument:
         label = labels[k]
         _require(label is None or isinstance(label, str), f"label {k} must be a string or null")
 
-    if version == 3:  # checked as built, each distinct row once
-        instance = _placed_instance(units, mode, N, start, target, labels, matrices)
-    else:
-        instance = Instance(
-            matrices=tuple(map(StochasticMatrix, matrices, labels)),
-            N=N,
-            start=start,
-            target=target,
-            numeric_mode=mode,
-        )
+    instance = _placed_instance(units, mode, N, start, target, labels, matrices)
     report = validate_instance(instance)
     if not report.ok:
         raise InstanceFormatError("invalid instance: " + "; ".join(report.violations))

@@ -57,20 +57,22 @@ a backend lives until its instance dies or another instance is checked.
   weights unscaled and sums each child bound separately, so float
   arithmetic and its summation order are those of the plain problem.
   Float populations practically never repeat exactly, so searches keep no
-  memo over it.  It applies each matrix through a kernel of its own,
+  memo over it.  It applies each matrix through the apply kernel that the
+  instance's float form (:class:`~timemachine.core._FloatForm`) holds,
   straight-line code over the matrix's nonzero entries that adds the same
-  products in the same order as a loop over the rows would, so its results
-  are bit-identical to that loop's.  The code is compiled once per process
-  per sparsity pattern (dense matrices of one d share it), and each
-  matrix's kernel is that code with the matrix's entries bound in as its
-  constants, the first time a search applies the matrix, once per
-  instance, in time linear in the nonzeros.  Its child bounds come from one
-  dot-product kernel per ``(d, K)`` shape, compiled once per process, and
-  so do enumeration's reads, off G or off Q[1].  The walk compares its
-  bounds above the leaves with a rounding slack (``cutoffs``), and
-  enumeration its largest reads, so that no bound or read, off ``caps``
-  or off ``G``, sits below the float value of a plan under it
-  (:func:`_rounding_slack` has the proof).
+  products in the same order as a loop over the rows from +0.0 would, so
+  its results are bit-identical to that loop's, and plan evaluation steps
+  through the same kernels.  :mod:`timemachine.core` compiles the code once
+  per process per sparsity pattern (dense matrices of one d share it), and
+  each matrix's kernel is that code with the matrix's entries bound in as
+  its constants, the first time a search or an evaluation applies the
+  matrix, once per instance, in time linear in the nonzeros.  Its child
+  bounds come from one dot-product kernel per ``(d, K)`` shape, compiled
+  once per process, and so do enumeration's reads, off G or off Q[1].
+  The walk compares its bounds above the leaves with a rounding slack
+  (``cutoffs``), and enumeration its largest reads, so that no bound or
+  read, off ``caps`` or off ``G``, sits below the float value of a plan
+  under it (:func:`_rounding_slack` has the proof).
 * :class:`_IntegerView` serves exact instances.  Its coefficients are the
   entries times L, the lcm of their denominators, so its tables come out in
   integers, level r scaled by L^r, and no Fraction is built before the end.
@@ -134,11 +136,10 @@ from itertools import chain, repeat
 from math import ceil, fsum, gcd, inf, log10, nextafter
 from operator import floordiv, ge, itemgetter, mul, pos
 from struct import Struct
-from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import EXACT, EVAL_TOL, Instance, Plan, Scalar
-from .core import _derived, _IntegerForm, _moved_places, _sparse_rows
+from .core import _derived, _FloatForm, _IntegerForm, _moved_places, _sparse_rows, _sum_lines
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 
@@ -368,91 +369,14 @@ def _deflated(x: float, factor: float, absolute: float) -> float:
     return nextafter(nextafter(x - absolute, -inf) / factor, -inf)
 
 
-# Terms per generated statement.  CPython compiles a chain of additions by
-# recursing once per term, which overflows at a few thousand terms, so a
-# kernel sums a long column in statements of at most this many terms.
-_KERNEL_TERMS = 200
-
-
-def _sum_lines(name: str, zero: str, terms: List[str]) -> List[str]:
-    """Generated statements setting ``name`` to zero + terms[0] + terms[1] +
-    ..., left to right, at most ``_KERNEL_TERMS`` terms per statement, each
-    starting from the last one's total."""
-    lines, total = [], zero
-    for s in range(0, len(terms) or 1, _KERNEL_TERMS):
-        lines.append(f" {name} = {' + '.join([total, *terms[s : s + _KERNEL_TERMS]])}")
-        total = name
-    return lines
-
-
-@lru_cache(maxsize=128)
-def _kernel_template(pattern: tuple) -> tuple:
-    """``(code, order)``: the code of every :func:`_float_kernel` whose
-    matrix has the sparsity ``pattern`` (per row, the columns of its
-    nonzero entries, in row order; it fixes d), and the order in which a
-    kernel's constants are picked out of its entries, row by row, and the
-    template's own constants.
-
-    The source is that of the kernel :func:`_float_kernel` describes, with
-    the float n in place of the n-th of those entries, counting from 1:
-    distinct floats that no other constant equals and that sit only in
-    products with a local, so the compiler neither merges nor folds them,
-    and each marks the one place among the code's constants where its entry
-    goes.  Dense matrices of one d share one template, compiled once per
-    process.
-    """
-    d = len(pattern)
-    columns: List[List[str]] = [[] for _ in range(d)]
-    n = 0
-    for i, row in enumerate(pattern):
-        for j in row:
-            n += 1
-            columns[j].append(f"w{i}*{n}.0")
-    lines = ["def kernel(w):", f" {''.join(f'w{i},' for i in range(d))} = w"]
-    for j, terms in enumerate(columns):
-        lines += _sum_lines(f"o{j}", "0.0", terms)
-    lines.append(f" return {''.join(f'o{j},' for j in range(d))}")
-    module = compile("\n".join(lines), "<kernel>", "exec")
-    code = next(c for c in module.co_consts if isinstance(c, CodeType))
-    consts = enumerate(code.co_consts)  # the placeholders, then the template's own constants
-    return code, tuple(int(c) - 1 if type(c) is float and c >= 1 else n + p for p, c in consts)
-
-
-def _float_kernel(rows):
-    """A function taking a float population to its image under one matrix,
-    given the matrix's sparse ``(column, entry)`` rows in row order.
-
-    It computes each output o_j = 0.0 + w_i1*c_1 + w_i2*c_2 + ... over
-    column j's nonzero entries, in ascending row order: the products and
-    the order of a loop that adds each weight's products into ``[0.0] *
-    d``, so the results are the same bit for bit.  The loop skips zero
-    weights; here a zero weight only adds a product of +-0.0 to a sum that
-    starts at +0.0 and stays nonnegative, which changes no bit.  A column
-    is summed in statements of at most ``_KERNEL_TERMS`` terms, each
-    starting from the last one's total, so the additions keep their order
-    and no expression grows with the column.
-
-    The kernel is bound, not compiled: its code is the template of its
-    pattern (:func:`_kernel_template`) with the entries put in place of the
-    template's placeholders, each as the float's own value
-    (``float.__float__``, whatever a subclass of float overrides).  So
-    binding takes time linear in the nonzeros, and only a pattern seen for
-    the first time is compiled.  The kernel runs without builtins.
-    """
-    code, order = _kernel_template(tuple(tuple(j for j, _ in row) for row in rows))
-    entries = [float.__float__(c) for row in rows for _, c in row]
-    pool = (*entries, *code.co_consts)
-    return FunctionType(code.replace(co_consts=tuple(map(pool.__getitem__, order))), {"__builtins__": {}})
-
-
 @lru_cache(maxsize=128)
 def _dot_kernel(n: int, m: int):
     """``kernel(w, Q)`` = ``[sum(map(mul, w, q)) for q in Q]`` for n weights
     and m vectors of n entries, as straight-line code over locals: each sum
     is 0 + w0*q_0 + w1*q_1 + ..., the int start, products and left-to-right
-    order of ``sum()`` up to CPython 3.11, in statements of at most
-    ``_KERNEL_TERMS`` terms.  It holds no constant but 0 and runs without
-    builtins, so one kernel per shape serves every caller."""
+    order of ``sum()`` up to CPython 3.11, in the statements of
+    :func:`~timemachine.core._sum_lines`.  It holds no constant but 0 and
+    runs without builtins, so one kernel per shape serves every caller."""
     vectors = "".join("(" + "".join(f"q{k}_{i}," for i in range(n)) + ")," for k in range(m))
     lines = ["def kernel(w, Q):", f" {''.join(f'w{i},' for i in range(n))} = w", f" {vectors} = Q"]
     for k in range(m):
@@ -506,15 +430,18 @@ class _FloatView(_ValueView):
     instances they practically never repeat exactly, so a memo costs a key
     per node and prunes nothing.
 
-    ``apply`` runs one kernel per matrix (:func:`_float_kernel`), a
-    function with one straight-line sum per output state, which replaces a
-    Python double loop over the nonzero entries.  The kernels are bound
-    from the template of their pattern the first time ``apply`` runs, once
-    per instance, since later calls on the instance reuse the view.
-    Callers that never apply a matrix bind nothing: :func:`mdp_value_table`,
-    and every search at N <= 1, which reads every child off ``caps``.  A
-    kernel references no view, so dropping the view frees it without a
-    cycle collection.
+    ``start`` and ``apply`` are those of the instance's float form
+    (:class:`~timemachine.core._FloatForm`), which plan evaluation walks
+    too: ``apply`` runs one kernel per matrix
+    (:func:`~timemachine.core._float_kernel`), a function with one
+    straight-line sum per output state, which replaces a Python double loop
+    over the nonzero entries.  The kernels are bound from the template of
+    their pattern the first time the form applies a matrix, once per
+    instance, whether a search or an evaluation asks first.  Callers that
+    never apply a matrix bind nothing: :func:`mdp_value_table`, and every
+    search at N <= 1, which reads every child off ``caps``.  A kernel
+    references no view, so dropping the view frees it without a cycle
+    collection.
 
     ``caps`` calls the :func:`_dot_kernel` of the instance's shape, taken
     the first time it runs and shared by every view of that shape.  It fixes
@@ -538,19 +465,12 @@ class _FloatView(_ValueView):
     _total = staticmethod(fsum)
 
     def __init__(self, inst: Instance, rows, index):
-        self.start = inst.start.weights
+        self._form = form = _derived(inst, _FloatForm)
+        self.start, self.apply = form.start, form.apply
         self._rows, self._index, self._target = rows, index, inst.target
         self.U, self.lookahead, _ = _tables(rows, index, inst.d, inst.N, inst.target)
         self.level_scale = self.full = (1,) * (inst.N + 1)
         self._slacks = [_rounding_slack(inst.d, r) for r in range(2, inst.N + 1)]
-
-    @cached_property
-    def kernels(self):
-        """Per matrix, the kernel that applies it."""
-        return [_float_kernel(list(map(self._rows.__getitem__, places))) for places in self._index]
-
-    def apply(self, weights, k: int):
-        return self.kernels[k](weights)
 
     @cached_property
     def _dot(self):
@@ -602,7 +522,7 @@ class _FloatView(_ValueView):
         each leaf read off Q[1] (``caps(weights, 1)``)."""
         block = [weights]
         for _ in range(b - 1):  # the children of the block's populations, in plan order
-            block = list(chain.from_iterable(zip(*[map(f, block) for f in self.kernels])))
+            block = list(chain.from_iterable(zip(*[map(f, block) for f in self._form.kernels])))
         return list(chain.from_iterable(map(self._dot, block, repeat(self.lookahead[1]))))
 
     def cutoffs(self, x: float) -> list:

@@ -67,13 +67,14 @@ def chain_value_oracle(inst, plan):
     return sum(start[i] * product_matrix[i][inst.target] for i in range(d))
 
 
-def dense_apply_reference(weights, rows):
+def dense_apply_reference(weights, rows, zero=None):
     """``weights @ rows`` by the dense loop over every entry of every row
-    with a nonzero weight, starting each output from ``weights[0] * 0``:
-    the products, order and zero (a -0.0 first weight gives -0.0 outputs
-    where nothing lands) of the library's former ``core.apply``."""
+    with a nonzero weight, starting each output from ``zero``, by default
+    ``weights[0] * 0``: the products, order and zero (a -0.0 first weight
+    gives -0.0 outputs where nothing lands) of the library's former
+    ``core.apply``."""
     d = len(weights)
-    out = [weights[0] * 0] * d  # zero of the operand type
+    out = [weights[0] * 0 if zero is None else zero] * d
     for i, w in enumerate(weights):
         if w:
             row = rows[i]
@@ -108,12 +109,12 @@ def exec_float_kernel(rows):
     return namespace.pop("kernel")
 
 
-def dense_trajectory_reference(inst, plan):
+def dense_trajectory_reference(inst, plan, zero=None):
     """The weights of each state a plan visits, start first, through
-    :func:`dense_apply_reference`."""
+    :func:`dense_apply_reference` from ``zero``."""
     points = [inst.start.weights]
     for k in plan:
-        points.append(dense_apply_reference(points[-1], inst.matrices[k].rows))
+        points.append(dense_apply_reference(points[-1], inst.matrices[k].rows, zero))
     return points
 
 

@@ -85,6 +85,31 @@ class TestSolve:
         assert main(["solve", str(sat_instance), "--method", "beam", "--beam-width", "0"]) == 1
         assert "beam width must be an integer >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, token",
+        [
+            ("--beam-width", "1_0"),
+            ("--beam-width", "\u0663"),  # an Arabic-Indic 3
+            ("--beam-width", " 4 "),
+            ("--beam-width", "four"),
+            ("--budget", " 1_000_000_000 "),
+            ("--budget", "\uff11\uff10"),  # a fullwidth 10
+        ],
+    )
+    def test_integer_options_take_ascii_digits_only(self, sat_instance, capsys, option, token):
+        argv = ["solve", str(sat_instance), "--method", "beam", option, token]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ") and f"error: argument {option}: invalid integer {token!r}" in err
+
+    def test_signed_integer_options_read(self, sat_instance, capsys):
+        argv = ["solve", str(sat_instance), "--method", "beam", "--beam-width", "+4", "--budget", "-1"]
+        assert main(argv) == 0
+        signed = capsys.readouterr().out
+        assert main(["solve", str(sat_instance), "--method", "beam", "--beam-width", "4"]) == 0
+        assert signed == capsys.readouterr().out
+
     def test_enum_budget_exceeded_exit_2(self, sat_instance, capsys):
         code = main(["solve", str(sat_instance), "--method", "enum", "--budget", "10"])
         assert code == 2
@@ -241,7 +266,9 @@ class TestBench:
         ]
         assert [row[6] for row in rows[2:]] == ["0.000", "0.000"]
 
-    @pytest.mark.parametrize("method", ["dance", "beam:abc", "beam:0"])
+    @pytest.mark.parametrize(
+        "method", ["dance", "beam:abc", "beam:0", "beam:-2", "beam:1_0", "beam:\uff13", "beam:\u0663"]
+    )
     def test_unknown_method_is_usage_error(self, sat_instance, tmp_path, capsys, method):
         # refused while the suite is parsed, before the CSV is opened
         suite = tmp_path / "suite.txt"

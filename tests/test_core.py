@@ -396,21 +396,28 @@ def typed(weights):
     return [(type(x), x) for x in weights]
 
 
+def as_fractions(weights):
+    """``typed`` of ``weights`` with every weight read as a Fraction."""
+    return [(Fraction, x) for x in weights]
+
+
 class TestDenseIdentity:
-    """Plan states, through the instance check's sparse rows or the
-    integer form, match the dense loop the library ran before, floats bit
-    for bit, exact values by value and type."""
+    """Plan states, through the instance's float or integer form, match
+    the dense loop the library ran before: floats bit for bit, from a +0.0
+    start of each sum, and exact states by value, every state after the
+    start a Fraction."""
 
     def test_float_states_match_bit_for_bit(self):
-        # a -0.0 first start weight makes -0.0 outputs where nothing lands
+        # a -0.0 first start weight leaves +0.0 where nothing lands, as
+        # the search kernels do
         rng = Random(20242)
         for _ in range(150):
             d, K, N = rng.randint(1, 7), rng.randint(1, 3), rng.randint(0, 5)
             inst = random_sparse_float_instance(rng, d, K, N)
             plan = tuple(rng.randrange(K) for _ in range(N))
             got = [list(map(float.hex, p.weights)) for p in trajectory(inst, plan)]
-            expected = [list(map(float.hex, w)) for w in dense_trajectory_reference(inst, plan)]
-            assert got == expected
+            reference = dense_trajectory_reference(inst, plan, zero=0.0)
+            assert got == [list(map(float.hex, w)) for w in reference]
 
     @pytest.mark.parametrize("start_kind", ["fraction", "int", "mixed"])
     def test_exact_states_match_by_value_and_type(self, start_kind):
@@ -432,7 +439,8 @@ class TestDenseIdentity:
                 )
             plan = tuple(rng.randrange(K) for _ in range(N))
             got = [typed(p.weights) for p in trajectory(inst, plan)]
-            assert got == [typed(w) for w in dense_trajectory_reference(inst, plan)]
+            start, *later = dense_trajectory_reference(inst, plan)
+            assert got == [typed(start), *map(as_fractions, later)]
 
 
 def parts_row(rng, d, denominator, whole_as_int=False):
@@ -506,13 +514,17 @@ class TestExactPlanStates:
             assert (view.moved, view.start, view.base) == (form.moved, form.start, form.base)
             assert view.moved is form.moved
 
-    def test_int_first_start_weight_runs_the_dense_step(self, monkeypatch):
+    def test_int_first_start_weight_walks_the_integer_form(self, monkeypatch):
         from timemachine import core
 
         steps = []
-        step = core._step
-        monkeypatch.setattr(core, "_step", lambda w, rows: steps.append(w) or step(w, rows))
-        monkeypatch.setattr(core._IntegerForm, "apply", None)  # never called
+        step = core._IntegerForm.apply
+
+        def counted(form, weights, k):
+            steps.append(k)
+            return step(form, weights, k)
+
+        monkeypatch.setattr(core._IntegerForm, "apply", counted)
         rng = Random(20246)
         for _ in range(20):
             d, K, N = rng.randint(2, 5), rng.randint(1, 3), rng.randint(1, 5)
@@ -522,7 +534,12 @@ class TestExactPlanStates:
             inst = Instance(inst.matrices, N, Distribution(tuple(weights)), inst.target, "exact")
             plan = tuple(rng.randrange(K) for _ in range(N))
             del steps[:]
-            self.assert_dense(inst, plan)
+            # the dense loop's values, every state after the start a Fraction
+            start, *later = dense_trajectory_reference(inst, plan)
+            for t in range(N + 1):
+                got = [typed(p.weights) for p in trajectory(inst, plan[:t])]
+                assert got == [typed(start), *map(as_fractions, later[:t])]
+            assert typed([evaluate_plan(inst, plan)]) == as_fractions([later[-1][inst.target]])
             assert len(steps) == sum(range(N + 1)) + N  # every prefix, then the value
 
     @pytest.mark.parametrize(
@@ -723,6 +740,26 @@ class TestPlacedInstance:
             for matrix, label, rows_at in zip(inst.matrices, labels, placed):
                 assert matrix.label == label
                 assert all(row is rows_at.get(i, units[i]) for i, row in enumerate(matrix.rows))
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_older_reads_of_placements_are_filled_as_checked(self, monkeypatch, mode):
+        checks = []
+        check = core._checked_rows
+        monkeypatch.setattr(core, "_checked_rows", lambda inst: checks.append(inst) or check(inst))
+        rng = Random(f"placed/{mode}/older")
+        built = [
+            core._placed_instance(*random_placement(rng, rng.randint(1, 6), rng.randint(1, 4), mode))
+            for _ in range(100)
+        ]
+        if mode == "exact":
+            built += [encode_reduction(formula).instance for formula in _reductions()[:3]]
+        for inst in built:
+            for text in (instance_v1_text(inst), instance_v2_text(inst)):
+                del checks[:]
+                read = read_instance(io.StringIO(text)).instance
+                assert checks == []  # a valid read runs no full check
+                assert read == inst
+                assert_filled_as_checked(read)
 
     @pytest.mark.parametrize(
         "mode, mutation, valid",

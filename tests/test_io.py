@@ -820,15 +820,38 @@ INVALID_INSTANCES = [
 ]
 
 
+def _older_documents():
+    """The version-1 and version-2 texts of every document of
+    :func:`_v3_documents`, as (name, text)."""
+    docs = []
+    for name, text in _v3_documents():
+        doc = read_instance(io.StringIO(text))
+        for version, older in ((1, instance_v1_text), (2, instance_v2_text)):
+            docs.append((f"{name} v{version}", older(doc.instance, doc.reduction_meta)))
+    return docs
+
+
 class TestPlacedRead:
-    """A version-3 read fills the instance check from the rows each matrix
-    lists, equal to the full check, and falls back to the full check on an
-    invalid instance, with the same message a version-2 read gives."""
+    """A read of any version fills the instance check from the rows each
+    matrix lists, equal to the full check, and falls back to the full check
+    on an invalid instance, with the same message a version-2 read gives."""
 
     @pytest.mark.parametrize("name, text", _v3_documents(), ids=[c[0] for c in _v3_documents()])
     def test_read_is_filled_as_checked(self, name, text):
         assert json.loads(text)["format_version"] == 3
         assert_filled_as_checked(read_instance(io.StringIO(text)).instance)
+
+    @pytest.mark.parametrize("name, text", _older_documents(), ids=[c[0] for c in _older_documents()])
+    def test_older_read_is_filled_as_checked(self, monkeypatch, name, text):
+        from timemachine import core
+
+        checks = []
+        check = core._checked_rows
+        monkeypatch.setattr(core, "_checked_rows", lambda inst: checks.append(inst) or check(inst))
+        inst = read_instance(io.StringIO(text)).instance
+        assert checks == []  # no row place visited but those the document lists
+        monkeypatch.undo()
+        assert_filled_as_checked(inst)
 
     @pytest.mark.parametrize(
         "name, base, mutate", INVALID_INSTANCES, ids=[c[0] for c in INVALID_INSTANCES]

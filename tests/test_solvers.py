@@ -383,7 +383,8 @@ class TestBeamSearch:
     def test_applies_only_the_children_it_keeps(self, monkeypatch, view):
         applies = {}  # per level (steps left), the applies after its caps calls
         level = None
-        caps, apply = view.caps, view.apply
+        stepper = core._FloatForm if view is solvers._FloatView else view  # whose apply runs
+        caps, apply = view.caps, stepper.apply
 
         def counting_caps(self, weights, r):
             nonlocal level
@@ -396,7 +397,7 @@ class TestBeamSearch:
             return apply(self, weights, k)
 
         monkeypatch.setattr(view, "caps", counting_caps)
-        monkeypatch.setattr(view, "apply", counting_apply)
+        monkeypatch.setattr(stepper, "apply", counting_apply)
         mode = "float" if view is solvers._FloatView else "exact"
         rng = Random(4042)
         K = 3
@@ -1646,7 +1647,7 @@ class TestFloatKernels:
         # nonzeros, which a single chain of additions could not compile
         d = 3001
         rows = [((0, 1.0),)] + [((0, 0.5), (i, 0.5)) for i in range(1, d)]
-        kernel = solvers._float_kernel(rows)
+        kernel = core._float_kernel(rows)
         rng = Random(7101)
         for _ in range(3):
             weights = population_with_zeros(rng, d)
@@ -1655,25 +1656,25 @@ class TestFloatKernels:
 
     def test_empty_column_is_zero(self):
         rows = [((0, 1.0),), ((0, 0.25), (2, 0.75)), ((0, 1.0),)]
-        got = solvers._float_kernel(rows)((0.5, -0.0, 0.5))
+        got = core._float_kernel(rows)((0.5, -0.0, 0.5))
         assert list(map(repr, got)) == ["1.0", "0.0", "0.0"]
 
     def test_kernel_runs_without_builtins(self):
         rows = [((1, 1.0),), ((0, 0.5), (1, 0.5))]
-        kernel = solvers._float_kernel(rows)
+        kernel = core._float_kernel(rows)
         assert kernel.__globals__ == {"__builtins__": {}}
         assert kernel((0.5, 0.5)) == (0.25, 0.75)
 
     def test_built_only_when_a_search_applies_a_matrix(self, monkeypatch):
         built = []  # per kernel bound, its rows
-        make = solvers._float_kernel
+        make = core._float_kernel
 
         def counting(rows):
             built.append(len(rows))
             return make(rows)
 
-        monkeypatch.setattr(solvers, "_float_kernel", counting)
-        solvers._kernel_template.cache_clear()
+        monkeypatch.setattr(core, "_float_kernel", counting)
+        core._kernel_template.cache_clear()
         inst = random_instance(Random(7102), 4, 3, 1, mode="float")
         mdp_value_table(inst)
         enumerate_solve(inst)
@@ -1681,7 +1682,7 @@ class TestFloatKernels:
         decide_threshold(inst, 0.0)
         beam_search(inst, 4)
         assert built == []
-        assert solvers._kernel_template.cache_info().misses == 0
+        assert core._kernel_template.cache_info().misses == 0
         inst = random_instance(Random(7103), 4, 3, 2, mode="float")
         enumerate_solve(inst)
         # at N = 2 enumeration applies the first step, through one kernel
@@ -1697,7 +1698,27 @@ class TestFloatKernels:
         enumerate_solve(inst)
         assert built == [4] * 6
         # dense matrices share one pattern, and one template
-        assert solvers._kernel_template.cache_info().misses == 1
+        assert core._kernel_template.cache_info().misses == 1
+
+    def test_evaluation_and_searches_share_the_kernels(self, monkeypatch):
+        built = counting(monkeypatch, core, "_float_kernel")
+        rng = Random(7105)
+        inst = random_instance(rng, 4, 3, 3, mode="float")
+        mdp_value_table(inst)
+        assert built == []
+        result = branch_and_bound_solve(inst)
+        assert len(built) == 3
+        # an evaluation after a search walks the kernels the search bound
+        assert repr(evaluate_plan(inst, result.plan)) == repr(result.value)
+        assert len(built) == 3
+        # and a search after an evaluation those the evaluation bound
+        inst = random_instance(rng, 4, 3, 3, mode="float")
+        evaluate_plan(inst, (0, 1, 2))
+        assert len(built) == 6
+        enumerate_solve(inst)
+        beam_search(inst, 2)
+        decide_threshold(inst, 0.5)
+        assert len(built) == 6
 
 
 class Shifted(float):
@@ -1745,17 +1766,17 @@ class TestKernelTemplates:
         rng = Random(7110)
         for _ in range(300):
             rows = random_sparse_rows(rng, rng.randint(1, 12))
-            kernel, reference = solvers._float_kernel(rows), exec_float_kernel(rows)
+            kernel, reference = core._float_kernel(rows), exec_float_kernel(rows)
             for weights in kernel_populations(rng, len(rows)):
                 assert hexes(kernel(weights)) == hexes(reference(weights))
 
     def test_column_longer_than_one_statement(self):
         # 450 rows all reach state 0: a column of 450 terms, in three statements
         d = 450
-        assert d > 2 * solvers._KERNEL_TERMS
+        assert d > 2 * core._KERNEL_TERMS
         rng = Random(7111)
         rows = [((0, rng.random() * 10 ** rng.randint(-9, 9)), (i, 5e-324)) for i in range(d)]
-        kernel, reference = solvers._float_kernel(rows), exec_float_kernel(rows)
+        kernel, reference = core._float_kernel(rows), exec_float_kernel(rows)
         for weights in kernel_populations(rng, d):
             assert hexes(kernel(weights)) == hexes(reference(weights))
 
@@ -1763,22 +1784,22 @@ class TestKernelTemplates:
         shifted = [((0, Shifted(0.3)), (1, Shifted(0.7))), ((1, Shifted(1.0)),)]
         plain = [((0, 0.3), (1, 0.7)), ((1, 1.0),)]
         weights = (0.6, 0.4)
-        got = solvers._float_kernel(shifted)(weights)
+        got = core._float_kernel(shifted)(weights)
         assert hexes(got) == hexes(exec_float_kernel(shifted)(weights))
-        assert hexes(got) == hexes(solvers._float_kernel(plain)(weights))
+        assert hexes(got) == hexes(core._float_kernel(plain)(weights))
         assert all(type(x) is float for x in got)
 
     def test_compiled_once_per_pattern(self):
-        solvers._kernel_template.cache_clear()
+        core._kernel_template.cache_clear()
         rng = Random(7113)
         dense = [[tuple(enumerate(row)) for row in random_float_matrix(rng, 6).rows] for _ in range(3)]
         weights = random_float_distribution(rng, 6).weights
         for rows in dense:
-            got = solvers._float_kernel(rows)(weights)
+            got = core._float_kernel(rows)(weights)
             assert hexes(got) == hexes(exec_float_kernel(rows)(weights))
-        assert solvers._kernel_template.cache_info().misses == 1
-        solvers._float_kernel(random_sparse_rows(rng, 6))
-        assert solvers._kernel_template.cache_info().misses == 2
+        assert core._kernel_template.cache_info().misses == 1
+        core._float_kernel(random_sparse_rows(rng, 6))
+        assert core._kernel_template.cache_info().misses == 2
 
 
 def dot_reference(weights, vectors):
@@ -2054,7 +2075,7 @@ class TestFloatSuffixReads:
         assert (result.value.hex(), result.plan, result.nodes_explored) == (value.hex(), plan, explored)
 
     def test_one_kernel_shape_and_only_apply_kernels(self, monkeypatch):
-        built = counting(monkeypatch, solvers, "_float_kernel")
+        built = counting(monkeypatch, core, "_float_kernel")
         revalued = counting(monkeypatch, solvers._FloatView, "revalue")
         solvers._dot_kernel.cache_clear()
         inst = random_instance(Random(7404), 8, 4, 8, "float")
@@ -2122,15 +2143,15 @@ class TestPreparedInstance:
         expected = all_solver_answers(inst, fresh=True)
         clear_slot()
         checks = counting(monkeypatch, core, "_checked_rows")
-        kernels = counting(monkeypatch, solvers, "_float_kernel")
+        kernels = counting(monkeypatch, core, "_float_kernel")
         integer_views = counting(monkeypatch, solvers._IntegerView, "__init__")
-        solvers._kernel_template.cache_clear()
+        core._kernel_template.cache_clear()
         assert all_solver_answers(inst) == expected
         assert len(checks) == 1
         # per matrix, one apply kernel, all bound from one template: the
         # matrices are dense
         assert len(kernels) == (inst.K if mode == "float" else 0)
-        assert solvers._kernel_template.cache_info().misses == (1 if mode == "float" else 0)
+        assert core._kernel_template.cache_info().misses == (1 if mode == "float" else 0)
         assert len(integer_views) == (1 if mode == "exact" else 0)
 
     def test_alternating_objects_are_prepared_each_time(self, monkeypatch):
@@ -2256,3 +2277,78 @@ class TestPreparedInstance:
             sys.setswitchinterval(switch)
         for t in range(callers):
             assert got[t] == [expected[(i + t) % 2] for i in range(rounds)]
+
+
+def led_by_negative_zero(rng, d, K, N):
+    """A sparse float instance whose start weight 0 is -0.0."""
+    inst = random_sparse_float_instance(rng, d, K, N)
+    start = (-0.0, *random_sparse_float_instance(rng, d - 1, 1, 0).start.weights)
+    return Instance(inst.matrices, N, Distribution(start), inst.target, "float")
+
+
+def with_exact_start(rng, inst, kind):
+    """``inst`` with a start led by a Fraction, by an int (a point mass of
+    ints), or mixed (its whole weights ints, the others Fractions)."""
+    weights = random_exact_distribution(rng, inst.d).weights
+    if kind == "int":
+        weights = [0] * inst.d
+        weights[rng.randrange(inst.d)] = 1
+    elif kind == "mixed":
+        weights = [int(w) if w.denominator == 1 else w for w in weights]
+    return Instance(inst.matrices, inst.N, Distribution(tuple(weights)), inst.target, "exact")
+
+
+def plan_value_cases():
+    rng = Random(7500)
+    float_kinds = {
+        "dense": lambda d, K, N: random_instance(rng, d, K, N, "float"),
+        "sparse": lambda d, K, N: random_sparse_float_instance(rng, d, K, N),
+        "tie-heavy": lambda d, K, N: tie_heavy_instance(rng, d, K, N, "float"),
+        "-0.0-led": lambda d, K, N: led_by_negative_zero(rng, d, K, N),
+    }
+    cases = [
+        # nothing reaches the target: every later state holds 0.0 there
+        pytest.param(
+            Instance((StochasticMatrix.identity(2, "float"),), N, Distribution((-0.0, 1.0)), 0, "float"),
+            id=f"-0.0-led-identity-N{N}",
+        )
+        for N in range(3)
+    ]
+    for kind, build in float_kinds.items():
+        for n in range(12):
+            inst = build(rng.randint(2, 5), rng.randint(1, 3), n % 5)
+            cases.append(pytest.param(inst, id=f"float-{kind}-{n}"))
+    for kind in ("fraction", "int", "mixed"):
+        for n in range(12):
+            d, K, N = rng.randint(1, 5), rng.randint(1, 3), n % 5
+            build = random_instance if n % 2 else tie_heavy_instance
+            inst = with_exact_start(rng, build(rng, d, K, N, "exact"), kind)
+            cases.append(pytest.param(inst, id=f"exact-{kind}-{n}"))
+    return cases
+
+
+class TestPlanValuesAreTheSolversValues:
+    """``evaluate_plan`` steps through the form the searches apply matrices
+    through, so the value of a solver's plan is the solver's value, with
+    the same repr and type, and a decision's witness is valued in the same
+    numbers."""
+
+    @pytest.mark.parametrize("inst", plan_value_cases())
+    def test_same_repr_and_type(self, inst):
+        results = [
+            enumerate_solve(inst),
+            branch_and_bound_solve(inst),
+            beam_search(inst, 1),
+            beam_search(inst, inst.K),
+        ]
+        for result in results:
+            value = evaluate_plan(inst, result.plan)
+            assert (type(value), repr(value)) == (type(result.value), repr(result.value)), result
+        optimum, exact = results[0].value, inst.numeric_mode == "exact"
+        for alpha in (0, optimum):
+            attained, witness = decide_threshold(inst, alpha)
+            value = evaluate_plan(inst, witness)
+            assert attained and type(value) is type(optimum)
+            assert value >= alpha - (0 if exact else EVAL_TOL)
+        if exact:  # the first plan at the optimum is enumeration's
+            assert (witness, repr(value)) == (results[0].plan, repr(optimum))
